@@ -133,9 +133,10 @@ void BM_OutOfCoreGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_OutOfCoreGroupBy);
 
-// Morsel-parallel out-of-core scan across the thread ladder: phase 2
-// decodes and accumulates the surviving chunks in waves while the chunk
-// cache stays bounded; the answer is bit-identical at every fan-out.
+// Morsel-parallel out-of-core scan across the thread ladder: each wave
+// decodes its chunks on the workers and accumulates over worker-owned gid
+// ranges while the chunk cache stays bounded; the answer is bit-identical
+// at every fan-out.
 void BM_OutOfCoreGroupByParallel(benchmark::State& state) {
   const MappedFixture& fx = BenchFile();
   ScopedThreads threads(static_cast<int>(state.range(0)));

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
+#include <numeric>
 #include <vector>
 
 #include "src/exec/group_by_executor.h"
+#include "src/exec/group_index.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
 #include "src/expr/compiled_predicate.h"
@@ -20,56 +21,10 @@ namespace {
 // Per-aggregate binding against the mapped schema (the streaming analogue
 // of BoundAggregates::Bind, without materialized indicator vectors).
 struct MappedAggBinding {
-  bool constant_one = false;        // COUNT: answered by cnt[] directly
-  const Predicate* filter = nullptr;  // COUNT_IF
-  size_t col = 0;                   // value column otherwise
+  bool constant_one = false;                  // COUNT: answered by cnt[]
+  std::unique_ptr<CompiledPredicate> filter;  // COUNT_IF
+  size_t col = 0;                             // value column otherwise
 };
-
-// Builds a zero-row Table with the mapped schema (string columns carry the
-// file dictionaries) — the compile target for zone-map classification of
-// the WHERE clause before any chunk is decoded. The compiled plan's column
-// data pointers are empty and never dereferenced; only its literal /
-// match-table leaves and column indexes feed ClassifyZones.
-Table MakePrototype(const MappedTable& mt) {
-  std::vector<Column> cols;
-  cols.reserve(mt.num_columns());
-  for (size_t c = 0; c < mt.num_columns(); ++c) {
-    Column col(mt.schema().field(c).type);
-    if (col.type() == DataType::kString) {
-      col.AdoptDictionary(mt.dictionary(c));
-    }
-    cols.push_back(std::move(col));
-  }
-  return Table(mt.schema(), std::move(cols));
-}
-
-// Builds the in-memory mini-Table for one decoded chunk: every column of
-// the schema at chunk height, sharing the file dictionaries. Compilation
-// targets (WHERE, COUNT_IF filters) resolve columns by name against it, so
-// it must mirror the full schema.
-Result<Table> MakeChunkTable(const MappedTable& mt, size_t chunk) {
-  std::vector<Column> cols;
-  cols.reserve(mt.num_columns());
-  for (size_t c = 0; c < mt.num_columns(); ++c) {
-    CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const DecodedChunk> data,
-                           mt.GetChunk(c, chunk));
-    Column col(mt.schema().field(c).type);
-    switch (col.type()) {
-      case DataType::kInt64:
-        col.AdoptInts(data->ints);
-        break;
-      case DataType::kDouble:
-        col.AdoptDoubles(data->doubles);
-        break;
-      case DataType::kString:
-        col.AdoptDictionary(mt.dictionary(c));
-        col.AdoptCodes(data->codes);
-        break;
-    }
-    cols.push_back(std::move(col));
-  }
-  return Table(mt.schema(), std::move(cols));
-}
 
 // Renders a group label exactly like GroupKey::Render does for the
 // in-memory executor (dict strings for string columns, decimal otherwise).
@@ -91,18 +46,22 @@ std::string RenderLabel(const MappedTable& mt, const std::vector<size_t>& gcols,
   return Join(parts, "|");
 }
 
-// Query compilation shared by the serial and parallel scans: resolved
-// group-by columns, aggregate bindings, and the prototype-compiled WHERE.
-// The prototype Table lives behind a pointer so the compiled plan's
-// borrowed column indexes stay valid however the struct moves.
+// Query compilation: resolved group-by columns, aggregate bindings, the
+// WHERE clause, and the projection — the columns a chunk the WHERE clause
+// does not refute must decode. Predicates compile against the file's
+// zero-row prototype, which lives behind a pointer so the compiled plans'
+// borrowed storage stays valid however the struct moves; the plans are
+// only classified against the file's zone maps and rebound to decoded
+// chunks, never evaluated against the prototype.
 struct MappedScanPlan {
   size_t t = 0;  // aggregate count
   std::vector<size_t> gcols;
   std::vector<MappedAggBinding> bindings;
   bool any_var = false;
-  bool any_countif = false;
+  size_t num_countif = 0;
   std::unique_ptr<Table> proto;
-  std::unique_ptr<CompiledPredicate> proto_where;
+  std::unique_ptr<CompiledPredicate> where;
+  std::vector<size_t> decode_cols;  // ascending: GROUP BY, values, leaves
 };
 
 Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
@@ -113,6 +72,8 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
   const Schema& schema = mt.schema();
   MappedScanPlan plan;
   plan.t = query.aggregates.size();
+  plan.proto = std::make_unique<Table>(mt.Prototype());
+  std::vector<bool> read(mt.num_columns(), false);
 
   // Resolve group-by columns (discrete types only, as GroupIndex requires).
   plan.gcols.reserve(query.group_by.size());
@@ -122,22 +83,29 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
       return Status::InvalidArgument("cannot group by double column " + name);
     }
     plan.gcols.push_back(idx);
+    read[idx] = true;
   }
 
-  // Resolve aggregates.
+  // Resolve aggregates; COUNT_IF filters compile against the prototype.
   plan.bindings.resize(plan.t);
   for (size_t j = 0; j < plan.t; ++j) {
     const AggSpec& a = query.aggregates[j];
+    MappedAggBinding& b = plan.bindings[j];
     plan.any_var |= a.func == AggFunc::kVariance;
     if (a.func == AggFunc::kCount) {
-      plan.bindings[j].constant_one = true;
+      b.constant_one = true;
       continue;
     }
     if (a.func == AggFunc::kCountIf) {
       if (a.filter == nullptr) {
         return Status::InvalidArgument("COUNT_IF requires a filter");
       }
-      plan.bindings[j].filter = a.filter.get();
+      CVOPT_ASSIGN_OR_RETURN(
+          CompiledPredicate cp,
+          CompiledPredicate::Compile(*plan.proto, *a.filter));
+      for (uint32_t c : cp.LeafColumns()) read[c] = true;
+      b.filter = std::make_unique<CompiledPredicate>(std::move(cp));
+      ++plan.num_countif;
       continue;
     }
     CVOPT_ASSIGN_OR_RETURN(size_t idx, schema.FindColumn(a.column));
@@ -145,36 +113,27 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
       return Status::InvalidArgument("cannot aggregate string column " +
                                      a.column);
     }
-    plan.bindings[j].col = idx;
+    b.col = idx;
+    read[idx] = true;
   }
-  plan.any_countif = std::any_of(
-      plan.bindings.begin(), plan.bindings.end(),
-      [](const MappedAggBinding& b) { return b.filter != nullptr; });
 
-  // Compile the WHERE clause once against a zero-row prototype: this
-  // validates it and yields the zone classifier used before any decode.
-  // (Kept alive for the whole scan — the plan borrows its zone index.)
-  plan.proto = std::make_unique<Table>(MakePrototype(mt));
+  // The WHERE clause compiles once, too: this validates it and yields the
+  // zone classifier consulted before any decode.
   if (query.where != nullptr) {
     CVOPT_ASSIGN_OR_RETURN(
         CompiledPredicate cp,
         CompiledPredicate::Compile(*plan.proto, *query.where));
-    plan.proto_where = std::make_unique<CompiledPredicate>(std::move(cp));
+    for (uint32_t c : cp.LeafColumns()) read[c] = true;
+    plan.where = std::make_unique<CompiledPredicate>(std::move(cp));
   }
-  // Validate COUNT_IF filters up front the same way.
-  for (const auto& b : plan.bindings) {
-    if (b.filter != nullptr) {
-      CVOPT_RETURN_NOT_OK(
-          CompiledPredicate::Compile(*plan.proto, *b.filter).status());
-    }
+  for (size_t c = 0; c < read.size(); ++c) {
+    if (read[c]) plan.decode_cols.push_back(c);
   }
   return plan;
 }
 
-// Group state both scan shapes fill: keys in dense first-occurrence order
-// and the per-group serial accumulators.
+// Per-group serial accumulators, grown as the router discovers groups.
 struct MappedAccumulators {
-  std::vector<GroupKey> group_keys;
   std::vector<uint64_t> cnt;
   std::vector<std::vector<double>> sums;   // [agg][group]
   std::vector<std::vector<double>> sums2;  // [agg][group], variance only
@@ -187,9 +146,10 @@ struct MappedAccumulators {
 Result<QueryResult> EmitMappedResult(const MappedTable& mt,
                                      const QuerySpec& query,
                                      const MappedScanPlan& plan,
+                                     const StreamGroupRouter& router,
                                      MappedAccumulators&& ma) {
   const size_t t = plan.t;
-  const size_t G = ma.group_keys.size();
+  const size_t G = router.num_groups();
   GroupedAccumulators acc;
   acc.num_groups = G;
   acc.cnt = std::move(ma.cnt);
@@ -216,18 +176,18 @@ Result<QueryResult> EmitMappedResult(const MappedTable& mt,
     if (acc.cnt[g] == 0) continue;
     std::vector<double> values(t);
     for (size_t j = 0; j < t; ++j) values[j] = finals[j * G + g];
+    GroupKey key = router.KeyOf(g);
+    std::string label = RenderLabel(mt, plan.gcols, key);
     CVOPT_RETURN_NOT_OK(
-        result.AddGroup(ma.group_keys[g],
-                        RenderLabel(mt, plan.gcols, ma.group_keys[g]),
-                        std::move(values)));
+        result.AddGroup(std::move(key), std::move(label), std::move(values)));
   }
   return result;
 }
 
 ChunkVerdict ClassifyChunk(const MappedTable& mt, const MappedScanPlan& plan,
                            bool zones_on, size_t k) {
-  if (plan.proto_where == nullptr || !zones_on) return ChunkVerdict::kResidual;
-  const ChunkVerdict verdict = plan.proto_where->ClassifyZones(
+  if (plan.where == nullptr || !zones_on) return ChunkVerdict::kResidual;
+  const ChunkVerdict verdict = plan.where->ClassifyZones(
       [&](uint32_t col) -> const ZoneMap& {
         return mt.zone_index().zone(col, k);
       });
@@ -235,337 +195,198 @@ ChunkVerdict ClassifyChunk(const MappedTable& mt, const MappedScanPlan& plan,
   return verdict;
 }
 
-// Fused serial scan: one pass, each chunk discovering groups and
-// accumulating before the next is touched. Peak working memory is one
-// chunk's decoded columns plus the accumulators — the shape the
-// budget-degraded path relies on — and per-group addition order is the
-// ascending row order the determinism contract names.
-Result<QueryResult> ScanMappedSerial(const MappedTable& mt,
-                                     const QuerySpec& query,
-                                     const MappedScanPlan& plan) {
-  const size_t t = plan.t;
-  std::unordered_map<GroupKey, uint32_t, GroupKeyHash> gid_of;
-  MappedAccumulators ma;
-  ma.sums.resize(t);
-  ma.sums2.resize(plan.any_var ? t : 0);
-  ma.medians.resize(t);
+// One storage chunk of a decode wave. The decoded columns are held here
+// (by column index; null when not read), so cache evictions cannot free
+// them before the wave is accumulated.
+struct WaveChunk {
+  size_t rows = 0;
+  ChunkVerdict verdict = ChunkVerdict::kResidual;
+  std::vector<std::shared_ptr<const DecodedChunk>> cols;
+  std::vector<uint32_t> gids;
+  std::vector<uint8_t> smask;  // WHERE survivors; empty when all survive
+  std::vector<std::vector<uint8_t>> indicators;  // [agg], COUNT_IF only
+  Status status;
+};
 
-  GroupKey scratch;
-  scratch.codes.resize(plan.gcols.size());
-  auto assign_gid = [&](const GroupKey& key) -> uint32_t {
-    auto it = gid_of.find(key);
-    if (it != gid_of.end()) return it->second;
-    const uint32_t gid = static_cast<uint32_t>(ma.group_keys.size());
-    gid_of.emplace(key, gid);
-    ma.group_keys.push_back(key);
-    ma.cnt.push_back(0);
-    for (size_t j = 0; j < t; ++j) {
-      ma.sums[j].push_back(0.0);
-      if (plan.any_var) ma.sums2[j].push_back(0.0);
-      if (query.aggregates[j].func == AggFunc::kMedian) {
-        ma.medians[j].emplace_back();
-      }
-    }
-    return gid;
-  };
-
-  const bool zones_on = ZoneMapPruningEnabled();
-  for (size_t k = 0; k < mt.num_chunks(); ++k) {
-    // Governance boundary of the streaming scan: one check per storage
-    // chunk, never per row.
-    CVOPT_RETURN_NOT_OK(CheckQueryAborted());
-    CVOPT_FAILPOINT("exec.mapped.chunk");
-    const size_t n = mt.ChunkRowCount(k);
-    const ChunkVerdict verdict = ClassifyChunk(mt, plan, zones_on, k);
-
-    if (verdict == ChunkVerdict::kSkip) {
-      // No row survives the WHERE clause: only group discovery remains.
-      // Decode just the group-by columns and register first occurrences.
-      std::vector<std::shared_ptr<const DecodedChunk>> gdata(
-          plan.gcols.size());
-      for (size_t i = 0; i < plan.gcols.size(); ++i) {
-        CVOPT_ASSIGN_OR_RETURN(gdata[i], mt.GetChunk(plan.gcols[i], k));
-      }
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t i = 0; i < plan.gcols.size(); ++i) {
-          scratch.codes[i] = gdata[i]->type == DataType::kString
-                                 ? gdata[i]->codes[r]
-                                 : gdata[i]->ints[r];
-        }
-        assign_gid(scratch);
-      }
-      continue;
-    }
-
-    // Decode the chunk into a mini-Table (all columns, so by-name predicate
-    // compilation sees the full schema).
-    CVOPT_ASSIGN_OR_RETURN(Table chunk_table, MakeChunkTable(mt, k));
-
-    // Survivor mask: all-ones for a provably-true chunk or no WHERE,
-    // kernel evaluation otherwise.
-    std::vector<uint8_t> smask(n, 1);
-    if (plan.proto_where != nullptr && verdict != ChunkVerdict::kTakeAll) {
-      CVOPT_ASSIGN_OR_RETURN(
-          CompiledPredicate cp,
-          CompiledPredicate::Compile(chunk_table, *query.where));
-      cp.EvalMaskRange(0, n, smask.data());
-    }
-
-    // COUNT_IF indicators for this chunk.
-    std::vector<std::vector<uint8_t>> indicators(t);
-    if (plan.any_countif) {
-      for (size_t j = 0; j < t; ++j) {
-        if (plan.bindings[j].filter == nullptr) continue;
-        indicators[j].resize(n);
-        CVOPT_ASSIGN_OR_RETURN(
-            CompiledPredicate cp,
-            CompiledPredicate::Compile(chunk_table, *plan.bindings[j].filter));
-        cp.EvalMaskRange(0, n, indicators[j].data());
-      }
-    }
-
-    // One serial ascending pass: gid assignment over every row,
-    // accumulation over survivors.
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t i = 0; i < plan.gcols.size(); ++i) {
-        scratch.codes[i] = chunk_table.column(plan.gcols[i]).GroupCode(r);
-      }
-      const uint32_t gid = assign_gid(scratch);
-      if (smask[r] == 0) continue;
-      ma.cnt[gid]++;
-      for (size_t j = 0; j < t; ++j) {
-        const MappedAggBinding& b = plan.bindings[j];
-        if (b.constant_one) continue;
-        double v;
-        if (b.filter != nullptr) {
-          v = indicators[j][r] ? 1.0 : 0.0;
-        } else {
-          const Column& col = chunk_table.column(b.col);
-          v = col.type() == DataType::kDouble
-                  ? col.doubles()[r]
-                  : static_cast<double>(col.ints()[r]);
-        }
-        ma.sums[j][gid] += v;
-        if (plan.any_var) ma.sums2[j][gid] += v * v;
-        if (query.aggregates[j].func == AggFunc::kMedian) {
-          ma.medians[j][gid].push_back(v);
-        }
-      }
-    }
+// Decodes chunk k's projection — only its group-by columns when the zone
+// maps refute the WHERE clause — and evaluates its WHERE / COUNT_IF masks
+// with the prototype plans rebound to the decoded storage. A provably
+// accepted chunk skips WHERE evaluation.
+Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
+                       size_t k, WaveChunk* wc) {
+  const size_t n = wc->rows;
+  wc->cols.resize(mt.num_columns());
+  const bool skip = wc->verdict == ChunkVerdict::kSkip;
+  for (size_t c : skip ? plan.gcols : plan.decode_cols) {
+    CVOPT_ASSIGN_OR_RETURN(wc->cols[c], mt.GetChunk(c, k));
   }
-  return EmitMappedResult(mt, query, plan, std::move(ma));
+  if (skip) return Status::OK();
+  const auto chunk_of = [&](uint32_t c) -> const DecodedChunk& {
+    return *wc->cols[c];
+  };
+  if (plan.where != nullptr && wc->verdict != ChunkVerdict::kTakeAll) {
+    wc->smask.resize(n);
+    plan.where->Rebind(chunk_of, n).EvalMaskRange(0, n, wc->smask.data());
+  }
+  wc->indicators.resize(plan.t);
+  for (size_t j = 0; j < plan.t; ++j) {
+    const CompiledPredicate* filter = plan.bindings[j].filter.get();
+    if (filter == nullptr) continue;
+    wc->indicators[j].resize(n);
+    filter->Rebind(chunk_of, n).EvalMaskRange(0, n, wc->indicators[j].data());
+  }
+  return Status::OK();
 }
 
-// Morsel-parallel scan, two phases (see the header's contract).
-//
-// Phase 1 (sequential, chunk order): group discovery + zone triage. Only
-// the group-by columns decode here (through the LRU chunk cache); dense
-// first-occurrence id assignment is inherently serial, while the expensive
-// full-width decode + accumulation parallelizes in phase 2.
-//
-// Phase 2 (waves of ~2x the fan-out over the chunks the zone maps could
-// not refute): (a) each chunk decodes its mini-Table and evaluates its
-// WHERE / COUNT_IF masks on its own worker (the chunk cache is
+// The scan: one pass in chunk order, in waves of ~2x the fan-out (one
+// chunk at one thread). Each wave (a) decodes its chunks' projections and
+// evaluates their masks, one chunk per worker (the chunk cache is
 // mutex-guarded, so concurrent GetChunk calls are safe and the LRU stays
-// honored), then (b) each worker owns a contiguous DISJOINT gid range and
-// scans the wave's chunks in order, rows ascending, accumulating only its
-// own groups straight into the global arrays. Per-group addition order is
-// therefore globally ascending row order — exactly the serial scan's — so
-// sums stay bit-identical for every thread count, wave size, and chunk
-// geometry: no partial-slab float reassociation, no merge pass.
-Result<QueryResult> ScanMappedParallel(const MappedTable& mt,
-                                       const QuerySpec& query,
-                                       const MappedScanPlan& plan,
-                                       MemoryReservation gid_res) {
+// honored); (b) routes every row's group id through one StreamGroupRouter
+// in chunk order, zone-refuted chunks included, so ids are first-seen in
+// ascending row order; (c) grows the accumulators to the new group count;
+// and (d) accumulates, each worker owning a contiguous DISJOINT gid range
+// and walking the wave's chunks in order, rows ascending. Per-group
+// addition order is therefore ascending row order whatever the thread
+// count, wave size, or chunk geometry: no partial-slab float
+// reassociation, no merge pass.
+Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
+                               const MappedScanPlan& plan) {
   const size_t t = plan.t;
-  std::unordered_map<GroupKey, uint32_t, GroupKeyHash> gid_of;
-  MappedAccumulators ma;
-  GroupKey scratch;
-  scratch.codes.resize(plan.gcols.size());
-  auto assign_gid = [&](const GroupKey& key) -> uint32_t {
-    auto it = gid_of.find(key);
-    if (it != gid_of.end()) return it->second;
-    const uint32_t gid = static_cast<uint32_t>(ma.group_keys.size());
-    gid_of.emplace(key, gid);
-    ma.group_keys.push_back(key);
-    return gid;
-  };
-
-  // ---- Phase 1.
-  const bool zones_on = ZoneMapPruningEnabled();
   const size_t num_chunks = mt.num_chunks();
-  const size_t chunk_rows = mt.chunk_rows();
-  std::vector<uint32_t> row_gids(mt.num_rows());
-  std::vector<ChunkVerdict> verdicts(num_chunks, ChunkVerdict::kResidual);
-  std::vector<size_t> survivors;  // chunks the zone maps could not refute
-  survivors.reserve(num_chunks);
-  for (size_t k = 0; k < num_chunks; ++k) {
-    // Governance boundary of the streaming scan: one check per storage
-    // chunk, never per row.
-    CVOPT_RETURN_NOT_OK(CheckQueryAborted());
-    CVOPT_FAILPOINT("exec.mapped.chunk");
-    const size_t n = mt.ChunkRowCount(k);
-    verdicts[k] = ClassifyChunk(mt, plan, zones_on, k);
+  const size_t threads = std::max<size_t>(1, ResolveThreads());
 
-    std::vector<std::shared_ptr<const DecodedChunk>> gdata(plan.gcols.size());
-    for (size_t i = 0; i < plan.gcols.size(); ++i) {
-      CVOPT_ASSIGN_OR_RETURN(gdata[i], mt.GetChunk(plan.gcols[i], k));
-    }
-    uint32_t* out_gid = row_gids.data() + k * chunk_rows;
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t i = 0; i < plan.gcols.size(); ++i) {
-        scratch.codes[i] = gdata[i]->type == DataType::kString
-                               ? gdata[i]->codes[r]
-                               : gdata[i]->ints[r];
-      }
-      out_gid[r] = assign_gid(scratch);
-    }
-    if (verdicts[k] != ChunkVerdict::kSkip) survivors.push_back(k);
-  }
-
-  // Accumulators, allocated once — the group count is final after
-  // discovery, so no per-row growth and no rehashing in the hot pass.
-  const size_t G = ma.group_keys.size();
-  MemoryReservation acc_res = ReserveMemoryOrThrow(
-      G * (sizeof(uint64_t) + t * sizeof(double) * (plan.any_var ? 2 : 1)),
-      "mapped scan accumulators");
-  ma.cnt.assign(G, 0);
-  ma.sums.assign(t, std::vector<double>(G, 0.0));
-  ma.sums2.assign(plan.any_var ? t : 0, std::vector<double>(G, 0.0));
-  ma.medians.resize(t);
-  for (size_t j = 0; j < t; ++j) {
-    if (query.aggregates[j].func == AggFunc::kMedian) ma.medians[j].resize(G);
-  }
-
-  // ---- Phase 2.
-  const size_t threads = ResolveThreads();
-  const size_t wave_cap = std::max<size_t>(1, 2 * threads);
-  size_t row_width = 1;  // survivor mask
-  for (size_t c = 0; c < mt.num_columns(); ++c) {
+  // The decode wave is the scan's one sizeable working set. When the
+  // ambient budget refuses it, the wave shrinks to one chunk, unreserved:
+  // the streaming path must keep answering under budgets that already
+  // refused materialization.
+  size_t wave_cap = threads == 1 ? 1 : 2 * threads;
+  size_t row_width = sizeof(uint32_t) + 1 + plan.num_countif;  // gid + masks
+  for (size_t c : plan.decode_cols) {
     row_width += mt.schema().field(c).type == DataType::kString
                      ? sizeof(int32_t)
                      : sizeof(int64_t);
   }
-  if (plan.any_countif) row_width += t;
-  MemoryReservation wave_res = ReserveMemoryOrThrow(
-      std::min(wave_cap, survivors.size()) * chunk_rows * row_width,
-      "mapped scan decode wave");
+  MemoryReservation wave_res;
+  if (const QueryContext* ctx = CurrentQueryContext()) {
+    Result<MemoryReservation> res =
+        const_cast<QueryContext*>(ctx)->TryReserve(
+            std::min(wave_cap, num_chunks) * mt.chunk_rows() * row_width,
+            "mapped scan decode wave");
+    if (res.ok()) {
+      wave_res = std::move(res).value();
+    } else {
+      wave_cap = 1;
+    }
+  }
 
-  struct WaveChunk {
-    size_t chunk = 0;
-    size_t rows = 0;
-    std::unique_ptr<Table> table;
-    std::vector<uint8_t> smask;
-    std::vector<std::vector<uint8_t>> indicators;
-    Status status;
-  };
-  for (size_t w0 = 0; w0 < survivors.size(); w0 += wave_cap) {
-    const size_t wn = std::min(wave_cap, survivors.size() - w0);
+  std::vector<DataType> gtypes;
+  for (size_t c : plan.gcols) gtypes.push_back(mt.schema().field(c).type);
+  StreamGroupRouter router(gtypes);
+  std::vector<uint32_t> positions(mt.chunk_rows());
+  std::iota(positions.begin(), positions.end(), 0u);
+
+  MappedAccumulators ma;
+  ma.sums.resize(t);
+  ma.sums2.resize(plan.any_var ? t : 0);
+  ma.medians.resize(t);
+  const size_t group_bytes =
+      sizeof(uint64_t) + t * sizeof(double) * (plan.any_var ? 2 : 1);
+  std::vector<MemoryReservation> acc_res;
+
+  const bool zones_on = ZoneMapPruningEnabled();
+  for (size_t w0 = 0; w0 < num_chunks; w0 += wave_cap) {
+    const size_t wn = std::min(wave_cap, num_chunks - w0);
     std::vector<WaveChunk> wave(wn);
-    // (a) Decode + predicate evaluation, one chunk per morsel. Failures
-    // park in per-chunk Status slots (workers cannot early-return across
-    // the pool) and surface in wave order below.
+    for (size_t i = 0; i < wn; ++i) {
+      // Governance boundary of the streaming scan: one check per storage
+      // chunk, never per row.
+      CVOPT_RETURN_NOT_OK(CheckQueryAborted());
+      CVOPT_FAILPOINT("exec.mapped.chunk");
+      wave[i].rows = mt.ChunkRowCount(w0 + i);
+      wave[i].verdict = ClassifyChunk(mt, plan, zones_on, w0 + i);
+    }
+
+    // (a) Decode + masks, one chunk per morsel. Failures park in per-chunk
+    // Status slots (workers cannot early-return across the pool) and
+    // surface in chunk order.
     ParallelForChunks(wn, wn, [&](size_t i, size_t, size_t) {
-      WaveChunk& wc = wave[i];
-      wc.chunk = survivors[w0 + i];
-      wc.status = [&]() -> Status {
-        const size_t n = mt.ChunkRowCount(wc.chunk);
-        wc.rows = n;
-        // Decode the chunk into a mini-Table (all columns, so by-name
-        // predicate compilation sees the full schema).
-        CVOPT_ASSIGN_OR_RETURN(Table ct, MakeChunkTable(mt, wc.chunk));
-        wc.table = std::make_unique<Table>(std::move(ct));
-        // Survivor mask: all-ones for a provably-true chunk or no WHERE,
-        // kernel evaluation otherwise.
-        wc.smask.assign(n, 1);
-        if (plan.proto_where != nullptr &&
-            verdicts[wc.chunk] != ChunkVerdict::kTakeAll) {
-          CVOPT_ASSIGN_OR_RETURN(
-              CompiledPredicate cp,
-              CompiledPredicate::Compile(*wc.table, *query.where));
-          cp.EvalMaskRange(0, n, wc.smask.data());
-        }
-        // COUNT_IF indicators for this chunk.
-        wc.indicators.resize(t);
-        if (plan.any_countif) {
-          for (size_t j = 0; j < t; ++j) {
-            if (plan.bindings[j].filter == nullptr) continue;
-            wc.indicators[j].resize(n);
-            CVOPT_ASSIGN_OR_RETURN(
-                CompiledPredicate cp,
-                CompiledPredicate::Compile(*wc.table,
-                                           *plan.bindings[j].filter));
-            cp.EvalMaskRange(0, n, wc.indicators[j].data());
-          }
-        }
-        return Status::OK();
-      }();
+      wave[i].status = DecodeWaveChunk(mt, plan, w0 + i, &wave[i]);
     });
     for (const WaveChunk& wc : wave) CVOPT_RETURN_NOT_OK(wc.status);
 
-    // (b) Gid-range-partitioned accumulation into the global arrays.
+    // (b) Route, in chunk order.
+    for (WaveChunk& wc : wave) {
+      for (size_t i = 0; i < plan.gcols.size(); ++i) {
+        router.Bind(i, *wc.cols[plan.gcols[i]]);
+      }
+      wc.gids.resize(wc.rows);
+      router.RouteBatch(positions.data(), wc.rows, wc.gids.data());
+    }
+
+    // (c) Grow the accumulators to the groups discovered so far.
+    const size_t G = router.num_groups();
+    if (G > ma.cnt.size()) {
+      acc_res.push_back(ReserveMemoryOrThrow(
+          (G - ma.cnt.size()) * group_bytes, "mapped scan accumulators"));
+      ma.cnt.resize(G, 0);
+      for (size_t j = 0; j < t; ++j) {
+        ma.sums[j].resize(G, 0.0);
+        if (plan.any_var) ma.sums2[j].resize(G, 0.0);
+        if (query.aggregates[j].func == AggFunc::kMedian) {
+          ma.medians[j].resize(G);
+        }
+      }
+    }
+
+    // (d) Gid-range-partitioned accumulation.
     if (G == 0) continue;
-    ParallelForChunks(
-        G, std::min<size_t>(std::max<size_t>(1, threads), G),
-        [&](size_t, size_t glo, size_t ghi) {
-          for (size_t i = 0; i < wn; ++i) {
-            const WaveChunk& wc = wave[i];
-            const uint32_t* gids = row_gids.data() + wc.chunk * chunk_rows;
-            for (size_t r = 0; r < wc.rows; ++r) {
-              const uint32_t gid = gids[r];
-              if (gid < glo || gid >= ghi || wc.smask[r] == 0) continue;
-              ma.cnt[gid]++;
-              for (size_t j = 0; j < t; ++j) {
-                const MappedAggBinding& b = plan.bindings[j];
-                if (b.constant_one) continue;
-                double v;
-                if (b.filter != nullptr) {
-                  v = wc.indicators[j][r] ? 1.0 : 0.0;
-                } else {
-                  const Column& col = wc.table->column(b.col);
-                  v = col.type() == DataType::kDouble
-                          ? col.doubles()[r]
-                          : static_cast<double>(col.ints()[r]);
-                }
-                ma.sums[j][gid] += v;
-                if (plan.any_var) ma.sums2[j][gid] += v * v;
-                if (query.aggregates[j].func == AggFunc::kMedian) {
-                  ma.medians[j][gid].push_back(v);
-                }
-              }
+    ParallelForChunks(G, std::min(threads, G), [&](size_t, size_t glo,
+                                                   size_t ghi) {
+      for (const WaveChunk& wc : wave) {
+        if (wc.verdict == ChunkVerdict::kSkip) continue;
+        for (size_t r = 0; r < wc.rows; ++r) {
+          const uint32_t gid = wc.gids[r];
+          if (gid < glo || gid >= ghi) continue;
+          if (!wc.smask.empty() && wc.smask[r] == 0) continue;
+          ma.cnt[gid]++;
+          for (size_t j = 0; j < t; ++j) {
+            const MappedAggBinding& b = plan.bindings[j];
+            if (b.constant_one) continue;
+            double v;
+            if (b.filter != nullptr) {
+              v = wc.indicators[j][r] ? 1.0 : 0.0;
+            } else {
+              const DecodedChunk& col = *wc.cols[b.col];
+              v = col.type == DataType::kDouble
+                      ? col.doubles[r]
+                      : static_cast<double>(col.ints[r]);
+            }
+            ma.sums[j][gid] += v;
+            if (plan.any_var) ma.sums2[j][gid] += v * v;
+            if (query.aggregates[j].func == AggFunc::kMedian) {
+              ma.medians[j][gid].push_back(v);
             }
           }
-        });
+        }
+      }
+    });
   }
-  return EmitMappedResult(mt, query, plan, std::move(ma));
+  return EmitMappedResult(mt, query, plan, router, std::move(ma));
 }
 
 }  // namespace
 
 Result<QueryResult> ExecuteGroupByMapped(const MappedTable& mt,
                                          const QuerySpec& query) {
- // The whole scan is one governed section: the discovery loop checks per
- // chunk, the parallel passes check at morsel boundaries through the shared
- // pool (surfacing as QueryAbortedError), and the working-set reservations
- // throw on refusal — all converted back to Status here.
- return GovernedSection([&]() -> Result<QueryResult> {
-  CVOPT_ASSIGN_OR_RETURN(MappedScanPlan plan, PrepareMappedScan(mt, query));
-
-  // The row->gid map is the parallel scan's one O(table) working set. When
-  // the ambient budget cannot admit it, degrade to the fused serial scan —
-  // identical output, one chunk's decode at a time — instead of failing:
-  // the streaming path must keep answering under budgets that already
-  // refused materialization.
-  const QueryContext* ctx = CurrentQueryContext();
-  if (ctx != nullptr) {
-    Result<MemoryReservation> gid_res =
-        const_cast<QueryContext*>(ctx)->TryReserve(
-            mt.num_rows() * sizeof(uint32_t), "mapped scan row->group ids");
-    if (!gid_res.ok()) return ScanMappedSerial(mt, query, plan);
-    return ScanMappedParallel(mt, query, plan, std::move(gid_res).value());
-  }
-  return ScanMappedParallel(mt, query, plan, MemoryReservation());
- });
+  // The whole scan is one governed section: the chunk loop checks per
+  // chunk, the parallel passes check at morsel boundaries through the
+  // shared pool (surfacing as QueryAbortedError), and the accumulator
+  // reservations throw on refusal — all converted back to Status here.
+  return GovernedSection([&]() -> Result<QueryResult> {
+    CVOPT_ASSIGN_OR_RETURN(MappedScanPlan plan, PrepareMappedScan(mt, query));
+    return ScanMapped(mt, query, plan);
+  });
 }
 
 Result<QueryResult> ExecuteGroupByAdaptive(const MappedTable& mt,

@@ -1,27 +1,29 @@
 // Out-of-core group-by execution over an mmap-backed chunked table file.
 //
 // ExecuteGroupByMapped runs a group-by query over a MappedTable without
-// ever materializing it, in two phases. Phase 1 is a sequential
-// chunk-order pass that consults the file's zone maps — a chunk the WHERE
-// clause provably rejects is excluded from phase 2 with only its group-by
-// columns decoded (group discovery must still see every row so group
-// emission order matches the in-memory executor) — and assigns every row's
-// dense first-occurrence group id. Phase 2 is morsel-parallel over the
-// surviving chunks, in waves: each chunk decodes and evaluates its WHERE /
-// COUNT_IF masks on its own worker (provably-accepted chunks skip
-// predicate evaluation), then workers owning disjoint contiguous gid
-// ranges accumulate the wave straight into the global arrays. Decoded
+// ever materializing it, in one chunk-order pass run in waves (one chunk
+// per wave at one thread, ~2x the fan-out otherwise). The file's zone maps
+// classify each chunk first. Each wave then decodes only the columns the
+// query reads — GROUP BY, aggregated columns, and the WHERE and COUNT_IF
+// leaves; just the GROUP BY columns of a chunk the WHERE clause provably
+// rejects — and evaluates the WHERE / COUNT_IF masks, one chunk per
+// worker (provably-accepted chunks skip WHERE evaluation). It routes every
+// row, in chunk order, to its dense first-occurrence group id through one
+// StreamGroupRouter, grows the accumulators to the new group count, and
+// accumulates with workers owning disjoint contiguous gid ranges. Decoded
 // chunks flow through the process-wide LRU chunk cache
 // (CVOPT_CHUNK_CACHE_BYTES), so peak memory is one decode wave's worth of
-// columns plus the cache budget and the row->gid map, regardless of table
-// size.
+// the projected columns plus the cache budget and the accumulators,
+// regardless of table size.
 //
-// Determinism contract: group ids are assigned by the sequential discovery
-// pass in ascending row order, and each group's values are added in
-// ascending row order by exactly one worker (gid-range ownership, chunks
-// walked in order within and across waves) — the QueryResult is bitwise
-// identical (groups, order, labels, values) to ExecuteExact on the
-// materialized table, for every thread count and chunk geometry.
+// Determinism contract: group ids are first-seen in ascending row order,
+// and each group's values are added in ascending row order by exactly one
+// worker (gid-range ownership, chunks walked in order within and across
+// waves). The QueryResult (groups, order, labels, values) is therefore
+// bitwise identical at every thread count and chunk geometry, and equal to
+// ExecuteExact on the materialized table when ExecuteExact runs on one
+// resolved thread (at more, its masked accumulation reassociates float
+// sums by chunk).
 #ifndef CVOPT_EXEC_CHUNKED_SCAN_H_
 #define CVOPT_EXEC_CHUNKED_SCAN_H_
 

@@ -9,6 +9,7 @@
 #include "src/exec/agg_planner.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
+#include "src/table/mapped_table.h"
 #include "src/util/failpoint.h"
 #include "src/util/hash.h"
 #include "src/util/simd.h"
@@ -1055,17 +1056,34 @@ void GroupIndex::AppendLabel(size_t g, std::string* out) const {
   }
 }
 
+namespace {
+
+std::vector<DataType> ColumnTypes(const Table& table,
+                                  const std::vector<size_t>& cols) {
+  std::vector<DataType> types;
+  types.reserve(cols.size());
+  for (size_t c : cols) types.push_back(table.column(c).type());
+  return types;
+}
+
+}  // namespace
+
 StreamGroupRouter::StreamGroupRouter(const Table* table,
                                      std::vector<size_t> cols,
+                                     size_t expected_groups)
+    : StreamGroupRouter(ColumnTypes(*table, cols), expected_groups) {
+  for (size_t j = 0; j < cols.size(); ++j) {
+    plans_[j].col = &table->column(cols[j]);
+  }
+}
+
+StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types,
                                      size_t expected_groups) {
-  plans_.reserve(cols.size());
-  for (size_t c : cols) {
-    const Column& col = table->column(c);
-    CVOPT_CHECK(col.type() != DataType::kDouble,
-                "cannot route by a double column");
+  plans_.reserve(types.size());
+  for (DataType type : types) {
+    CVOPT_CHECK(type != DataType::kDouble, "cannot route by a double column");
     ColPlan p;
-    p.col = &col;
-    p.is_string = col.type() == DataType::kString;
+    p.is_string = type == DataType::kString;
     plans_.push_back(p);
   }
   // Minimal initial widths: every column starts at one bit and widens as
@@ -1084,6 +1102,21 @@ StreamGroupRouter::StreamGroupRouter(const Table* table,
   codes_.reserve(plans_.size() * expected_groups);
 }
 
+void StreamGroupRouter::Bind(size_t j, const DecodedChunk& chunk) {
+  CVOPT_CHECK(plans_[j].col == nullptr, "Bind on a table-bound router");
+  plans_[j].ints = chunk.ints.data();
+  plans_[j].codes = chunk.codes.data();
+}
+
+void StreamGroupRouter::SyncTableColumns() {
+  for (ColPlan& p : plans_) {
+    if (p.col != nullptr) {
+      p.ints = p.col->ints().data();
+      p.codes = p.col->codes().data();
+    }
+  }
+}
+
 uint64_t StreamGroupRouter::PackRaw(int64_t raw, bool is_string) {
   if (is_string) {
     return static_cast<uint64_t>(static_cast<uint32_t>(raw));
@@ -1097,9 +1130,7 @@ uint64_t StreamGroupRouter::PackedCode(const ColPlan& p, uint32_t row) const {
 }
 
 int64_t StreamGroupRouter::RawCode(const ColPlan& p, uint32_t row) const {
-  // Storage is re-read through the column on every call: a growing stream
-  // may have reallocated it since the previous Offer.
-  return p.is_string ? p.col->codes()[row] : p.col->ints()[row];
+  return p.is_string ? p.codes[row] : p.ints[row];
 }
 
 uint64_t StreamGroupRouter::PackGroup(size_t g) const {
@@ -1193,6 +1224,7 @@ void StreamGroupRouter::Rebuild() {
 }
 
 uint32_t StreamGroupRouter::Route(uint32_t row) {
+  SyncTableColumns();
   if (plans_.empty()) {
     // No grouping columns: a single group covering the whole stream.
     if (groups_ == 0) groups_ = 1;
@@ -1228,6 +1260,7 @@ uint32_t StreamGroupRouter::Route(uint32_t row) {
 
 void StreamGroupRouter::RouteBatch(const uint32_t* rows, size_t n,
                                    uint32_t* out) {
+  SyncTableColumns();
   if (plans_.empty()) {
     if (groups_ == 0 && n > 0) groups_ = 1;
     std::fill(out, out + n, 0u);

@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "src/expr/compare_plan.h"
+#include "src/table/mapped_table.h"
 #include "src/util/simd.h"
 
 namespace cvopt {
@@ -879,6 +880,28 @@ size_t CompiledPredicate::zone_chunk_rows() const {
     return 0;
   }
   return zones_->chunk_rows;
+}
+
+std::vector<uint32_t> CompiledPredicate::LeafColumns() const {
+  std::vector<uint32_t> cols;
+  for (const Leaf& L : leaves_) cols.push_back(L.col);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
+}
+
+CompiledPredicate CompiledPredicate::Rebind(const ChunkOfColumn& chunk_of,
+                                            size_t rows) const {
+  CompiledPredicate cp = *this;
+  cp.n_ = rows;
+  cp.zones_ = nullptr;
+  for (Leaf& L : cp.leaves_) {
+    const DecodedChunk& d = chunk_of(L.col);
+    L.i64 = d.ints.data();
+    L.f64 = d.doubles.data();
+    L.codes = d.codes.data();
+  }
+  return cp;
 }
 
 // ------------------------------------------------------------- public API

@@ -47,6 +47,8 @@
 
 namespace cvopt {
 
+struct DecodedChunk;
+
 /// Three-valued zone-map verdict for one storage chunk.
 enum class ChunkVerdict : uint8_t {
   kResidual = 0,  // zone maps cannot decide; run the kernels
@@ -125,6 +127,19 @@ class CompiledPredicate {
   /// Storage-chunk granularity the zone-skipping drivers operate at, or 0
   /// when pruning is unavailable/disabled (morsel alignment consults this).
   size_t zone_chunk_rows() const;
+
+  /// Distinct table column indexes the plan's leaves read, ascending
+  /// (columns of constant-folded comparisons are not read).
+  std::vector<uint32_t> LeafColumns() const;
+
+  /// This plan re-pointed at `rows` rows of other storage for the same
+  /// columns — one decoded chunk of a mapped table, whose string codes
+  /// index the dictionaries the plan was compiled against: leaf column c
+  /// reads `chunk_of(c)`. The copy has no zone index, so its drivers run
+  /// the kernels over every row (the caller has already classified the
+  /// chunk against the file's zone maps).
+  using ChunkOfColumn = std::function<const DecodedChunk&(uint32_t col)>;
+  CompiledPredicate Rebind(const ChunkOfColumn& chunk_of, size_t rows) const;
 
  private:
   enum class LeafKind {

@@ -520,17 +520,21 @@ void AppendDecodedRow(const DecodedChunk& data,
 
 }  // namespace
 
-Result<Table> MappedTable::Materialize(const Predicate& where) const {
-  // Compile once against a zero-row prototype: validates the predicate and
-  // yields the zone classifier consulted before any decode.
-  std::vector<Column> proto_cols;
-  proto_cols.reserve(num_columns());
+Table MappedTable::Prototype() const {
+  std::vector<Column> cols;
+  cols.reserve(num_columns());
   for (size_t c = 0; c < num_columns(); ++c) {
     Column col(schema_.field(c).type);
     if (col.type() == DataType::kString) col.AdoptDictionary(dicts_[c]);
-    proto_cols.push_back(std::move(col));
+    cols.push_back(std::move(col));
   }
-  const Table proto(schema_, std::move(proto_cols));
+  return Table(schema_, std::move(cols));
+}
+
+Result<Table> MappedTable::Materialize(const Predicate& where) const {
+  // Compile once against the prototype: validates the predicate and
+  // yields the zone classifier consulted before any decode.
+  const Table proto = Prototype();
   CVOPT_ASSIGN_OR_RETURN(CompiledPredicate proto_where,
                          CompiledPredicate::Compile(proto, where));
 
@@ -558,30 +562,12 @@ Result<Table> MappedTable::Materialize(const Predicate& where) const {
     }
     std::vector<uint8_t> smask;
     if (verdict != ChunkVerdict::kTakeAll) {
-      // Residual chunk: evaluate the kernel over a chunk-height mini-Table.
-      std::vector<Column> chunk_cols;
-      chunk_cols.reserve(num_columns());
-      for (size_t c = 0; c < num_columns(); ++c) {
-        Column col(data[c]->type);
-        switch (col.type()) {
-          case DataType::kInt64:
-            col.AdoptInts(data[c]->ints);
-            break;
-          case DataType::kDouble:
-            col.AdoptDoubles(data[c]->doubles);
-            break;
-          case DataType::kString:
-            col.AdoptDictionary(dicts_[c]);
-            col.AdoptCodes(data[c]->codes);
-            break;
-        }
-        chunk_cols.push_back(std::move(col));
-      }
-      const Table chunk_table(schema_, std::move(chunk_cols));
-      CVOPT_ASSIGN_OR_RETURN(CompiledPredicate cp,
-                             CompiledPredicate::Compile(chunk_table, where));
+      // Residual chunk: evaluate the kernels over the decoded storage.
       smask.assign(n, 0);
-      cp.EvalMaskRange(0, n, smask.data());
+      proto_where
+          .Rebind([&](uint32_t c) -> const DecodedChunk& { return *data[c]; },
+                  n)
+          .EvalMaskRange(0, n, smask.data());
     }
     for (size_t r = 0; r < n; ++r) {
       if (!smask.empty() && smask[r] == 0) continue;

@@ -95,6 +95,12 @@ class MappedTable {
   Result<std::shared_ptr<const DecodedChunk>> GetChunk(size_t col,
                                                        size_t chunk) const;
 
+  /// A zero-row Table with this file's schema, string columns carrying the
+  /// file dictionaries: the compile target for predicates that are then
+  /// classified against the file's zone maps and rebound to decoded chunks
+  /// (CompiledPredicate::Rebind).
+  Table Prototype() const;
+
   /// Fully decodes the file into an in-memory Table (the table_io v2 read
   /// path). Bypasses the chunk cache: each chunk is decoded straight into
   /// the destination column.

@@ -264,6 +264,26 @@ TEST_F(GovernedMappedTest, AdaptiveDegradationBitIdentical) {
   EXPECT_GE(fp::HitCount("exec.groupby.alloc"), 1u);
 }
 
+TEST_F(GovernedMappedTest, MappedScanUnderTightBudgetBitIdentical) {
+  // A 1 KiB budget refuses the decode wave's reservation: the scan shrinks
+  // the wave to one unreserved chunk and still answers exactly as the
+  // ungoverned scan does, releasing every reservation afterwards.
+  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path_));
+  const QuerySpec q = FilteredQuery();
+  for (int threads : {1, 8}) {
+    ScopedExecThreads st(threads);
+    ASSERT_OK_AND_ASSIGN(QueryResult ungoverned, ExecuteGroupByMapped(mt, q));
+    QueryContext tight;
+    tight.set_memory_limit(1024);
+    {
+      ScopedQueryContext install(&tight);
+      ASSERT_OK_AND_ASSIGN(QueryResult governed, ExecuteGroupByMapped(mt, q));
+      ExpectBitIdentical(ungoverned, governed);
+    }
+    EXPECT_EQ(tight.budget().used(), 0u) << "threads=" << threads;
+  }
+}
+
 TEST_F(GovernedMappedTest, MappedScanHonorsCancellation) {
   ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path_));
   QueryContext ctx;

@@ -94,6 +94,18 @@ std::vector<QuerySpec> MakeQueries() {
     q.where = Predicate::Compare("city", CompareOp::kEq, Value("oslo"));
     qs.push_back(q);
   }
+  {
+    // The WHERE column and the COUNT_IF column are read nowhere else, so
+    // the scan's projection must decode them for their predicates alone.
+    QuerySpec q;
+    q.name = "predicate-only-columns";
+    q.group_by = {"n"};
+    q.aggregates = {AggSpec::CountIf(Predicate::Compare(
+                        "t", CompareOp::kLt, Value(int64_t{5'000}))),
+                    AggSpec::Count()};
+    q.where = Predicate::In("city", {Value("oslo"), Value("perth")});
+    qs.push_back(q);
+  }
   return qs;
 }
 
@@ -290,6 +302,26 @@ TEST(MappedTableTest, OutOfCoreGroupByParallelMatchesSerialTinyCache) {
           q.name + " threads=" + std::to_string(threads));
     }
   }
+  std::remove(path.c_str());
+}
+
+// The scan decodes only the columns a query reads. The table is fresh and
+// the cache holds all of it, so every decode is exactly one miss: GROUP BY
+// city, SUM(v) decodes two of the four columns of every chunk.
+TEST(MappedTableTest, OutOfCoreGroupByDecodesOnlyReadColumns) {
+  ScopedChunkRows cs(256);
+  Table t = MakeDataset(8'192);
+  const std::string path = TempPath("proj.cvtb");
+  ASSERT_OK(WriteTableFile(t, path));
+  ScopedCacheBudget budget(size_t{64} << 20);
+  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+  QuerySpec q;
+  q.group_by = {"city"};
+  q.aggregates = {AggSpec::Sum("v")};
+  ResetChunkCacheStats();
+  ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteGroupByMapped(mt, q));
+  EXPECT_EQ(GetChunkCacheStats().misses, 2u * mt.num_chunks());
+  EXPECT_EQ(r.num_groups(), 6u);
   std::remove(path.c_str());
 }
 

@@ -153,10 +153,10 @@ doc["description"] = (
     "disabled (skip_rate is reported as a bench counter); "
     "BM_OutOfCoreGroupBy streams the mmap-backed v2 file through the "
     "chunked scan vs the resident BM_InMemoryGroupByBaseline, and "
-    "BM_OutOfCoreGroupByParallel/<threads> is the same scan through the "
-    "morsel-parallel two-phase path (serial gid discovery, then waves of "
-    "per-chunk decode + gid-range accumulation) across the thread ladder "
-    "— bit-identical to the serial answer at every fan-out. "
+    "BM_OutOfCoreGroupByParallel/<threads> is the same one-pass scan "
+    "across the thread ladder (waves of per-chunk decode of the read "
+    "columns, chunk-order group routing, gid-range accumulation) — "
+    "bit-identical to the one-thread answer at every fan-out. "
     "BM_AdaptiveGroupByHugeG vs BM_AdaptiveGroupByHugeGForcedHash is the "
     "hash-vs-sort aggregation planner's headline: a 3M-row two-int-key "
     "table with ~2.7M distinct groups (24 packed key bits), auto planner "
