@@ -127,8 +127,14 @@ void BM_StreamingRouterRoute(benchmark::State& state) {
   const Table& t = BenchTable();
   auto cols =
       std::move(GroupIndex::Resolve(t, {"country", "parameter"})).ValueOrDie();
+  std::vector<DataType> types;
+  for (size_t c : cols) types.push_back(t.column(c).type());
   for (auto _ : state) {
-    StreamGroupRouter router(&t, cols);
+    StreamGroupRouter router(types);
+    for (size_t j = 0; j < cols.size(); ++j) {
+      const Column& col = t.column(cols[j]);
+      router.Bind(j, col.ints().data(), col.codes().data());
+    }
     uint64_t acc = 0;
     for (uint32_t r = 0; r < t.num_rows(); ++r) acc += router.Route(r);
     benchmark::DoNotOptimize(acc);

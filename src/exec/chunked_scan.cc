@@ -221,19 +221,21 @@ Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
     CVOPT_ASSIGN_OR_RETURN(wc->cols[c], mt.GetChunk(c, k));
   }
   if (skip) return Status::OK();
-  const auto chunk_of = [&](uint32_t c) -> const DecodedChunk& {
-    return *wc->cols[c];
+  const auto span_of = [&](uint32_t c) {
+    const DecodedChunk& d = *wc->cols[c];
+    return CompiledPredicate::ColumnSpan{d.ints.data(), d.doubles.data(),
+                                         d.codes.data()};
   };
   if (plan.where != nullptr && wc->verdict != ChunkVerdict::kTakeAll) {
     wc->smask.resize(n);
-    plan.where->Rebind(chunk_of, n).EvalMaskRange(0, n, wc->smask.data());
+    plan.where->Rebind(span_of, n).EvalMaskRange(0, n, wc->smask.data());
   }
   wc->indicators.resize(plan.t);
   for (size_t j = 0; j < plan.t; ++j) {
     const CompiledPredicate* filter = plan.bindings[j].filter.get();
     if (filter == nullptr) continue;
     wc->indicators[j].resize(n);
-    filter->Rebind(chunk_of, n).EvalMaskRange(0, n, wc->indicators[j].data());
+    filter->Rebind(span_of, n).EvalMaskRange(0, n, wc->indicators[j].data());
   }
   return Status::OK();
 }
@@ -256,10 +258,12 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
   const size_t num_chunks = mt.num_chunks();
   const size_t threads = std::max<size_t>(1, ResolveThreads());
 
-  // The decode wave is the scan's one sizeable working set. When the
-  // ambient budget refuses it, the wave shrinks to one chunk, unreserved:
-  // the streaming path must keep answering under budgets that already
-  // refused materialization.
+  // The decode wave and the accumulators are the scan's working set, and
+  // each is charged to the ambient budget only if the budget grants it. A
+  // refused wave shrinks to one chunk; whatever is refused runs
+  // unreserved: the streaming path must keep answering under budgets that
+  // already refused materialization.
+  QueryContext* ctx = const_cast<QueryContext*>(CurrentQueryContext());
   size_t wave_cap = threads == 1 ? 1 : 2 * threads;
   size_t row_width = sizeof(uint32_t) + 1 + plan.num_countif;  // gid + masks
   for (size_t c : plan.decode_cols) {
@@ -268,11 +272,10 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
                      : sizeof(int64_t);
   }
   MemoryReservation wave_res;
-  if (const QueryContext* ctx = CurrentQueryContext()) {
-    Result<MemoryReservation> res =
-        const_cast<QueryContext*>(ctx)->TryReserve(
-            std::min(wave_cap, num_chunks) * mt.chunk_rows() * row_width,
-            "mapped scan decode wave");
+  if (ctx != nullptr) {
+    Result<MemoryReservation> res = ctx->TryReserve(
+        std::min(wave_cap, num_chunks) * mt.chunk_rows() * row_width,
+        "mapped scan decode wave");
     if (res.ok()) {
       wave_res = std::move(res).value();
     } else {
@@ -318,7 +321,8 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
     // (b) Route, in chunk order.
     for (WaveChunk& wc : wave) {
       for (size_t i = 0; i < plan.gcols.size(); ++i) {
-        router.Bind(i, *wc.cols[plan.gcols[i]]);
+        const DecodedChunk& d = *wc.cols[plan.gcols[i]];
+        router.Bind(i, d.ints.data(), d.codes.data());
       }
       wc.gids.resize(wc.rows);
       router.RouteBatch(positions.data(), wc.rows, wc.gids.data());
@@ -327,8 +331,11 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
     // (c) Grow the accumulators to the groups discovered so far.
     const size_t G = router.num_groups();
     if (G > ma.cnt.size()) {
-      acc_res.push_back(ReserveMemoryOrThrow(
-          (G - ma.cnt.size()) * group_bytes, "mapped scan accumulators"));
+      if (ctx != nullptr) {
+        Result<MemoryReservation> res = ctx->TryReserve(
+            (G - ma.cnt.size()) * group_bytes, "mapped scan accumulators");
+        if (res.ok()) acc_res.push_back(std::move(res).value());
+      }
       ma.cnt.resize(G, 0);
       for (size_t j = 0; j < t; ++j) {
         ma.sums[j].resize(G, 0.0);
@@ -380,9 +387,9 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
 Result<QueryResult> ExecuteGroupByMapped(const MappedTable& mt,
                                          const QuerySpec& query) {
   // The whole scan is one governed section: the chunk loop checks per
-  // chunk, the parallel passes check at morsel boundaries through the
-  // shared pool (surfacing as QueryAbortedError), and the accumulator
-  // reservations throw on refusal — all converted back to Status here.
+  // chunk, and the parallel passes check at morsel boundaries through the
+  // shared pool (surfacing as QueryAbortedError, converted back to Status
+  // here).
   return GovernedSection([&]() -> Result<QueryResult> {
     CVOPT_ASSIGN_OR_RETURN(MappedScanPlan plan, PrepareMappedScan(mt, query));
     return ScanMapped(mt, query, plan);

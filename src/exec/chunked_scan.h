@@ -14,7 +14,9 @@
 // chunks flow through the process-wide LRU chunk cache
 // (CVOPT_CHUNK_CACHE_BYTES), so peak memory is one decode wave's worth of
 // the projected columns plus the cache budget and the accumulators,
-// regardless of table size.
+// regardless of table size. The wave and the accumulators are each charged
+// to the ambient QueryContext's budget only if it grants them; a refused
+// wave shrinks to one chunk, and a refusal never fails the query.
 //
 // Determinism contract: group ids are first-seen in ascending row order,
 // and each group's values are added in ascending row order by exactly one

@@ -9,7 +9,6 @@
 #include "src/exec/agg_planner.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
-#include "src/table/mapped_table.h"
 #include "src/util/failpoint.h"
 #include "src/util/hash.h"
 #include "src/util/simd.h"
@@ -1056,27 +1055,6 @@ void GroupIndex::AppendLabel(size_t g, std::string* out) const {
   }
 }
 
-namespace {
-
-std::vector<DataType> ColumnTypes(const Table& table,
-                                  const std::vector<size_t>& cols) {
-  std::vector<DataType> types;
-  types.reserve(cols.size());
-  for (size_t c : cols) types.push_back(table.column(c).type());
-  return types;
-}
-
-}  // namespace
-
-StreamGroupRouter::StreamGroupRouter(const Table* table,
-                                     std::vector<size_t> cols,
-                                     size_t expected_groups)
-    : StreamGroupRouter(ColumnTypes(*table, cols), expected_groups) {
-  for (size_t j = 0; j < cols.size(); ++j) {
-    plans_[j].col = &table->column(cols[j]);
-  }
-}
-
 StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types,
                                      size_t expected_groups) {
   plans_.reserve(types.size());
@@ -1102,19 +1080,10 @@ StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types,
   codes_.reserve(plans_.size() * expected_groups);
 }
 
-void StreamGroupRouter::Bind(size_t j, const DecodedChunk& chunk) {
-  CVOPT_CHECK(plans_[j].col == nullptr, "Bind on a table-bound router");
-  plans_[j].ints = chunk.ints.data();
-  plans_[j].codes = chunk.codes.data();
-}
-
-void StreamGroupRouter::SyncTableColumns() {
-  for (ColPlan& p : plans_) {
-    if (p.col != nullptr) {
-      p.ints = p.col->ints().data();
-      p.codes = p.col->codes().data();
-    }
-  }
+void StreamGroupRouter::Bind(size_t j, const int64_t* ints,
+                             const int32_t* codes) {
+  plans_[j].ints = ints;
+  plans_[j].codes = codes;
 }
 
 uint64_t StreamGroupRouter::PackRaw(int64_t raw, bool is_string) {
@@ -1224,7 +1193,6 @@ void StreamGroupRouter::Rebuild() {
 }
 
 uint32_t StreamGroupRouter::Route(uint32_t row) {
-  SyncTableColumns();
   if (plans_.empty()) {
     // No grouping columns: a single group covering the whole stream.
     if (groups_ == 0) groups_ = 1;
@@ -1260,7 +1228,6 @@ uint32_t StreamGroupRouter::Route(uint32_t row) {
 
 void StreamGroupRouter::RouteBatch(const uint32_t* rows, size_t n,
                                    uint32_t* out) {
-  SyncTableColumns();
   if (plans_.empty()) {
     if (groups_ == 0 && n > 0) groups_ = 1;
     std::fill(out, out + n, 0u);

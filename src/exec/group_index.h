@@ -20,8 +20,6 @@
 
 namespace cvopt {
 
-struct DecodedChunk;
-
 /// The radix-partition artifact of a partitioned GroupIndex build: the one
 /// row->partition->group decomposition every grouped pass above the build
 /// (aggregation, stratification, statistics, the stratified draw) can
@@ -211,28 +209,24 @@ class GroupIndex {
 /// materialization, per-row code-vector writes, or per-key heap allocation
 /// — this replaces the flat GroupKeyInterner in the streaming CVOPT
 /// sampler's per-row stratum routing, and routes the out-of-core scan's
-/// chunks (chunk-bound: rows are positions in the bound chunk, and ids
-/// carry across chunks, so routing a mapped table chunk by chunk in order
-/// yields the ids GroupIndex::Build assigns the materialized table).
+/// chunks. The router owns no storage: Bind points each grouping column at
+/// raw storage, and ids carry across rebinds, so routing a mapped table
+/// chunk by chunk in order yields the ids GroupIndex::Build assigns the
+/// materialized table.
 class StreamGroupRouter {
  public:
-  /// `cols` are grouping column indices in `table` (int64 or string; an
-  /// empty list routes every row to group 0). The table must outlive the
-  /// router; rows passed to Route must already be materialized. Column
-  /// storage is re-read through the Table on every Route, so streams that
-  /// append rows between offers (reallocating the columns) stay valid.
-  StreamGroupRouter(const Table* table, std::vector<size_t> cols,
-                    size_t expected_groups = 0);
-
-  /// Chunk-bound router over grouping columns of the given types (int64 or
-  /// string): Bind supplies each column's storage before rows are routed.
+  /// Router over grouping columns of the given types (int64 or string; an
+  /// empty list routes every row to group 0). Bind supplies each column's
+  /// storage before rows are routed.
   explicit StreamGroupRouter(const std::vector<DataType>& types,
                              size_t expected_groups = 0);
 
-  /// Chunk-bound routers only: grouping column j reads `chunk` (its ints or
-  /// dictionary codes, by type) until the next Bind. `chunk` must outlive
-  /// the Route calls that read it.
-  void Bind(size_t j, const DecodedChunk& chunk);
+  /// Grouping column j reads `ints` (an int64 column) or `codes` (a string
+  /// column's dictionary codes) until the next Bind; the other pointer is
+  /// not read. Route(r) reads element r, so the storage must hold every
+  /// row routed and outlive those Route calls — a caller whose table grows
+  /// rebinds after each append.
+  void Bind(size_t j, const int64_t* ints, const int32_t* codes);
 
   /// Dense id of the row's group, assigning the next id on first sight
   /// (`Route(r) == num_groups()-before` detects a new group).
@@ -256,9 +250,8 @@ class StreamGroupRouter {
 
  private:
   struct ColPlan {
-    const Column* col = nullptr;     // source of table-bound routers
-    const int64_t* ints = nullptr;   // current storage (int64 columns)
-    const int32_t* codes = nullptr;  // current storage (string columns)
+    const int64_t* ints = nullptr;   // bound storage (int64 columns)
+    const int32_t* codes = nullptr;  // bound storage (string columns)
     bool is_string = false;  // dictionary codes vs raw int64 values
     int bits = 1;            // current packed field width
     int shift = 0;
@@ -273,9 +266,6 @@ class StreamGroupRouter {
   // agree byte for byte, so both go through this helper.
   static uint64_t PackRaw(int64_t raw, bool is_string);
 
-  // Reloads table-bound columns' storage pointers (a growing table may
-  // have reallocated them since the previous call).
-  void SyncTableColumns();
   uint64_t PackedCode(const ColPlan& p, uint32_t row) const;
   int64_t RawCode(const ColPlan& p, uint32_t row) const;
   uint64_t PackGroup(size_t g) const;

@@ -8,7 +8,6 @@
 #include <numeric>
 
 #include "src/expr/compare_plan.h"
-#include "src/table/mapped_table.h"
 #include "src/util/simd.h"
 
 namespace cvopt {
@@ -890,16 +889,16 @@ std::vector<uint32_t> CompiledPredicate::LeafColumns() const {
   return cols;
 }
 
-CompiledPredicate CompiledPredicate::Rebind(const ChunkOfColumn& chunk_of,
+CompiledPredicate CompiledPredicate::Rebind(const SpanOfColumn& span_of,
                                             size_t rows) const {
   CompiledPredicate cp = *this;
   cp.n_ = rows;
   cp.zones_ = nullptr;
   for (Leaf& L : cp.leaves_) {
-    const DecodedChunk& d = chunk_of(L.col);
-    L.i64 = d.ints.data();
-    L.f64 = d.doubles.data();
-    L.codes = d.codes.data();
+    const ColumnSpan span = span_of(L.col);
+    L.i64 = span.ints;
+    L.f64 = span.doubles;
+    L.codes = span.codes;
   }
   return cp;
 }

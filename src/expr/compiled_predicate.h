@@ -47,8 +47,6 @@
 
 namespace cvopt {
 
-struct DecodedChunk;
-
 /// Three-valued zone-map verdict for one storage chunk.
 enum class ChunkVerdict : uint8_t {
   kResidual = 0,  // zone maps cannot decide; run the kernels
@@ -132,14 +130,22 @@ class CompiledPredicate {
   /// (columns of constant-folded comparisons are not read).
   std::vector<uint32_t> LeafColumns() const;
 
+  /// Raw storage of one column: its int64 values, doubles or dictionary
+  /// codes, by type (the pointers of the other types are not read).
+  struct ColumnSpan {
+    const int64_t* ints = nullptr;
+    const double* doubles = nullptr;
+    const int32_t* codes = nullptr;
+  };
+
   /// This plan re-pointed at `rows` rows of other storage for the same
-  /// columns — one decoded chunk of a mapped table, whose string codes
+  /// columns (e.g. one decoded chunk of a mapped table), whose string codes
   /// index the dictionaries the plan was compiled against: leaf column c
-  /// reads `chunk_of(c)`. The copy has no zone index, so its drivers run
+  /// reads `span_of(c)`. The copy has no zone index, so its drivers run
   /// the kernels over every row (the caller has already classified the
-  /// chunk against the file's zone maps).
-  using ChunkOfColumn = std::function<const DecodedChunk&(uint32_t col)>;
-  CompiledPredicate Rebind(const ChunkOfColumn& chunk_of, size_t rows) const;
+  /// rows against whatever zone maps it has).
+  using SpanOfColumn = std::function<ColumnSpan(uint32_t col)>;
+  CompiledPredicate Rebind(const SpanOfColumn& span_of, size_t rows) const;
 
  private:
   enum class LeafKind {

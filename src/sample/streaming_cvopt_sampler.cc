@@ -11,6 +11,18 @@
 
 namespace cvopt {
 
+namespace {
+
+std::vector<DataType> ColumnTypes(const Table& table,
+                                  const std::vector<size_t>& cols) {
+  std::vector<DataType> types;
+  types.reserve(cols.size());
+  for (size_t c : cols) types.push_back(table.column(c).type());
+  return types;
+}
+
+}  // namespace
+
 StreamingCvoptBuilder::StreamingCvoptBuilder(const Table* table,
                                              std::vector<size_t> group_columns,
                                              size_t value_column,
@@ -22,11 +34,19 @@ StreamingCvoptBuilder::StreamingCvoptBuilder(const Table* table,
       budget_(budget),
       replan_interval_(std::max<uint64_t>(1, replan_interval)),
       rng_(rng),
-      router_(table, group_columns_) {}
+      router_(ColumnTypes(*table, group_columns_)) {}
+
+void StreamingCvoptBuilder::BindRouter() {
+  for (size_t j = 0; j < group_columns_.size(); ++j) {
+    const Column& col = table_->column(group_columns_[j]);
+    router_.Bind(j, col.ints().data(), col.codes().data());
+  }
+}
 
 void StreamingCvoptBuilder::Offer(uint32_t row) {
   // Filter path: one scalar kernel test per offered row, no allocation.
   if (filter_ != nullptr && !filter_->MatchesRow(row)) return;
+  BindRouter();
   Admit(row, router_.Route(row));
 }
 
@@ -49,6 +69,7 @@ void StreamingCvoptBuilder::OfferRange(size_t lo, size_t hi) {
   }
   std::vector<uint32_t> rows;
   std::vector<uint32_t> strata;
+  BindRouter();
   for (size_t b = lo; b < hi;) {
     const size_t e = std::min(hi, (b / blk + 1) * blk);
     if (filter_ != nullptr) {

@@ -79,6 +79,10 @@ class StreamingCvoptBuilder {
   // cadence) — shared by the per-row and batched paths.
   void Admit(uint32_t row, uint32_t stratum);
   void Replan();
+  // Points the router at the grouping columns' current storage: the
+  // stream may have appended rows (reallocating the columns) since the
+  // previous offer.
+  void BindRouter();
 
   const Table* table_;
   std::vector<size_t> group_columns_;

@@ -564,10 +564,12 @@ Result<Table> MappedTable::Materialize(const Predicate& where) const {
     if (verdict != ChunkVerdict::kTakeAll) {
       // Residual chunk: evaluate the kernels over the decoded storage.
       smask.assign(n, 0);
-      proto_where
-          .Rebind([&](uint32_t c) -> const DecodedChunk& { return *data[c]; },
-                  n)
-          .EvalMaskRange(0, n, smask.data());
+      const auto span_of = [&](uint32_t c) {
+        const DecodedChunk& d = *data[c];
+        return CompiledPredicate::ColumnSpan{d.ints.data(), d.doubles.data(),
+                                             d.codes.data()};
+      };
+      proto_where.Rebind(span_of, n).EvalMaskRange(0, n, smask.data());
     }
     for (size_t r = 0; r < n; ++r) {
       if (!smask.empty() && smask[r] == 0) continue;

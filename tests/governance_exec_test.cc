@@ -267,21 +267,35 @@ TEST_F(GovernedMappedTest, AdaptiveDegradationBitIdentical) {
 TEST_F(GovernedMappedTest, MappedScanUnderTightBudgetBitIdentical) {
   // A 1 KiB budget refuses the decode wave's reservation: the scan shrinks
   // the wave to one unreserved chunk and still answers exactly as the
-  // ungoverned scan does, releasing every reservation afterwards.
-  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path_));
+  // ungoverned scan does, releasing every reservation afterwards. The
+  // 60-group file also outgrows the budget with its accumulators alone
+  // (56 bytes a group for FilteredQuery), which the scan then keeps
+  // unreserved too — and so does the adaptive path, whose refused
+  // materialization degrades to this scan.
+  const std::string many_path = path_ + ".many";
+  ASSERT_OK(WriteTableFile(MakeSkewedTable(60, 2), many_path));
   const QuerySpec q = FilteredQuery();
-  for (int threads : {1, 8}) {
-    ScopedExecThreads st(threads);
-    ASSERT_OK_AND_ASSIGN(QueryResult ungoverned, ExecuteGroupByMapped(mt, q));
-    QueryContext tight;
-    tight.set_memory_limit(1024);
-    {
-      ScopedQueryContext install(&tight);
-      ASSERT_OK_AND_ASSIGN(QueryResult governed, ExecuteGroupByMapped(mt, q));
-      ExpectBitIdentical(ungoverned, governed);
+  for (const std::string& path : {path_, many_path}) {
+    ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+    for (int threads : {1, 8}) {
+      ScopedExecThreads st(threads);
+      ASSERT_OK_AND_ASSIGN(QueryResult ungoverned, ExecuteGroupByMapped(mt, q));
+      QueryContext tight;
+      tight.set_memory_limit(1024);
+      {
+        ScopedQueryContext install(&tight);
+        ASSERT_OK_AND_ASSIGN(QueryResult governed,
+                             ExecuteGroupByMapped(mt, q));
+        ExpectBitIdentical(ungoverned, governed);
+        ASSERT_OK_AND_ASSIGN(QueryResult adaptive,
+                             ExecuteGroupByAdaptive(mt, q));
+        ExpectBitIdentical(ungoverned, adaptive);
+      }
+      EXPECT_EQ(tight.budget().used(), 0u)
+          << path << " threads=" << threads;
     }
-    EXPECT_EQ(tight.budget().used(), 0u) << "threads=" << threads;
   }
+  std::remove(many_path.c_str());
 }
 
 TEST_F(GovernedMappedTest, MappedScanHonorsCancellation) {

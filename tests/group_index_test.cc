@@ -434,8 +434,8 @@ TEST_P(RouterBatchParityFuzz, RouteBatchMatchesPerRowRoute) {
     for (const auto& attrs : attr_sets) {
       ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
                            GroupIndex::Resolve(t, attrs));
-      StreamGroupRouter serial(&t, cols);
-      StreamGroupRouter batched(&t, cols);
+      StreamGroupRouter serial = RouterOverTable(t, cols);
+      StreamGroupRouter batched = RouterOverTable(t, cols);
       std::vector<uint32_t> want(n), got(n);
       for (size_t r = 0; r < n; ++r) {
         want[r] = serial.Route(static_cast<uint32_t>(r));

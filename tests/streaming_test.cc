@@ -135,7 +135,7 @@ TEST(StreamGroupRouterTest, MatchesGroupIndexOnReplay) {
     ASSERT_OK_AND_ASSIGN(GroupIndex gi, GroupIndex::Build(t, attrs));
     ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
                          GroupIndex::Resolve(t, attrs));
-    StreamGroupRouter router(&t, cols);
+    StreamGroupRouter router = RouterOverTable(t, cols);
     for (uint32_t r = 0; r < t.num_rows(); ++r) {
       ASSERT_EQ(router.Route(r), gi.group_of(r)) << "row " << r;
     }
@@ -170,7 +170,7 @@ TEST(StreamGroupRouterTest, DictionaryGrowthMidStream) {
   ASSERT_OK_AND_ASSIGN(GroupIndex gi, GroupIndex::Build(t, {"s", "k"}));
   ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
                        GroupIndex::Resolve(t, {"s", "k"}));
-  StreamGroupRouter router(&t, cols);
+  StreamGroupRouter router = RouterOverTable(t, cols);
   for (uint32_t r = 0; r < t.num_rows(); ++r) {
     ASSERT_EQ(router.Route(r), gi.group_of(r)) << "row " << r;
   }
@@ -200,7 +200,7 @@ TEST(StreamGroupRouterTest, WideKeyTierMatchesGroupIndex) {
   ASSERT_EQ(gi.tier(), GroupIndex::Tier::kWide);
   ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
                        GroupIndex::Resolve(t, {"a", "b", "c"}));
-  StreamGroupRouter router(&t, cols);
+  StreamGroupRouter router = RouterOverTable(t, cols);
   for (uint32_t r = 0; r < t.num_rows(); ++r) {
     ASSERT_EQ(router.Route(r), gi.group_of(r)) << "row " << r;
   }
@@ -230,7 +230,7 @@ TEST(StreamGroupRouterTest, MoreColumnsThanPackableBitsStartsWide) {
   for (int j = 0; j < 70; ++j) attrs.push_back("c" + std::to_string(j));
   ASSERT_OK_AND_ASSIGN(GroupIndex gi, GroupIndex::Build(t, attrs));
   ASSERT_OK_AND_ASSIGN(std::vector<size_t> idx, GroupIndex::Resolve(t, attrs));
-  StreamGroupRouter router(&t, idx);
+  StreamGroupRouter router = RouterOverTable(t, idx);
   EXPECT_FALSE(router.packed());
   for (uint32_t r = 0; r < t.num_rows(); ++r) {
     EXPECT_EQ(router.Route(r), gi.group_of(r));
@@ -240,7 +240,7 @@ TEST(StreamGroupRouterTest, MoreColumnsThanPackableBitsStartsWide) {
 
 TEST(StreamGroupRouterTest, EmptyColumnListRoutesEverythingToGroupZero) {
   Table t = MakeSkewedTable(3, 10);
-  StreamGroupRouter router(&t, {});
+  StreamGroupRouter router = RouterOverTable(t, {});
   for (uint32_t r = 0; r < t.num_rows(); ++r) {
     EXPECT_EQ(router.Route(r), 0u);
   }

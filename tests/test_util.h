@@ -109,6 +109,20 @@ inline Table MakeSkewedTable(int groups, int base, uint64_t seed = 7) {
   return std::move(b).Finish();
 }
 
+/// A StreamGroupRouter over `cols` of `t`, bound to their current storage
+/// (the table must not grow while the router reads it).
+inline StreamGroupRouter RouterOverTable(const Table& t,
+                                         const std::vector<size_t>& cols) {
+  std::vector<DataType> types;
+  for (size_t c : cols) types.push_back(t.column(c).type());
+  StreamGroupRouter router(types);
+  for (size_t j = 0; j < cols.size(); ++j) {
+    const Column& col = t.column(cols[j]);
+    router.Bind(j, col.ints().data(), col.codes().data());
+  }
+  return router;
+}
+
 }  // namespace cvopt
 
 #endif  // CVOPT_TESTS_TEST_UTIL_H_

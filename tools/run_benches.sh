@@ -176,8 +176,10 @@ doc["description"] = (
     "BM_ServerCatalogHitParallel/<threads> is aggregate throughput with "
     "one connection per benchmark thread."
 )
+# The commit measured; "-dirty" marks numbers taken from uncommitted
+# changes on top of it.
 commit = subprocess.run(
-    ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True
+    ["git", "describe", "--always", "--dirty"], capture_output=True, text=True
 )
 doc["commit"] = commit.stdout.strip() or "unknown"
 doc["repeats"] = repeats
