@@ -40,7 +40,8 @@ std::string AggSpec::Label() const {
 }
 
 Result<BoundAggregates> BoundAggregates::Bind(const Table& table,
-                                              const std::vector<AggSpec>& aggs) {
+                                              const std::vector<AggSpec>& aggs,
+                                              const uint32_t* rows, size_t m) {
   BoundAggregates out;
   out.sources_.reserve(aggs.size());
   for (const auto& agg : aggs) {
@@ -71,8 +72,9 @@ Result<BoundAggregates> BoundAggregates::Bind(const Table& table,
         // source.
         CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> filter,
                                CompilePredicateCached(table, agg.filter));
-        auto mask = std::make_unique<std::vector<uint8_t>>(table.num_rows());
-        ParallelEvalMask(*filter, nullptr, mask->size(), mask->data());
+        auto mask = std::make_unique<std::vector<uint8_t>>(
+            rows != nullptr ? m : table.num_rows());
+        ParallelEvalMask(*filter, rows, mask->size(), mask->data());
         out.indicators_.push_back(std::move(mask));
         src.indicator = out.indicators_.back().get();
         break;

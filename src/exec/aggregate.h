@@ -2,6 +2,7 @@
 #ifndef CVOPT_EXEC_AGGREGATE_H_
 #define CVOPT_EXEC_AGGREGATE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,8 +63,13 @@ class BoundAggregates {
  public:
   /// Resolves every AggSpec against the table. Fails on unknown columns,
   /// string-typed aggregation columns, or kCountIf without a filter.
+  /// COUNT_IF indicators are evaluated over every table row, or, when
+  /// `rows` is given, over base rows rows[0..m) only and indexed by
+  /// position in `rows` (column sources stay indexed by base row).
   static Result<BoundAggregates> Bind(const Table& table,
-                                      const std::vector<AggSpec>& aggs);
+                                      const std::vector<AggSpec>& aggs,
+                                      const uint32_t* rows = nullptr,
+                                      size_t m = 0);
 
   const std::vector<StatSource>& sources() const { return sources_; }
   size_t size() const { return sources_.size(); }

@@ -132,48 +132,24 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
   return plan;
 }
 
-// Per-group serial accumulators, grown as the router discovers groups.
-struct MappedAccumulators {
-  std::vector<uint64_t> cnt;
-  std::vector<std::vector<double>> sums;   // [agg][group]
-  std::vector<std::vector<double>> sums2;  // [agg][group], variance only
-  std::vector<std::vector<std::vector<double>>> medians;  // [agg][group]
-};
-
-// Finalizes through the exact executor's own rules, then emits groups in
+// Finalizes through the shared core's rules, then emits groups in
 // first-occurrence order, omitting fully-filtered groups (IngestDense
 // semantics).
 Result<QueryResult> EmitMappedResult(const MappedTable& mt,
                                      const QuerySpec& query,
                                      const MappedScanPlan& plan,
                                      const StreamGroupRouter& router,
-                                     MappedAccumulators&& ma) {
+                                     GroupedAccumulators* acc) {
   const size_t t = plan.t;
-  const size_t G = router.num_groups();
-  GroupedAccumulators acc;
-  acc.num_groups = G;
-  acc.cnt = std::move(ma.cnt);
-  acc.sums.assign(t * G, 0.0);
-  if (plan.any_var) acc.sums2.assign(t * G, 0.0);
-  acc.median_values.resize(t);
-  for (size_t j = 0; j < t; ++j) {
-    std::copy(ma.sums[j].begin(), ma.sums[j].end(), acc.sums.begin() + j * G);
-    if (plan.any_var) {
-      std::copy(ma.sums2[j].begin(), ma.sums2[j].end(),
-                acc.sums2.begin() + j * G);
-    }
-    if (query.aggregates[j].func == AggFunc::kMedian) {
-      acc.median_values[j] = std::move(ma.medians[j]);
-    }
-  }
-  std::vector<double> finals = FinalizeGrouped(query.aggregates, &acc);
+  const size_t G = acc->num_groups;
+  std::vector<double> finals = FinalizeGrouped(query.aggregates, acc);
 
   std::vector<std::string> agg_labels;
   agg_labels.reserve(t);
   for (const auto& a : query.aggregates) agg_labels.push_back(a.Label());
   QueryResult result(std::move(agg_labels), query.group_by);
   for (size_t g = 0; g < G; ++g) {
-    if (acc.cnt[g] == 0) continue;
+    if (acc->cnt[g] == 0) continue;
     std::vector<double> values(t);
     for (size_t j = 0; j < t; ++j) values[j] = finals[j * G + g];
     GroupKey key = router.KeyOf(g);
@@ -289,10 +265,8 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
   std::vector<uint32_t> positions(mt.chunk_rows());
   std::iota(positions.begin(), positions.end(), 0u);
 
-  MappedAccumulators ma;
-  ma.sums.resize(t);
-  ma.sums2.resize(plan.any_var ? t : 0);
-  ma.medians.resize(t);
+  GroupedAccumulators acc;
+  acc.Grow(query.aggregates, 0, /*weighted=*/false);
   const size_t group_bytes =
       sizeof(uint64_t) + t * sizeof(double) * (plan.any_var ? 2 : 1);
   std::vector<MemoryReservation> acc_res;
@@ -330,20 +304,13 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
 
     // (c) Grow the accumulators to the groups discovered so far.
     const size_t G = router.num_groups();
-    if (G > ma.cnt.size()) {
+    if (G > acc.num_groups) {
       if (ctx != nullptr) {
         Result<MemoryReservation> res = ctx->TryReserve(
-            (G - ma.cnt.size()) * group_bytes, "mapped scan accumulators");
+            (G - acc.num_groups) * group_bytes, "mapped scan accumulators");
         if (res.ok()) acc_res.push_back(std::move(res).value());
       }
-      ma.cnt.resize(G, 0);
-      for (size_t j = 0; j < t; ++j) {
-        ma.sums[j].resize(G, 0.0);
-        if (plan.any_var) ma.sums2[j].resize(G, 0.0);
-        if (query.aggregates[j].func == AggFunc::kMedian) {
-          ma.medians[j].resize(G);
-        }
-      }
+      acc.Grow(query.aggregates, G, /*weighted=*/false);
     }
 
     // (d) Gid-range-partitioned accumulation.
@@ -356,7 +323,7 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
           const uint32_t gid = wc.gids[r];
           if (gid < glo || gid >= ghi) continue;
           if (!wc.smask.empty() && wc.smask[r] == 0) continue;
-          ma.cnt[gid]++;
+          acc.cnt[gid]++;
           for (size_t j = 0; j < t; ++j) {
             const MappedAggBinding& b = plan.bindings[j];
             if (b.constant_one) continue;
@@ -369,17 +336,19 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
                       ? col.doubles[r]
                       : static_cast<double>(col.ints[r]);
             }
-            ma.sums[j][gid] += v;
-            if (plan.any_var) ma.sums2[j][gid] += v * v;
-            if (query.aggregates[j].func == AggFunc::kMedian) {
-              ma.medians[j][gid].push_back(v);
+            const AggFunc f = query.aggregates[j].func;
+            if (f == AggFunc::kMedian) {
+              acc.median_values[j][gid].push_back(v);
+              continue;
             }
+            acc.sums[j][gid] += v;
+            if (f == AggFunc::kVariance) acc.sums2[j][gid] += v * v;
           }
         }
       }
     });
   }
-  return EmitMappedResult(mt, query, plan, router, std::move(ma));
+  return EmitMappedResult(mt, query, plan, router, &acc);
 }
 
 }  // namespace

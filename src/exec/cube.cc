@@ -67,7 +67,6 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
   const size_t G = gidx.num_groups();
   const size_t k = base.group_by.size();
   const size_t t = base.aggregates.size();
-  const bool any_var = !acc.sums2.empty();
 
   // Flat key codes of every finest group (one gather, reused per subset).
   std::vector<int64_t> codes;
@@ -134,28 +133,19 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
     // the strata of a parent; MEDIAN concatenates the per-stratum value
     // buffers (the parent's multiset, so the median is exact).
     GroupedAccumulators pacc;
-    pacc.num_groups = P;
-    pacc.cnt.assign(P, 0);
-    pacc.sums.assign(t * P, 0.0);
-    if (any_var) pacc.sums2.assign(t * P, 0.0);
-    pacc.median_values.resize(t);
+    pacc.Grow(base.aggregates, P, /*weighted=*/false);
     for (size_t g = 0; g < G; ++g) pacc.cnt[parent_of[g]] += acc.cnt[g];
+    auto roll_up = [&](const std::vector<double>& from,
+                       std::vector<double>* to) {
+      for (size_t g = 0; g < from.size(); ++g) (*to)[parent_of[g]] += from[g];
+    };
     for (size_t j = 0; j < t; ++j) {
-      const double* S = acc.sums.data() + j * G;
-      double* PS = pacc.sums.data() + j * P;
-      for (size_t g = 0; g < G; ++g) PS[parent_of[g]] += S[g];
-      if (any_var) {
-        const double* S2 = acc.sums2.data() + j * G;
-        double* PS2 = pacc.sums2.data() + j * P;
-        for (size_t g = 0; g < G; ++g) PS2[parent_of[g]] += S2[g];
-      }
-      if (base.aggregates[j].func == AggFunc::kMedian) {
-        pacc.median_values[j].resize(P);
-        for (size_t g = 0; g < G; ++g) {
-          const auto& vals = acc.median_values[j][g];
-          auto& bucket = pacc.median_values[j][parent_of[g]];
-          bucket.insert(bucket.end(), vals.begin(), vals.end());
-        }
+      roll_up(acc.sums[j], &pacc.sums[j]);
+      roll_up(acc.sums2[j], &pacc.sums2[j]);
+      for (size_t g = 0; g < acc.median_values[j].size(); ++g) {
+        const auto& vals = acc.median_values[j][g];
+        auto& bucket = pacc.median_values[j][parent_of[g]];
+        bucket.insert(bucket.end(), vals.begin(), vals.end());
       }
     }
     const std::vector<double> finals =

@@ -1,6 +1,8 @@
 #include "src/exec/group_by_executor.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
@@ -24,225 +26,346 @@ double MedianOf(std::vector<double>* vs) {
   return (lo + hi) / 2.0;
 }
 
+// Weighted median: the value at which cumulative Horvitz–Thompson weight
+// crosses half the total, with the midpoint convention at an exact
+// half-weight boundary (the even-count case with uniform weights), matching
+// MedianOf.
+double WeightedMedianOf(std::vector<std::pair<double, double>>* pairs,
+                        double total_weight) {
+  if (pairs->empty()) return 0.0;
+  std::sort(pairs->begin(), pairs->end());
+  const double half = total_weight / 2.0;
+  const double eps = 1e-9 * total_weight;
+  double cum = 0.0;
+  double med = pairs->back().first;
+  for (size_t p = 0; p < pairs->size(); ++p) {
+    cum += (*pairs)[p].second;
+    if (cum >= half - eps) {
+      if (cum <= half + eps && p + 1 < pairs->size()) {
+        med = ((*pairs)[p].first + (*pairs)[p + 1].first) / 2.0;
+      } else {
+        med = (*pairs)[p].first;
+      }
+      break;
+    }
+  }
+  return med;
+}
+
+// The weight stream of an unweighted pass: multiplying by its constant 1.0
+// folds away, so the unweighted instantiation is the plain unweighted loop.
+struct UnitWeight {
+  double operator()(size_t) const { return 1.0; }
+};
+
+// The finalize rules over a per-group denominator: the count of an
+// unweighted pass, the weight sum of a weighted one.
+template <class Den>
+std::vector<double> FinalizeOver(const std::vector<AggSpec>& aggs,
+                                 GroupedAccumulators* acc, Den den) {
+  const size_t t = aggs.size();
+  const size_t G = acc->num_groups;
+  const std::vector<uint64_t>& cnt = acc->cnt;
+  std::vector<double> finals(t * G, 0.0);
+  for (size_t j = 0; j < t; ++j) {
+    const double* S = acc->sums[j].data();
+    double* F = finals.data() + j * G;
+    switch (aggs[j].func) {
+      case AggFunc::kAvg:
+        for (size_t g = 0; g < G; ++g) {
+          if (den(g) > 0.0) F[g] = S[g] / den(g);
+        }
+        break;
+      case AggFunc::kCount:
+        for (size_t g = 0; g < G; ++g) F[g] = den(g);
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kCountIf:
+        std::copy(S, S + G, F);
+        break;
+      case AggFunc::kVariance: {
+        // Plug-in estimator of the population variance: E[v^2] - E[v]^2.
+        const double* S2 = acc->sums2[j].data();
+        for (size_t g = 0; g < G; ++g) {
+          if (den(g) <= 0.0) continue;
+          const double mean = S[g] / den(g);
+          F[g] = std::max(0.0, S2[g] / den(g) - mean * mean);
+        }
+        break;
+      }
+      case AggFunc::kMedian:
+        for (size_t g = 0; g < G; ++g) {
+          if (cnt[g] == 0) continue;
+          F[g] = acc->wcnt.empty()
+                     ? MedianOf(&acc->median_values[j][g])
+                     : WeightedMedianOf(&acc->median_pairs[j][g], den(g));
+        }
+        break;
+    }
+  }
+  return finals;
+}
+
 }  // namespace
+
+void GroupedAccumulators::Grow(const std::vector<AggSpec>& aggs,
+                               size_t groups, bool weighted) {
+  const size_t t = aggs.size();
+  num_groups = groups;
+  cnt.resize(groups, 0);
+  if (weighted) wcnt.resize(groups, 0.0);
+  sums.resize(t);
+  sums2.resize(t);
+  median_values.resize(t);
+  median_pairs.resize(t);
+  for (size_t j = 0; j < t; ++j) {
+    switch (aggs[j].func) {
+      case AggFunc::kCount:
+        break;
+      case AggFunc::kMedian:
+        if (weighted) {
+          median_pairs[j].resize(groups);
+        } else {
+          median_values[j].resize(groups);
+        }
+        break;
+      case AggFunc::kVariance:
+        sums2[j].resize(groups, 0.0);
+        [[fallthrough]];
+      default:
+        sums[j].resize(groups, 0.0);
+        break;
+    }
+  }
+}
 
 Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
-    const std::vector<uint32_t>* sel) {
+    const std::vector<uint32_t>* sel, const std::vector<uint32_t>* rows,
+    const std::vector<double>* weights) {
  return GovernedSection([&]() -> Result<GroupedAccumulators> {
-  CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
-                         BoundAggregates::Bind(table, query.aggregates));
-  const size_t n = table.num_rows();
+  const size_t n = gidx.num_rows();  // positions
+  const uint32_t* rowp = rows != nullptr ? rows->data() : nullptr;
+  CVOPT_ASSIGN_OR_RETURN(
+      BoundAggregates bound,
+      BoundAggregates::Bind(table, query.aggregates, rowp, n));
   const size_t t = query.aggregates.size();
   const size_t G = gidx.num_groups();
   const uint32_t* rg = gidx.row_groups().data();
   const bool use_sel = sel != nullptr;
   const uint32_t* selp = use_sel ? sel->data() : nullptr;
+  const bool weighted = weights != nullptr;
 
-  GroupedAccumulators acc;
-  acc.num_groups = G;
-  bool any_var = false;
-  for (const auto& a : query.aggregates) any_var |= a.func == AggFunc::kVariance;
   // The accumulator slabs are the aggregation's dominant working memory;
   // reserve them against the query's budget before touching them (the
   // fail-point lets tests force the kResourceExhausted path without a real
   // budget). Held until the accumulators are returned to the caller.
+  size_t slabs = weighted ? 1 : 0;  // wcnt
+  for (const auto& a : query.aggregates) {
+    if (a.func == AggFunc::kCount || a.func == AggFunc::kMedian) continue;
+    slabs += a.func == AggFunc::kVariance ? 2 : 1;  // sums (+ sums2)
+  }
   CVOPT_FAILPOINT("exec.groupby.alloc");
   MemoryReservation slab_res = ReserveMemoryOrThrow(
-      (t * G * sizeof(double)) * (any_var ? 2 : 1) + G * sizeof(uint64_t),
+      G * (slabs * sizeof(double) + sizeof(uint64_t)),
       "group-by accumulator slabs");
-  acc.sums.assign(t * G, 0.0);
-  if (any_var) acc.sums2.assign(t * G, 0.0);
-  acc.median_values.resize(t);
+  GroupedAccumulators acc;
+  acc.Grow(query.aggregates, G, weighted);
 
   // Pass over a partitioned build: partition-owned accumulator slabs.
-  // Each worker iterates its partition's ascending row list into a slab
-  // sized to the partition's own group count, then writes the slab out at
-  // its groups' global ids — disjoint across partitions, so there is no
-  // contention and no chunk-order merge at all. Per-group sums are the
-  // serial ascending-row sums bit for bit (no reassociation), and MEDIAN
-  // buffers land whole (a group's rows live in one partition). A WHERE
-  // selection rides the same slabs through a dense byte mask: a group's
-  // surviving rows are still visited ascending, so masked sums match the
-  // serial masked loop bit for bit, and fully-filtered groups keep count
-  // zero (IngestDense omits them).
-  const GroupPartitions* parts =
-      gidx.partitions() != nullptr ? gidx.partitions().get() : nullptr;
+  // Each worker iterates its partition's ascending position list into a
+  // slab sized to the partition's own group count, then writes the slab
+  // out at its groups' global ids — disjoint across partitions, so there
+  // is no contention and no chunk-order merge at all. Per-group sums are
+  // the serial ascending-position sums bit for bit (no reassociation), and
+  // MEDIAN buffers land whole (a group's positions live in one partition).
+  // A WHERE selection rides the same slabs through a dense byte mask: a
+  // group's surviving positions are still visited ascending, so masked
+  // sums match the serial masked loop bit for bit, and fully-filtered
+  // groups keep count zero (IngestDense omits them).
+  const GroupPartitions* parts = gidx.partitions().get();
+  const uint32_t* prows = parts != nullptr ? parts->part_rows.data() : nullptr;
+  const uint32_t* plocal =
+      parts != nullptr ? parts->part_local.data() : nullptr;
 
-  std::vector<uint8_t> sel_mask;
-  const uint8_t* mk = nullptr;
-  if (parts != nullptr && use_sel) {
-    // Scatter the selection into row-indexed bytes. Selection entries are
-    // distinct rows, so parallel chunks write disjoint slots.
-    sel_mask.assign(n, 0);
-    uint8_t* mp = sel_mask.data();
-    const size_t m = sel->size();
-    ParallelForChunks(m, AggregationChunks(m, G),
-                      [&](size_t, size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) mp[selp[i]] = 1;
-                      });
-    mk = mp;
-  }
-
-  if (parts != nullptr) {
-    const size_t P = parts->num_partitions();
-    const uint32_t* prows = parts->part_rows.data();
-    const uint32_t* plocal = parts->part_local.data();
-    const uint32_t* l2g = parts->local_to_global.data();
-    if (mk != nullptr) {
-      // Masked per-group counts through the same partition-owned slabs.
-      acc.cnt.assign(G, 0);
-      ParallelForChunks(P, P, [&](size_t p, size_t, size_t) {
-        const size_t gb = parts->group_base[p];
-        std::vector<uint64_t> local(parts->num_groups_in(p), 0);
-        for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1];
-             ++k) {
-          local[plocal[k]] += mk[prows[k]];
-        }
-        for (size_t l = 0; l < local.size(); ++l) {
-          acc.cnt[l2g[gb + l]] = local[l];
-        }
-      });
-    } else {
-      acc.cnt.assign(gidx.sizes().begin(), gidx.sizes().end());
-    }
-    for (size_t j = 0; j < t; ++j) {
-      const AggFunc f = query.aggregates[j].func;
-      const StatSource& src = bound.sources()[j];
-      if (src.constant_one) continue;  // COUNT is answered by cnt[] directly
-      double* S = acc.sums.data() + j * G;
-      double* S2 = any_var ? acc.sums2.data() + j * G : nullptr;
-      auto accumulate = [&](auto value_at) {
-        switch (f) {
-          case AggFunc::kMedian:
-            acc.median_values[j].resize(G);
-            ParallelForChunks(P, P, [&](size_t p, size_t, size_t) {
-              const size_t gb = parts->group_base[p];
-              std::vector<std::vector<double>> bufs(parts->num_groups_in(p));
-              for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1];
-                   ++k) {
-                if (mk != nullptr && mk[prows[k]] == 0) continue;
-                bufs[plocal[k]].push_back(value_at(prows[k]));
-              }
-              for (size_t l = 0; l < bufs.size(); ++l) {
-                acc.median_values[j][l2g[gb + l]] = std::move(bufs[l]);
-              }
-            });
-            break;
-          default:
-            AccumulatePartitioned(
-                *parts, /*use_s2=*/f == AggFunc::kVariance, S, S2,
-                [&](size_t p, double* s, double* s2) {
-                  for (size_t k = parts->part_base[p];
-                       k < parts->part_base[p + 1]; ++k) {
-                    if (mk != nullptr && mk[prows[k]] == 0) continue;
-                    const double v = value_at(prows[k]);
-                    s[plocal[k]] += v;
-                    if (s2 != nullptr) s2[plocal[k]] += v * v;
-                  }
-                });
-            break;
-        }
-      };
-      if (src.indicator != nullptr) {
-        const uint8_t* ind = src.indicator->data();
-        accumulate([ind](size_t r) { return ind[r] ? 1.0 : 0.0; });
-      } else if (src.column->type() == DataType::kDouble) {
-        const double* vals = src.column->doubles().data();
-        accumulate([vals](size_t r) { return vals[r]; });
-      } else {
-        const int64_t* vals = src.column->ints().data();
-        accumulate([vals](size_t r) { return static_cast<double>(vals[r]); });
-      }
-    }
-    return acc;
-  }
-
-  // Chunk-order merged morsel path. Accumulation iterates positions
-  // [0, m): surviving rows under a WHERE clause, all rows otherwise.
-  // Parallel passes run the same body over chunk-order position ranges and
-  // merge per-chunk accumulators in chunk order; one chunk is the exact
-  // serial loop.
+  // Otherwise: the chunk-order merged morsel path. Accumulation iterates
+  // [0, m): surviving positions under a WHERE clause, all positions
+  // otherwise. Parallel passes run the same body over chunk-order ranges
+  // and merge per-chunk accumulators in chunk order; one chunk is the
+  // exact serial loop.
   const size_t m = use_sel ? sel->size() : n;
   const size_t chunks = AggregationChunks(m, G);
   auto for_range = [&](size_t lo, size_t hi, auto&& fn) {
     if (use_sel) {
       for (size_t i = lo; i < hi; ++i) fn(static_cast<size_t>(selp[i]));
     } else {
-      for (size_t r = lo; r < hi; ++r) fn(r);
+      for (size_t i = lo; i < hi; ++i) fn(i);
     }
   };
 
-  // Per-group surviving-row counts (identical across aggregates; integer,
-  // so parallel merge is bit-exact).
-  if (use_sel) {
-    acc.cnt.assign(G, 0);
-    if (chunks == 1) {
-      for (const uint32_t r : *sel) acc.cnt[rg[r]]++;
-    } else {
-      std::vector<std::vector<uint64_t>> part(chunks);
-      ParallelForChunks(m, chunks, [&](size_t c, size_t lo, size_t hi) {
-        part[c].assign(G, 0);
-        uint64_t* p = part[c].data();
-        for (size_t i = lo; i < hi; ++i) p[rg[selp[i]]]++;
-      });
-      for (const auto& p : part) {
-        for (size_t g = 0; g < G; ++g) acc.cnt[g] += p[g];
-      }
-    }
-  } else {
-    acc.cnt.assign(gidx.sizes().begin(), gidx.sizes().end());
+  std::vector<uint8_t> sel_mask;
+  const uint8_t* mk = nullptr;
+  if (parts != nullptr && use_sel) {
+    // Scatter the selection into position-indexed bytes. Selection entries
+    // are distinct positions, so parallel chunks write disjoint slots.
+    sel_mask.assign(n, 0);
+    uint8_t* mp = sel_mask.data();
+    ParallelForChunks(m, chunks, [&](size_t, size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) mp[selp[i]] = 1;
+    });
+    mk = mp;
   }
 
-  for (size_t j = 0; j < t; ++j) {
-    const AggFunc f = query.aggregates[j].func;
-    const StatSource& src = bound.sources()[j];
-    if (src.constant_one) continue;  // COUNT is answered by cnt[] directly
-    double* S = acc.sums.data() + j * G;
-    double* S2 = any_var ? acc.sums2.data() + j * G : nullptr;
-    auto accumulate = [&](auto value_at) {
-      switch (f) {
-        case AggFunc::kVariance:
-          AccumulateChunked(
-              m, chunks, G, S, S2,
-              [&](double* s, double* s2, size_t lo, size_t hi) {
-                for_range(lo, hi, [&](size_t r) {
-                  const double v = value_at(r);
-                  s[rg[r]] += v;
-                  s2[rg[r]] += v * v;
-                });
-              });
-          break;
-        case AggFunc::kMedian:
-          // Finalization reads only the value buffers, not the sums slab.
-          CollectChunked<double>(
-              m, chunks, G, &acc.median_values[j],
-              [&](std::vector<double>* bufs, size_t lo, size_t hi) {
-                for_range(lo, hi,
-                          [&](size_t r) { bufs[rg[r]].push_back(value_at(r)); });
-              });
-          break;
-        default:
-          AccumulateChunked(
-              m, chunks, G, S, nullptr,
-              [&](double* s, double*, size_t lo, size_t hi) {
-                for_range(lo, hi, [&](size_t r) { s[rg[r]] += value_at(r); });
-              });
-          break;
+  // Per-group surviving-position counts (identical across aggregates;
+  // integer, so every merge is bit-exact).
+  if (!use_sel) {
+    acc.cnt.assign(gidx.sizes().begin(), gidx.sizes().end());
+  } else if (parts != nullptr) {
+    const uint32_t* l2g = parts->local_to_global.data();
+    ParallelForChunks(parts->num_partitions(), parts->num_partitions(),
+                      [&](size_t p, size_t, size_t) {
+      const size_t gb = parts->group_base[p];
+      std::vector<uint64_t> local(parts->num_groups_in(p), 0);
+      for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1]; ++k) {
+        local[plocal[k]] += mk[prows[k]];
       }
-    };
-    // Hoist the value-stream dispatch (indicator / column type) out of the
-    // row loop; each branch instantiates a specialized inner loop.
-    if (src.indicator != nullptr) {
-      const uint8_t* ind = src.indicator->data();
-      accumulate([ind](size_t r) { return ind[r] ? 1.0 : 0.0; });
-    } else if (src.column->type() == DataType::kDouble) {
-      const double* vals = src.column->doubles().data();
-      accumulate([vals](size_t r) { return vals[r]; });
-    } else {
-      const int64_t* vals = src.column->ints().data();
-      accumulate([vals](size_t r) { return static_cast<double>(vals[r]); });
+      for (size_t l = 0; l < local.size(); ++l) acc.cnt[l2g[gb + l]] = local[l];
+    });
+  } else if (chunks == 1) {
+    for (const uint32_t i : *sel) acc.cnt[rg[i]]++;
+  } else {
+    std::vector<std::vector<uint64_t>> part(chunks);
+    ParallelForChunks(m, chunks, [&](size_t c, size_t lo, size_t hi) {
+      part[c].assign(G, 0);
+      uint64_t* p = part[c].data();
+      for (size_t i = lo; i < hi; ++i) p[rg[selp[i]]]++;
+    });
+    for (const auto& p : part) {
+      for (size_t g = 0; g < G; ++g) acc.cnt[g] += p[g];
     }
+  }
+
+  // S[g] += w * v and, for VARIANCE, S2[g] += w * v * v over the group's
+  // surviving positions in ascending order.
+  auto sum_into = [&](double* S, double* S2, auto weight_at, auto value_at) {
+    if (parts != nullptr) {
+      AccumulatePartitioned(
+          *parts, /*use_s2=*/S2 != nullptr, S, S2,
+          [&](size_t p, double* s, double* s2) {
+            for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1];
+                 ++k) {
+              const size_t i = prows[k];
+              if (mk != nullptr && mk[i] == 0) continue;
+              const double v = value_at(i);
+              const double wv = weight_at(i) * v;
+              s[plocal[k]] += wv;
+              if (s2 != nullptr) s2[plocal[k]] += wv * v;
+            }
+          });
+    } else if (S2 != nullptr) {
+      AccumulateChunked(m, chunks, G, S, S2,
+                        [&](double* s, double* s2, size_t lo, size_t hi) {
+                          for_range(lo, hi, [&](size_t i) {
+                            const double v = value_at(i);
+                            const double wv = weight_at(i) * v;
+                            s[rg[i]] += wv;
+                            s2[rg[i]] += wv * v;
+                          });
+                        });
+    } else {
+      AccumulateChunked(m, chunks, G, S, nullptr,
+                        [&](double* s, double*, size_t lo, size_t hi) {
+                          for_range(lo, hi, [&](size_t i) {
+                            s[rg[i]] += weight_at(i) * value_at(i);
+                          });
+                        });
+    }
+  };
+
+  // Appends elem_at(i) to the group's buffer for every surviving position,
+  // ascending — the MEDIAN buffers, which finalization reads instead of
+  // the sums.
+  auto collect_into = [&](auto* bufs, auto elem_at) {
+    using Elem = decltype(elem_at(size_t{0}));
+    if (parts == nullptr) {
+      CollectChunked<Elem>(m, chunks, G, bufs,
+                           [&](std::vector<Elem>* b, size_t lo, size_t hi) {
+                             for_range(lo, hi, [&](size_t i) {
+                               b[rg[i]].push_back(elem_at(i));
+                             });
+                           });
+      return;
+    }
+    const uint32_t* l2g = parts->local_to_global.data();
+    ParallelForChunks(parts->num_partitions(), parts->num_partitions(),
+                      [&](size_t p, size_t, size_t) {
+      const size_t gb = parts->group_base[p];
+      std::vector<std::vector<Elem>> local(parts->num_groups_in(p));
+      for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1]; ++k) {
+        if (mk != nullptr && mk[prows[k]] == 0) continue;
+        local[plocal[k]].push_back(elem_at(prows[k]));
+      }
+      for (size_t l = 0; l < local.size(); ++l) {
+        (*bufs)[l2g[gb + l]] = std::move(local[l]);
+      }
+    });
+  };
+
+  // Hoists the weight stream and each aggregate's value stream (indicator
+  // or column type, through the row map or not) out of the row loops; each
+  // combination instantiates a specialized inner loop.
+  auto accumulate = [&](auto weight_at) {
+    constexpr bool kWeighted =
+        !std::is_same_v<decltype(weight_at), UnitWeight>;
+    if constexpr (kWeighted) {
+      sum_into(acc.wcnt.data(), nullptr, weight_at,
+               [](size_t) { return 1.0; });
+    }
+    for (size_t j = 0; j < t; ++j) {
+      const AggFunc f = query.aggregates[j].func;
+      const StatSource& src = bound.sources()[j];
+      if (src.constant_one) continue;  // COUNT is answered by cnt / wcnt
+      auto run = [&](auto value_at) {
+        if (f != AggFunc::kMedian) {
+          sum_into(acc.sums[j].data(),
+                   f == AggFunc::kVariance ? acc.sums2[j].data() : nullptr,
+                   weight_at, value_at);
+        } else if constexpr (kWeighted) {
+          collect_into(&acc.median_pairs[j], [&](size_t i) {
+            return std::make_pair(value_at(i), weight_at(i));
+          });
+        } else {
+          collect_into(&acc.median_values[j], value_at);
+        }
+      };
+      if (src.indicator != nullptr) {
+        // Indicators are evaluated per position (BoundAggregates::Bind).
+        const uint8_t* ind = src.indicator->data();
+        run([ind](size_t i) { return ind[i] ? 1.0 : 0.0; });
+      } else if (src.column->type() == DataType::kDouble) {
+        const double* vals = src.column->doubles().data();
+        if (rowp != nullptr) {
+          run([vals, rowp](size_t i) { return vals[rowp[i]]; });
+        } else {
+          run([vals](size_t i) { return vals[i]; });
+        }
+      } else {
+        const int64_t* vals = src.column->ints().data();
+        if (rowp != nullptr) {
+          run([vals, rowp](size_t i) {
+            return static_cast<double>(vals[rowp[i]]);
+          });
+        } else {
+          run([vals](size_t i) { return static_cast<double>(vals[i]); });
+        }
+      }
+    }
+  };
+  if (weighted) {
+    const double* w = weights->data();
+    accumulate([w](size_t i) { return w[i]; });
+  } else {
+    accumulate(UnitWeight{});
   }
   return acc;
  });
@@ -250,44 +373,14 @@ Result<GroupedAccumulators> AccumulateGrouped(
 
 std::vector<double> FinalizeGrouped(const std::vector<AggSpec>& aggs,
                                     GroupedAccumulators* acc) {
-  const size_t t = aggs.size();
-  const size_t G = acc->num_groups;
-  const std::vector<uint64_t>& cnt = acc->cnt;
-  std::vector<double> finals(t * G, 0.0);
-  for (size_t j = 0; j < t; ++j) {
-    const double* S = acc->sums.data() + j * G;
-    double* F = finals.data() + j * G;
-    switch (aggs[j].func) {
-      case AggFunc::kAvg:
-        for (size_t g = 0; g < G; ++g) {
-          if (cnt[g]) F[g] = S[g] / static_cast<double>(cnt[g]);
-        }
-        break;
-      case AggFunc::kCount:
-        for (size_t g = 0; g < G; ++g) F[g] = static_cast<double>(cnt[g]);
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kCountIf:
-        std::copy(S, S + G, F);
-        break;
-      case AggFunc::kVariance: {
-        const double* S2 = acc->sums2.data() + j * G;
-        for (size_t g = 0; g < G; ++g) {
-          if (!cnt[g]) continue;
-          const double ng = static_cast<double>(cnt[g]);
-          const double mean = S[g] / ng;
-          F[g] = std::max(0.0, S2[g] / ng - mean * mean);
-        }
-        break;
-      }
-      case AggFunc::kMedian:
-        for (size_t g = 0; g < G; ++g) {
-          if (cnt[g]) F[g] = MedianOf(&acc->median_values[j][g]);
-        }
-        break;
-    }
+  if (!acc->wcnt.empty()) {
+    const double* wcnt = acc->wcnt.data();
+    return FinalizeOver(aggs, acc, [wcnt](size_t g) { return wcnt[g]; });
   }
-  return finals;
+  const uint64_t* cnt = acc->cnt.data();
+  return FinalizeOver(aggs, acc, [cnt](size_t g) {
+    return static_cast<double>(cnt[g]);
+  });
 }
 
 Result<QueryResult> ExecuteExact(const Table& table, const QuerySpec& query) {

@@ -46,8 +46,7 @@ void SetDefaultChunkRowsForTesting(size_t rows) {
 bool ZoneMapPruningEnabled() {
   int v = g_zone_pruning.load(std::memory_order_relaxed);
   if (v < 0) {
-    const char* e = std::getenv("CVOPT_ZONEMAPS");
-    v = (e != nullptr && std::strcmp(e, "0") == 0) ? 0 : 1;
+    v = ParseEnvSwitch("CVOPT_ZONEMAPS").value_or(true) ? 1 : 0;
     g_zone_pruning.store(v, std::memory_order_relaxed);
   }
   return v != 0;

@@ -44,7 +44,8 @@ void SetDefaultChunkRowsForTesting(size_t rows);
 
 /// Whether the predicate layer consults zone maps to skip chunks. Defaults
 /// to on; env CVOPT_ZONEMAPS=0 or the setter disable it (the flat-scan
-/// baseline for benches and the differential suite).
+/// baseline for benches and the differential suite). Values other than 0
+/// and 1 warn once and keep the default (ParseEnvSwitch).
 bool ZoneMapPruningEnabled();
 void SetZoneMapPruningEnabled(bool enabled);
 

@@ -341,7 +341,7 @@ Result<MappedTable> MappedTable::Open(const std::string& path) {
     entry = {off, len};
   }
 
-  return std::move(t);
+  return t;
 }
 
 MappedTable::MappedTable(MappedTable&& other) noexcept

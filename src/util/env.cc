@@ -46,4 +46,14 @@ std::optional<int64_t> ParseEnvInt(const char* name) {
   return static_cast<int64_t>(v);
 }
 
+std::optional<bool> ParseEnvSwitch(const char* name) {
+  const std::optional<int64_t> v = ParseEnvInt(name);
+  if (!v.has_value()) return std::nullopt;
+  if (*v != 0 && *v != 1) {
+    WarnOnce(name, std::getenv(name), "expected 0 or 1");
+    return std::nullopt;
+  }
+  return *v == 1;
+}
+
 }  // namespace cvopt

@@ -6,8 +6,8 @@
 #include "src/util/simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+
+#include "src/util/env.h"
 
 namespace cvopt {
 namespace simd {
@@ -34,8 +34,7 @@ struct Backend {
 Backend Detect() {
   // CVOPT_SIMD=0 in the environment pins the scalar fallback for the whole
   // process (e.g. to A/B a bench run without rebuilding).
-  const char* env = std::getenv("CVOPT_SIMD");
-  if (env != nullptr && std::strcmp(env, "0") == 0) return {nullptr, "scalar"};
+  if (!ParseEnvSwitch("CVOPT_SIMD").value_or(true)) return {nullptr, "scalar"};
 #if defined(CVOPT_SIMD_HAVE_AVX2_TU)
   if (__builtin_cpu_supports("avx2")) return {Avx2Ops(), "avx2"};
 #elif defined(CVOPT_SIMD_HAVE_NEON_TU)

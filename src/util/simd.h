@@ -15,7 +15,8 @@
 //   * scalar: `ActiveOps()` returns nullptr and callers fall through to
 //     their existing scalar loops. This is the only path when the
 //     CVOPT_SIMD CMake option is OFF, when the CPU lacks the compiled
-//     backend's ISA, or when CVOPT_SIMD=0 is set in the environment.
+//     backend's ISA, or when CVOPT_SIMD=0 is set in the environment
+//     (values other than 0 and 1 warn once and keep dispatch automatic).
 //
 // Determinism contract: every vector kernel is an exact drop-in for the
 // scalar loop it replaces — same rows selected, same order, same byte

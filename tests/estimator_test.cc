@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "src/estimate/approx_executor.h"
 #include "src/exec/group_by_executor.h"
 #include "src/sample/cvopt_sampler.h"
+#include "src/sample/stratified_sample.h"
 #include "src/sample/uniform_sampler.h"
 #include "tests/test_util.h"
 
@@ -144,6 +147,83 @@ TEST(ApproxExecutorTest, CountIfEstimate) {
     auto j = approx.Find(exact.key(i));
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0), 1e-9);
+  }
+}
+
+// Bitwise equality of two results: same groups in the same order, with
+// value doubles compared by representation, not tolerance.
+void ExpectBitIdentical(const QueryResult& a, const QueryResult& b) {
+  ASSERT_EQ(a.num_groups(), b.num_groups());
+  ASSERT_EQ(a.num_aggregates(), b.num_aggregates());
+  for (size_t i = 0; i < a.num_groups(); ++i) {
+    EXPECT_EQ(a.label(i), b.label(i));
+    for (size_t j = 0; j < a.num_aggregates(); ++j) {
+      const double x = a.value(i, j);
+      const double y = b.value(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+          << "group " << a.label(i) << " agg " << j << ": " << x << " vs "
+          << y;
+    }
+  }
+}
+
+TEST(ApproxExecutorTest, UnitWeightFullSampleBitIdenticalToExact) {
+  // The approximate answer is the exact aggregate with a weight on every
+  // sampled row, so a sample of every row in ascending order with every
+  // weight 1.0 must answer bit for bit as the exact executor does — for
+  // every aggregate, with and without WHERE, on the chunk-merged small-G
+  // path and the radix-partitioned many-group path, serial and parallel.
+  QuerySpec q;
+  q.group_by = {"g"};
+  q.aggregates = {
+      AggSpec::Avg("v"),
+      AggSpec::Sum("v"),
+      AggSpec::Count(),
+      AggSpec::CountIf(Predicate::Compare("v", CompareOp::kGt, Value(20.0))),
+      AggSpec::Variance("v"),
+      AggSpec::Median("v")};
+  QuerySpec filtered = q;
+  filtered.where = Predicate::Compare("v", CompareOp::kLt, Value(40.0));
+
+  const Table small = MakeSkewedTable(7, 100);
+  const Table many = [] {
+    Schema schema({{"g", DataType::kInt64}, {"v", DataType::kDouble}});
+    TableBuilder b(schema);
+    Rng rng(5);
+    for (int64_t r = 0; r < 120000; ++r) {
+      Status st = b.AppendRow({Value(r % 60000),
+                               Value(30.0 + 10.0 * rng.NextGaussian())});
+      CVOPT_CHECK(st.ok(), "append failed");
+    }
+    return std::move(b).Finish();
+  }();
+  {
+    // Precondition: at 4 threads the many-group table's grouping takes the
+    // radix-partitioned build (partition-owned slabs); the small one merges
+    // per-chunk slabs.
+    ScopedExecThreads scope(4);
+    ASSERT_OK_AND_ASSIGN(GroupIndex gmany, GroupIndex::Build(many, {"g"}));
+    EXPECT_NE(gmany.partitions(), nullptr);
+    ASSERT_OK_AND_ASSIGN(GroupIndex gsmall, GroupIndex::Build(small, {"g"}));
+    EXPECT_EQ(gsmall.partitions(), nullptr);
+  }
+  for (const Table* t : {&small, &many}) {
+    std::vector<uint32_t> rows(t->num_rows());
+    std::iota(rows.begin(), rows.end(), 0u);
+    const StratifiedSample sample(t, rows,
+                                  std::vector<double>(rows.size(), 1.0),
+                                  "unit");
+    for (int threads : {1, 4}) {
+      ScopedExecThreads scope(threads);
+      for (const QuerySpec* query : {&q, &filtered}) {
+        SCOPED_TRACE(testing::Message()
+                     << "rows=" << t->num_rows() << " threads=" << threads
+                     << " where=" << (query->where != nullptr));
+        ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(*t, *query));
+        ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(sample, *query));
+        ExpectBitIdentical(exact, approx);
+      }
+    }
   }
 }
 

@@ -169,14 +169,45 @@ TEST(GovernanceAbortTest, PoisonedMorselHaltsPoolPromptly) {
   // without running, the exception resurfaces on the submitting thread,
   // and nothing deadlocks. With 1000 tiny chunks and a failure planted in
   // chunk 3, the executed count must stay far below the total.
+  //
+  // The claim must not depend on how fast the poisoned morsel's throw
+  // reaches the pool's failure flag. Three things make it so: a throw/catch
+  // up front, so this batch's throw does not pay the process's one-off
+  // unwinder initialisation; a gate that holds every morsel after the
+  // poisoned one until the poisoned body has unwound, so no sibling can
+  // drain the batch while that thread is descheduled or still unwinding;
+  // and a 1 ms pause in each released sibling, so the few microseconds
+  // between the unwind and the failure being recorded would have to
+  // stretch past 150 ms of descheduling before siblings could run half the
+  // batch. Morsels are claimed in index order, so the gate cannot
+  // deadlock: chunk 3 is always claimed before any gated morsel waits on
+  // it. With the early-exit flag broken, every morsel still runs.
+  try {
+    throw std::runtime_error("unwinder warm-up");
+  } catch (const std::runtime_error&) {
+  }
   ScopedExecThreads scope(4, 1);
   constexpr size_t kChunks = 1000;
   std::atomic<size_t> executed{0};
+  std::atomic<bool> unwound{false};
+  struct SetOnUnwind {
+    std::atomic<bool>* flag;
+    ~SetOnUnwind() { flag->store(true, std::memory_order_release); }
+  };
   bool threw = false;
   try {
     ParallelForChunks(kChunks, kChunks, [&](size_t c, size_t, size_t) {
       executed.fetch_add(1, std::memory_order_relaxed);
-      if (c == 3) throw std::runtime_error("poisoned morsel");
+      if (c == 3) {
+        SetOnUnwind guard{&unwound};
+        throw std::runtime_error("poisoned morsel");
+      }
+      if (c > 3) {
+        while (!unwound.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     });
   } catch (const std::runtime_error& e) {
     threw = true;
@@ -202,6 +233,21 @@ TEST(GovernanceAbortTest, InjectedFaultSurfacesThroughGovernedSection) {
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   ASSERT_OK_AND_ASSIGN(QueryResult again, ExecuteExact(t, GroupQuery()));
   EXPECT_GT(again.num_groups(), 0u);
+
+  // The approximate executor accumulates through the same core, so the
+  // same site aborts it too.
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < t.num_rows(); r += 3) rows.push_back(r);
+  const StratifiedSample sample(&t, rows, std::vector<double>(rows.size(), 3.0),
+                                "every-third");
+  ASSERT_OK(fp::SetForTesting("exec.groupby.alloc:cancel"));
+  Result<QueryResult> approx = ExecuteApprox(sample, GroupQuery());
+  fp::ClearForTesting();
+  ASSERT_FALSE(approx.ok());
+  EXPECT_EQ(approx.status().code(), StatusCode::kCancelled);
+  ASSERT_OK_AND_ASSIGN(QueryResult approx_again,
+                       ExecuteApprox(sample, GroupQuery()));
+  EXPECT_GT(approx_again.num_groups(), 0u);
 }
 
 class GovernedMappedTest : public ::testing::Test {

@@ -3,7 +3,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "src/util/csv.h"
 #include "src/util/env.h"
@@ -274,6 +276,34 @@ TEST(ParseEnvIntTest, MalformedValuesRejected) {
     EXPECT_FALSE(ParseEnvInt("CVOPT_TEST_KNOB").has_value()) << v;
   }
   unsetenv("CVOPT_TEST_KNOB");
+}
+
+TEST(ParseEnvSwitchTest, OnlyZeroAndOneAreAccepted) {
+  // Regression: CVOPT_ZONEMAPS and CVOPT_SIMD read raw getenv and treated
+  // every value except "0" as on, so CVOPT_ZONEMAPS=off silently left
+  // pruning on. Both now parse through ParseEnvSwitch.
+  setenv("CVOPT_TEST_SWITCH_ZERO", "0", 1);
+  EXPECT_EQ(ParseEnvSwitch("CVOPT_TEST_SWITCH_ZERO"), std::optional<bool>(false));
+  setenv("CVOPT_TEST_SWITCH_ONE", "1", 1);
+  EXPECT_EQ(ParseEnvSwitch("CVOPT_TEST_SWITCH_ONE"), std::optional<bool>(true));
+  unsetenv("CVOPT_TEST_SWITCH_UNSET");
+  EXPECT_FALSE(ParseEnvSwitch("CVOPT_TEST_SWITCH_UNSET").has_value());
+
+  // "off" and "2" keep the caller's default, with one warning each.
+  const std::pair<std::string, const char*> bad[] = {
+      {"CVOPT_TEST_SWITCH_OFF", "off"}, {"CVOPT_TEST_SWITCH_TWO", "2"}};
+  for (const auto& [name, value] : bad) {
+    setenv(name.c_str(), value, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(ParseEnvSwitch(name.c_str()).has_value()) << value;
+    EXPECT_FALSE(ParseEnvSwitch(name.c_str()).has_value()) << value;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(name), std::string::npos) << value;
+    EXPECT_EQ(err.find(name), err.rfind(name)) << "warned twice for " << value;
+    unsetenv(name.c_str());
+  }
+  unsetenv("CVOPT_TEST_SWITCH_ZERO");
+  unsetenv("CVOPT_TEST_SWITCH_ONE");
 }
 
 }  // namespace

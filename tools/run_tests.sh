@@ -29,15 +29,14 @@ for arg in "$@"; do
   esac
 done
 
-# Every CVOPT_FAILPOINT site compiled into the library.
-FAULT_SITES=(
-  mapped.open
-  mapped.chunk_decode
-  exec.mapped.chunk
-  exec.groupby.alloc
-  exec.group_index.alloc
-  csv.read
-)
+# Every CVOPT_FAILPOINT site compiled into the library, read from the
+# source so a new site cannot be left out of the sweep.
+mapfile -t FAULT_SITES < <(grep -rhoE 'CVOPT_FAILPOINT\("[^"]+' src |
+  cut -d'"' -f2 | sort -u)
+if [[ "${#FAULT_SITES[@]}" == "0" ]]; then
+  echo "no CVOPT_FAILPOINT sites found under src/" >&2
+  exit 1
+fi
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)"
