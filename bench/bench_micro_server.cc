@@ -75,7 +75,7 @@ void BM_ServerCatalogHit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServerCatalogHit);
+BENCHMARK(BM_ServerCatalogHit)->UseRealTime();
 
 // Same round trip with the catalog cleared each iteration: every answer
 // pays the stratified-sample build (stats + allocation + draw) first.
@@ -93,7 +93,7 @@ void BM_ServerSampleBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServerSampleBuild);
+BENCHMARK(BM_ServerSampleBuild)->UseRealTime();
 
 // Ground-truth round trip: the exact engine over the full base table.
 void BM_ServerExact(benchmark::State& state) {
@@ -109,7 +109,7 @@ void BM_ServerExact(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServerExact);
+BENCHMARK(BM_ServerExact)->UseRealTime();
 
 // Concurrent clients on the catalog fast path: each benchmark thread is one
 // connection; items/s is the server's aggregate answered-query throughput.

@@ -40,8 +40,7 @@ std::string AggSpec::Label() const {
 }
 
 Result<BoundAggregates> BoundAggregates::Bind(const Table& table,
-                                              const std::vector<AggSpec>& aggs,
-                                              const uint32_t* rows, size_t m) {
+                                              const std::vector<AggSpec>& aggs) {
   BoundAggregates out;
   out.sources_.reserve(aggs.size());
   for (const auto& agg : aggs) {
@@ -72,9 +71,8 @@ Result<BoundAggregates> BoundAggregates::Bind(const Table& table,
         // source.
         CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> filter,
                                CompilePredicateCached(table, agg.filter));
-        auto mask = std::make_unique<std::vector<uint8_t>>(
-            rows != nullptr ? m : table.num_rows());
-        ParallelEvalMask(*filter, rows, mask->size(), mask->data());
+        auto mask = std::make_unique<std::vector<uint8_t>>(table.num_rows());
+        ParallelEvalMask(*filter, mask->data());
         out.indicators_.push_back(std::move(mask));
         src.indicator = out.indicators_.back().get();
         break;

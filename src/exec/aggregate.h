@@ -63,13 +63,9 @@ class BoundAggregates {
  public:
   /// Resolves every AggSpec against the table. Fails on unknown columns,
   /// string-typed aggregation columns, or kCountIf without a filter.
-  /// COUNT_IF indicators are evaluated over every table row, or, when
-  /// `rows` is given, over base rows rows[0..m) only and indexed by
-  /// position in `rows` (column sources stay indexed by base row).
+  /// COUNT_IF indicators are evaluated over every table row.
   static Result<BoundAggregates> Bind(const Table& table,
-                                      const std::vector<AggSpec>& aggs,
-                                      const uint32_t* rows = nullptr,
-                                      size_t m = 0);
+                                      const std::vector<AggSpec>& aggs);
 
   const std::vector<StatSource>& sources() const { return sources_; }
   size_t size() const { return sources_.size(); }

@@ -141,14 +141,11 @@ void GroupedAccumulators::Grow(const std::vector<AggSpec>& aggs,
 
 Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
-    const std::vector<uint32_t>* sel, const std::vector<uint32_t>* rows,
-    const std::vector<double>* weights) {
+    const std::vector<uint32_t>* sel, const std::vector<double>* weights) {
  return GovernedSection([&]() -> Result<GroupedAccumulators> {
-  const size_t n = gidx.num_rows();  // positions
-  const uint32_t* rowp = rows != nullptr ? rows->data() : nullptr;
-  CVOPT_ASSIGN_OR_RETURN(
-      BoundAggregates bound,
-      BoundAggregates::Bind(table, query.aggregates, rowp, n));
+  const size_t n = gidx.num_rows();
+  CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
+                         BoundAggregates::Bind(table, query.aggregates));
   const size_t t = query.aggregates.size();
   const size_t G = gidx.num_groups();
   const uint32_t* rg = gidx.row_groups().data();
@@ -312,8 +309,8 @@ Result<GroupedAccumulators> AccumulateGrouped(
   };
 
   // Hoists the weight stream and each aggregate's value stream (indicator
-  // or column type, through the row map or not) out of the row loops; each
-  // combination instantiates a specialized inner loop.
+  // or column type) out of the row loops; each combination instantiates a
+  // specialized inner loop.
   auto accumulate = [&](auto weight_at) {
     constexpr bool kWeighted =
         !std::is_same_v<decltype(weight_at), UnitWeight>;
@@ -339,25 +336,14 @@ Result<GroupedAccumulators> AccumulateGrouped(
         }
       };
       if (src.indicator != nullptr) {
-        // Indicators are evaluated per position (BoundAggregates::Bind).
         const uint8_t* ind = src.indicator->data();
         run([ind](size_t i) { return ind[i] ? 1.0 : 0.0; });
       } else if (src.column->type() == DataType::kDouble) {
         const double* vals = src.column->doubles().data();
-        if (rowp != nullptr) {
-          run([vals, rowp](size_t i) { return vals[rowp[i]]; });
-        } else {
-          run([vals](size_t i) { return vals[i]; });
-        }
+        run([vals](size_t i) { return vals[i]; });
       } else {
         const int64_t* vals = src.column->ints().data();
-        if (rowp != nullptr) {
-          run([vals, rowp](size_t i) {
-            return static_cast<double>(vals[rowp[i]]);
-          });
-        } else {
-          run([vals](size_t i) { return static_cast<double>(vals[i]); });
-        }
+        run([vals](size_t i) { return static_cast<double>(vals[i]); });
       }
     }
   };

@@ -45,13 +45,12 @@ struct GroupedAccumulators {
 /// and the cube rollup accumulate through AccumulateGrouped, and all of
 /// them, the out-of-core scan included, finalize through FinalizeGrouped.
 ///
-/// Accumulates the query's aggregates over the positions of `gidx`, which
-/// must be built over `table` with the query's grouping. Positions are
-/// table rows when `rows` is null, else position i reads base row rows[i]
-/// (a sample built with GroupIndex::BuildForRows over the same `rows`).
-/// `sel` lists the positions surviving the query's WHERE clause, or is
-/// null for an unmasked pass. `weights` holds one Horvitz–Thompson weight
-/// per position, or is null for an unweighted pass: SUM/COUNT_IF then add
+/// Accumulates the query's aggregates over the rows of `table`, grouped by
+/// `gidx`, which must be built over `table` (GroupIndex::Build) with the
+/// query's grouping. `sel` lists the rows surviving the query's WHERE
+/// clause, or is null for an unmasked pass. `weights` holds one
+/// Horvitz–Thompson weight per row (a sample's own table, row i carrying
+/// weights[i]), or is null for an unweighted pass: SUM/COUNT_IF then add
 /// w * v, VARIANCE adds w * v * v, COUNT and the AVG/VARIANCE denominators
 /// are the per-group weight sums `wcnt`, and MEDIAN buffers (value, weight)
 /// pairs. Since 1.0 * v == v, an unweighted pass is bit-identical to a
@@ -64,7 +63,6 @@ struct GroupedAccumulators {
 Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
     const std::vector<uint32_t>* sel,
-    const std::vector<uint32_t>* rows = nullptr,
     const std::vector<double>* weights = nullptr);
 
 /// Finalizes raw accumulators into the aggregate-major finals array

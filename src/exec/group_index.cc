@@ -1006,6 +1006,18 @@ Result<GroupIndex> GroupIndex::BuildForRows(const Table& table,
  });
 }
 
+uint64_t GroupIndex::resident_bytes() const {
+  uint64_t bytes = (row_groups_.size() + rep_rows_.size()) * sizeof(uint32_t) +
+                   sizes_.size() * sizeof(uint64_t);
+  if (partitions_ != nullptr) {
+    const GroupPartitions& p = *partitions_;
+    bytes += (p.part_rows.size() + p.part_local.size() +
+              p.local_to_global.size()) * sizeof(uint32_t) +
+             (p.part_base.size() + p.group_base.size()) * sizeof(size_t);
+  }
+  return bytes;
+}
+
 GroupKey GroupIndex::KeyOf(size_t g) const {
   GroupKey key;
   key.codes.reserve(cols_.size());

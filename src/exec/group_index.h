@@ -1,6 +1,6 @@
 // GroupIndex: the shared vectorized group-id pipeline. It maps every row of
-// a Table (or a caller-chosen subset of rows, e.g. a sample) to a dense
-// uint32 group id — one id per distinct combination of the grouping
+// a Table (or a caller-chosen subset of rows, e.g. a filter's survivors) to
+// a dense uint32 group id — one id per distinct combination of the grouping
 // attributes, assigned in first-seen row order. The exact executor, the
 // approximate executor, stratification, and workload deduction all consume
 // the row->group mapping and accumulate into flat arrays indexed by group id
@@ -125,15 +125,15 @@ class GroupIndex {
   static Result<GroupIndex> Build(const Table& table,
                                   const std::vector<std::string>& attrs);
 
-  /// Builds over a subset of rows (sample positions): group_of(i) is the
-  /// group of table row rows[i]. Ids are dense over the groups that occur
-  /// in `rows`, in first-seen position order.
+  /// Builds over a subset of rows (e.g. the rows passing a filter):
+  /// group_of(i) is the group of table row rows[i]. Ids are dense over the
+  /// groups that occur in `rows`, in first-seen position order.
   static Result<GroupIndex> BuildForRows(const Table& table,
                                          const std::vector<std::string>& attrs,
                                          const std::vector<uint32_t>& rows);
 
   size_t num_groups() const { return rep_rows_.size(); }
-  /// Number of mapped positions (table rows for Build, sample positions for
+  /// Number of mapped positions (table rows for Build, subset positions for
   /// BuildForRows).
   size_t num_rows() const { return row_groups_.size(); }
 
@@ -145,6 +145,9 @@ class GroupIndex {
 
   const std::vector<size_t>& column_indices() const { return cols_; }
   Tier tier() const { return tier_; }
+
+  /// Bytes held by the mapping, the per-group arrays and the partitions.
+  uint64_t resident_bytes() const;
 
   /// Materializes the composite key of group g from its representative row.
   GroupKey KeyOf(size_t g) const;

@@ -312,25 +312,17 @@ std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp,
   return out;
 }
 
-void ParallelEvalMask(const CompiledPredicate& cp, const uint32_t* base_rows,
-                      size_t n, uint8_t* out, int num_threads) {
+void ParallelEvalMask(const CompiledPredicate& cp, uint8_t* out,
+                      int num_threads) {
+  const size_t n = cp.table_rows();
   const size_t chunks =
       ParallelChunkCount(n, ResolveThreads(num_threads), 0);
-  if (base_rows == nullptr) {
-    const std::vector<size_t> bounds =
-        MorselBounds(n, chunks, cp.zone_chunk_rows());
-    ParallelForChunks(
-        n, chunks,
-        [&](size_t c, size_t, size_t) {
-          cp.EvalMaskRange(bounds[c], bounds[c + 1], out + bounds[c]);
-        },
-        num_threads);
-    return;
-  }
+  const std::vector<size_t> bounds =
+      MorselBounds(n, chunks, cp.zone_chunk_rows());
   ParallelForChunks(
       n, chunks,
-      [&](size_t, size_t lo, size_t hi) {
-        cp.EvalMask(base_rows + lo, hi - lo, out + lo);
+      [&](size_t c, size_t, size_t) {
+        cp.EvalMaskRange(bounds[c], bounds[c + 1], out + bounds[c]);
       },
       num_threads);
 }

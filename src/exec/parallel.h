@@ -161,12 +161,11 @@ void CollectChunked(size_t m, size_t chunks, size_t groups,
 std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp,
                                      int num_threads = 0);
 
-/// Parallel byte-mask evaluation over positions [0, n): out[p] = 1 iff the
-/// row at position p (base_rows[p], or p itself when base_rows is null)
-/// matches. Chunks write disjoint output ranges — identical to
+/// Parallel byte-mask evaluation over every table row: out[r] = 1 iff row
+/// r matches. Chunks write disjoint output ranges — identical to
 /// cp.EvalMask() for every thread count.
-void ParallelEvalMask(const CompiledPredicate& cp, const uint32_t* base_rows,
-                      size_t n, uint8_t* out, int num_threads = 0);
+void ParallelEvalMask(const CompiledPredicate& cp, uint8_t* out,
+                      int num_threads = 0);
 
 }  // namespace cvopt
 

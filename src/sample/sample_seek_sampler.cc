@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/exec/query_context.h"
 #include "src/sample/uniform_sampler.h"
 
 namespace cvopt {
@@ -10,6 +11,7 @@ namespace cvopt {
 Result<StratifiedSample> SampleSeekSampler::Build(
     const Table& table, const std::vector<QuerySpec>& queries, uint64_t budget,
     Rng* rng) const {
+ return GovernedSection([&]() -> Result<StratifiedSample> {
   // Find the first AVG/SUM aggregate with a numeric column; that is the
   // "measure" biasing the sample.
   const Column* measure = nullptr;
@@ -70,6 +72,7 @@ Result<StratifiedSample> SampleSeekSampler::Build(
     }
   }
   return StratifiedSample(&table, std::move(rows), std::move(weights), name());
+ });
 }
 
 }  // namespace cvopt

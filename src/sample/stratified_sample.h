@@ -2,6 +2,11 @@
 // Thompson weights. This is the artifact the offline phase produces and the
 // online phase queries; because rows carry scale-up weights, the same sample
 // answers queries with runtime predicates and new groupings (Section 6.3).
+//
+// A sample is a compact weighted table: construction gathers the sampled
+// base rows, in sample order, into a Table the sample owns, so answering a
+// query reads only the sample's own rows and never the base table again
+// (the base may be destroyed once the sample exists).
 #ifndef CVOPT_SAMPLE_STRATIFIED_SAMPLE_H_
 #define CVOPT_SAMPLE_STRATIFIED_SAMPLE_H_
 
@@ -11,6 +16,7 @@
 #include <vector>
 
 #include "src/core/stratification.h"
+#include "src/exec/group_index.h"
 #include "src/table/table.h"
 
 namespace cvopt {
@@ -20,10 +26,23 @@ namespace cvopt {
 /// stratified uniform designs, 1 / (M * p_i) for measure-biased designs).
 class StratifiedSample {
  public:
+  /// Gathers base rows `rows` (each CVOPT_CHECKed against
+  /// base->num_rows()) into the sample's own table, column by column:
+  /// int64 and double values and string dictionary codes are copied
+  /// verbatim and each string column adopts the base column's dictionary,
+  /// so codes, group keys and labels equal the base's. The gathered bytes
+  /// are reserved against the ambient QueryContext; over budget,
+  /// construction throws QueryAbortedError(kResourceExhausted), which the
+  /// samplers' Build entry points return as a status.
   StratifiedSample(const Table* base, std::vector<uint32_t> rows,
                    std::vector<double> weights, std::string method);
 
-  const Table& base() const { return *base_; }
+  /// The sampled rows: row i is base row rows()[i]. Heap-owned and shared
+  /// by copies of the sample, so its address (which compiled plans and
+  /// GroupIndexes borrow) is stable for the sample's lifetime.
+  const Table& table() const { return *table_; }
+  /// Base-table position of each sampled row (for reports and tests; the
+  /// query path reads table() instead).
   const std::vector<uint32_t>& rows() const { return rows_; }
   const std::vector<double>& weights() const { return weights_; }
   const std::string& method() const { return method_; }
@@ -32,11 +51,29 @@ class StratifiedSample {
 
   /// Fraction of base rows materialized.
   double SampleRate() const {
-    return base_->num_rows() == 0
-               ? 0.0
-               : static_cast<double>(rows_.size()) /
-                     static_cast<double>(base_->num_rows());
+    return base_rows_ == 0 ? 0.0
+                           : static_cast<double>(rows_.size()) /
+                                 static_cast<double>(base_rows_);
   }
+
+  /// Optional: a GroupIndex built over table() for the grouping `attrs`,
+  /// which ExecuteApprox reuses for every query grouped exactly by `attrs`
+  /// instead of building one (a catalog sample caches its class's GROUP
+  /// BY). A null `index` drops the cache.
+  void set_group_index(std::vector<std::string> attrs,
+                       std::shared_ptr<const GroupIndex> index) {
+    group_index_attrs_ = std::move(attrs);
+    group_index_ = std::move(index);
+  }
+  /// The cached index when `attrs` equals its grouping, else null.
+  std::shared_ptr<const GroupIndex> group_index(
+      const std::vector<std::string>& attrs) const {
+    return attrs == group_index_attrs_ ? group_index_ : nullptr;
+  }
+
+  /// Bytes the sample holds: its table's column storage and dictionaries,
+  /// its positions and weights, and the cached GroupIndex.
+  uint64_t resident_bytes() const;
 
   /// Optional: the stratification the sample was drawn under (for reports).
   void set_stratification(std::shared_ptr<const Stratification> s) {
@@ -94,12 +131,14 @@ class StratifiedSample {
     return strat_ != nullptr ? strat_->num_strata() : 0;
   }
 
-  /// Copies the sampled rows into a standalone Table (for export or for
-  /// engines that want a physical sample table).
-  Table Materialize() const { return base_->TakeRows(rows_); }
+  /// A standalone copy of table() (for export or for engines that want a
+  /// physical sample table it can own). String columns carry the base
+  /// column's whole dictionary.
+  Table Materialize() const { return *table_; }
 
  private:
-  const Table* base_;
+  size_t base_rows_;
+  std::shared_ptr<const Table> table_;
   std::vector<uint32_t> rows_;
   std::vector<double> weights_;
   std::string method_;
@@ -107,6 +146,8 @@ class StratifiedSample {
   std::vector<uint8_t> stratum_exhaustive_;
   std::vector<uint8_t> stratum_degraded_;
   size_t observed_strata_ = 0;
+  std::vector<std::string> group_index_attrs_;
+  std::shared_ptr<const GroupIndex> group_index_;
 };
 
 }  // namespace cvopt

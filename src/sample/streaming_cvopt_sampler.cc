@@ -6,6 +6,7 @@
 
 #include "src/core/lemma1.h"
 #include "src/core/stratification.h"
+#include "src/exec/query_context.h"
 #include "src/expr/plan_cache.h"
 #include "src/sample/reservoir.h"
 
@@ -168,6 +169,7 @@ StratifiedSample StreamingCvoptBuilder::Finish() && {
 Result<StratifiedSample> StreamingCvoptSampler::Build(
     const Table& table, const std::vector<QuerySpec>& queries, uint64_t budget,
     Rng* rng) const {
+ return GovernedSection([&]() -> Result<StratifiedSample> {
   if (queries.empty() || queries[0].aggregates.empty()) {
     return Status::InvalidArgument(
         "streaming CVOPT needs a target query with an aggregate");
@@ -215,6 +217,7 @@ Result<StratifiedSample> StreamingCvoptSampler::Build(
   }
   builder.OfferRange(0, table.num_rows());
   return std::move(builder).Finish();
+ });
 }
 
 }  // namespace cvopt

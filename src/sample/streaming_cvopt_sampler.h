@@ -61,7 +61,10 @@ class StreamingCvoptBuilder {
   void OfferRange(size_t lo, size_t hi);
 
   /// Rows currently held across all reservoirs, with HT weights n_c / s_c
-  /// computed from the stream counts seen so far.
+  /// computed from the stream counts seen so far. Gathering them into the
+  /// sample's table may throw QueryAbortedError under a governed budget
+  /// (see StratifiedSample); StreamingCvoptSampler::Build returns it as a
+  /// status.
   StratifiedSample Finish() &&;
 
   uint64_t rows_seen() const { return rows_seen_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/exec/query_context.h"
 #include "src/sample/reservoir.h"
 
 namespace cvopt {
@@ -9,6 +10,7 @@ namespace cvopt {
 Result<StratifiedSample> UniformSampler::Build(
     const Table& table, const std::vector<QuerySpec>& queries, uint64_t budget,
     Rng* rng) const {
+ return GovernedSection([&]() -> Result<StratifiedSample> {
   (void)queries;  // query-oblivious
   const uint64_t n = table.num_rows();
   const uint64_t m = std::min(budget, n);
@@ -24,6 +26,7 @@ Result<StratifiedSample> UniformSampler::Build(
       rows.empty() ? 0.0 : static_cast<double>(n) / static_cast<double>(rows.size());
   std::vector<double> weights(rows.size(), w);
   return StratifiedSample(&table, std::move(rows), std::move(weights), name());
+ });
 }
 
 }  // namespace cvopt

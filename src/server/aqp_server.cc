@@ -401,6 +401,9 @@ std::string AqpServer::RenderMetrics() const {
   gauge("aqp_catalog_samples", "Published shared samples", catalog_.size());
   gauge("aqp_catalog_resident_rows", "Sampled rows held across samples",
         catalog_.resident_rows());
+  gauge("aqp_catalog_resident_bytes",
+        "Bytes held across samples: row tables, weights, group indexes",
+        catalog_.resident_bytes());
   gauge("aqp_registered_tables", "Tables registered for serving",
         tables_.size());
   return out;

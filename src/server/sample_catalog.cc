@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/estimate/approx_executor.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/util/env.h"
 #include "src/util/hash.h"
@@ -96,10 +97,20 @@ Result<std::shared_ptr<const StratifiedSample>> SampleCatalog::GetOrBuild(
   // allocation solve, and draw.
   const uint64_t budget = static_cast<uint64_t>(
       std::llround(rate * static_cast<double>(table.num_rows())));
-  Rng rng(BuildSeed(seed_, key));
-  CvoptSampler sampler;
-  Result<StratifiedSample> built =
-      sampler.Build(table, {CanonicalSpec(query)}, budget, &rng);
+  // The class's GROUP BY is part of the key, so the GroupIndex over the
+  // sample's rows is built once here and reused by every hit.
+  auto build = [&]() -> Result<std::shared_ptr<const StratifiedSample>> {
+    Rng rng(BuildSeed(seed_, key));
+    CvoptSampler sampler;
+    CVOPT_ASSIGN_OR_RETURN(
+        StratifiedSample sample,
+        sampler.Build(table, {CanonicalSpec(query)}, budget, &rng));
+    CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> gidx,
+                           SampleGroupIndex(sample, key.group_by));
+    sample.set_group_index(key.group_by, std::move(gidx));
+    return std::make_shared<const StratifiedSample>(std::move(sample));
+  };
+  Result<std::shared_ptr<const StratifiedSample>> built = build();
 
   std::lock_guard<std::mutex> lock(mu_);
   if (!built.ok()) {
@@ -113,8 +124,7 @@ Result<std::shared_ptr<const StratifiedSample>> SampleCatalog::GetOrBuild(
   auto map_it = entries_.find(key);  // placed by the claim above
   Entry& entry = map_it->second;
   entry.building = false;
-  entry.sample =
-      std::make_shared<const StratifiedSample>(std::move(built).value());
+  entry.sample = std::move(built).value();
   lru_.push_front(&map_it->first);
   entry.lru_it = lru_.begin();
   entry.in_lru = true;
@@ -177,6 +187,15 @@ uint64_t SampleCatalog::resident_rows() const {
     if (entry.sample != nullptr) rows += entry.sample->size();
   }
   return rows;
+}
+
+uint64_t SampleCatalog::resident_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t bytes = 0;
+  for (const auto& [key, entry] : entries_) {
+    if (entry.sample != nullptr) bytes += entry.sample->resident_bytes();
+  }
+  return bytes;
 }
 
 void SampleCatalog::Clear() {

@@ -88,7 +88,9 @@ class SampleCatalog {
 
   /// Returns the shared sample serving `query`, building it on first use
   /// with a CVOPT sampler tuned on CanonicalSpec(query) at `rate` of the
-  /// table (budget = llround(rate * rows)). The build runs under the
+  /// table (budget = llround(rate * rows)). The published sample owns its
+  /// rows and caches the GroupIndex for the key's GROUP BY, so every hit
+  /// answers without touching `table`. The build runs under the
   /// caller's ambient QueryContext: its deadline / memory budget govern it,
   /// and a typed abort (kDeadlineExceeded, kResourceExhausted, ...) is
   /// returned without publishing. `was_hit` (optional) reports whether an
@@ -108,6 +110,10 @@ class SampleCatalog {
   }
   /// Total sampled rows held across published samples.
   uint64_t resident_rows() const;
+  /// Total bytes held across published samples: their compact tables,
+  /// positions, weights and cached GroupIndexes
+  /// (StratifiedSample::resident_bytes).
+  uint64_t resident_bytes() const;
 
   /// Published samples dropped by the LRU row-budget eviction.
   uint64_t evictions() const {

@@ -11,6 +11,11 @@ uint64_t Table::NextId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+uint64_t Table::NextDerivedId() {
+  static std::atomic<uint64_t> next{uint64_t{1} << 63};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 namespace {
 
 // Zone index of a rowless table — also what a moved-from husk points at,
@@ -109,6 +114,17 @@ Table& Table::operator=(Table&& other) noexcept {
 
 Table::Table(Schema schema, std::vector<Column> columns)
     : schema_(std::move(schema)), columns_(std::move(columns)) {
+  InitRows();
+}
+
+Table::Table(Schema schema, std::vector<Column> columns, DerivedId)
+    : schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      id_(NextDerivedId()) {
+  InitRows();
+}
+
+void Table::InitRows() {
   CVOPT_CHECK(schema_.num_fields() == columns_.size(),
               "schema/column count mismatch");
   num_rows_ = columns_.empty() ? 0 : columns_[0].size();

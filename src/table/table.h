@@ -19,6 +19,13 @@ class Table {
  public:
   Table(Schema schema, std::vector<Column> columns);
 
+  /// Tag for a table derived from another (a sample's gathered rows): its
+  /// id comes from a sequence disjoint from every other table's, so
+  /// building derived tables never shifts the ids — and with them the
+  /// catalog's per-table build seeds — of tables created later.
+  struct DerivedId {};
+  Table(Schema schema, std::vector<Column> columns, DerivedId);
+
   // A Table's identity travels with its column storage: moving transfers
   // the id (the moved-to object owns the same heap buffers, so plans
   // compiled against them stay valid) and re-identifies the emptied source,
@@ -72,6 +79,8 @@ class Table {
 
  private:
   static uint64_t NextId();
+  static uint64_t NextDerivedId();
+  void InitRows();
   static std::shared_ptr<const ZoneMapIndex> BuildZoneIndex(
       const std::vector<Column>& columns, size_t num_rows);
 

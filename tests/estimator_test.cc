@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
+#include <memory>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "src/estimate/approx_executor.h"
 #include "src/exec/group_by_executor.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/stratified_sample.h"
 #include "src/sample/uniform_sampler.h"
+#include "src/server/sample_catalog.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -150,23 +153,6 @@ TEST(ApproxExecutorTest, CountIfEstimate) {
   }
 }
 
-// Bitwise equality of two results: same groups in the same order, with
-// value doubles compared by representation, not tolerance.
-void ExpectBitIdentical(const QueryResult& a, const QueryResult& b) {
-  ASSERT_EQ(a.num_groups(), b.num_groups());
-  ASSERT_EQ(a.num_aggregates(), b.num_aggregates());
-  for (size_t i = 0; i < a.num_groups(); ++i) {
-    EXPECT_EQ(a.label(i), b.label(i));
-    for (size_t j = 0; j < a.num_aggregates(); ++j) {
-      const double x = a.value(i, j);
-      const double y = b.value(i, j);
-      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
-          << "group " << a.label(i) << " agg " << j << ": " << x << " vs "
-          << y;
-    }
-  }
-}
-
 TEST(ApproxExecutorTest, UnitWeightFullSampleBitIdenticalToExact) {
   // The approximate answer is the exact aggregate with a weight on every
   // sampled row, so a sample of every row in ascending order with every
@@ -224,6 +210,117 @@ TEST(ApproxExecutorTest, UnitWeightFullSampleBitIdenticalToExact) {
         ExpectBitIdentical(exact, approx);
       }
     }
+  }
+}
+
+// 6000 rows: int group g (5 groups), string city (40 common cities plus
+// "rare-<k>" cities of one row each), double v.
+Table MakeCityTable() {
+  Schema schema({{"g", DataType::kInt64},
+                 {"city", DataType::kString},
+                 {"v", DataType::kDouble}});
+  TableBuilder b(schema);
+  Rng rng(23);
+  for (int64_t r = 0; r < 6000; ++r) {
+    const std::string city = r % 500 == 7
+                                 ? "rare-" + std::to_string(r)
+                                 : "c" + std::to_string((r * 7) % 40);
+    Status st = b.AppendRow({Value(r % 5), Value(city),
+                             Value(20.0 + 10.0 * rng.NextGaussian())});
+    CVOPT_CHECK(st.ok(), "append failed");
+  }
+  return std::move(b).Finish();
+}
+
+QuerySpec AllAggregatesByG() {
+  QuerySpec q;
+  q.group_by = {"g"};
+  q.aggregates = {
+      AggSpec::Avg("v"),
+      AggSpec::Sum("v"),
+      AggSpec::Count(),
+      AggSpec::CountIf(Predicate::Compare("v", CompareOp::kGt, Value(25.0))),
+      AggSpec::Variance("v"),
+      AggSpec::Median("v")};
+  return q;
+}
+
+TEST(ApproxExecutorTest, CachedGroupIndexBitIdenticalToFreshBuild) {
+  // A catalog-published sample answers its class's GROUP BY through the
+  // GroupIndex cached at publish; a copy of the same sample without the
+  // cache builds one per query. Every answer must match bit for bit: WHERE
+  // off, numeric, string IN, and a string equality whose literal is in the
+  // base dictionary but in no sampled row; the class's grouping and
+  // regroupings (Section 6.3); serial and parallel.
+  const Table t = MakeCityTable();
+  const QuerySpec q = AllAggregatesByG();
+  SampleCatalog catalog(11);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const StratifiedSample> published,
+                       catalog.GetOrBuild(t, q, 0.1));
+  ASSERT_NE(published->group_index(q.group_by), nullptr);
+  EXPECT_EQ(published->group_index({"city"}), nullptr);
+  StratifiedSample plain = *published;
+  plain.set_group_index({}, nullptr);
+  ASSERT_EQ(plain.group_index(q.group_by), nullptr);
+
+  // A base-dictionary city that no sampled row carries.
+  const Column& city = published->table().column(1);
+  const std::set<int32_t> sampled(city.codes().begin(), city.codes().end());
+  std::string absent;
+  for (size_t c = 0; c < city.dictionary().size() && absent.empty(); ++c) {
+    if (sampled.count(static_cast<int32_t>(c)) == 0) {
+      absent = city.dictionary()[c];
+    }
+  }
+  ASSERT_FALSE(absent.empty());
+
+  const std::vector<PredicatePtr> wheres = {
+      nullptr, Predicate::Compare("v", CompareOp::kLt, Value(22.0)),
+      Predicate::In("city", {Value("c3"), Value("c10"), Value("c17")}),
+      Predicate::Compare("city", CompareOp::kEq, Value(absent))};
+  const std::vector<std::vector<std::string>> groupings = {
+      {"g"}, {"city"}, {"g", "city"}, {}};
+  for (int threads : {1, 4}) {
+    ScopedExecThreads scope(threads);
+    for (const auto& group_by : groupings) {
+      for (size_t w = 0; w < wheres.size(); ++w) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                        << " groups=" << group_by.size()
+                                        << " where=" << w);
+        QuerySpec query = q;
+        query.group_by = group_by;
+        query.where = wheres[w];
+        ASSERT_OK_AND_ASSIGN(QueryResult cached,
+                             ExecuteApprox(*published, query));
+        ASSERT_OK_AND_ASSIGN(QueryResult fresh, ExecuteApprox(plain, query));
+        ExpectBitIdentical(cached, fresh);
+        if (w == 0) EXPECT_GT(cached.num_groups(), 0u);
+        if (w == 3) EXPECT_EQ(cached.num_groups(), 0u);
+      }
+    }
+  }
+}
+
+TEST(ApproxExecutorTest, SampleAnswersAfterBaseTableIsDestroyed) {
+  // The sample owns its rows: once built it never reads the base table.
+  auto base = std::make_unique<Table>(MakeCityTable());
+  const QuerySpec q = AllAggregatesByG();
+  Rng rng(31);
+  CvoptSampler cvopt;
+  ASSERT_OK_AND_ASSIGN(StratifiedSample s, cvopt.Build(*base, {q}, 600, &rng));
+  std::vector<QuerySpec> queries(3, q);
+  queries[1].where = Predicate::In("city", {Value("c3"), Value("c10")});
+  queries[2].group_by = {"city"};
+  std::vector<QueryResult> before;
+  for (const QuerySpec& query : queries) {
+    ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteApprox(s, query));
+    before.push_back(std::move(r));
+  }
+  base.reset();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_OK_AND_ASSIGN(QueryResult after, ExecuteApprox(s, queries[i]));
+    ExpectBitIdentical(before[i], after);
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 
@@ -19,6 +18,7 @@
 #include "src/exec/group_by_executor.h"
 #include "src/exec/query_context.h"
 #include "src/sample/sampler.h"
+#include "src/server/sample_catalog.h"
 #include "src/stats/stats_collector.h"
 #include "src/table/mapped_table.h"
 #include "src/table/table_io.h"
@@ -41,23 +41,6 @@ QuerySpec FilteredQuery() {
   QuerySpec q = GroupQuery();
   q.where = Predicate::Compare("v", CompareOp::kGt, Value(5.0));
   return q;
-}
-
-// Bitwise equality of two results: same groups in the same order, with
-// value doubles compared by representation, not tolerance.
-void ExpectBitIdentical(const QueryResult& a, const QueryResult& b) {
-  ASSERT_EQ(a.num_groups(), b.num_groups());
-  ASSERT_EQ(a.num_aggregates(), b.num_aggregates());
-  for (size_t i = 0; i < a.num_groups(); ++i) {
-    EXPECT_EQ(a.label(i), b.label(i));
-    for (size_t j = 0; j < a.num_aggregates(); ++j) {
-      const double x = a.value(i, j);
-      const double y = b.value(i, j);
-      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
-          << "group " << a.label(i) << " agg " << j << ": " << x << " vs "
-          << y;
-    }
-  }
 }
 
 // Configures a context that cannot plausibly fire: governance installed,
@@ -497,6 +480,56 @@ TEST(GovernanceStatsTest, GovernedStatsCollectionMatchesUngoverned) {
     EXPECT_EQ(plain.At(s, 0).count(), governed.At(s, 0).count());
     EXPECT_EQ(plain.At(s, 0).mean(), governed.At(s, 0).mean());
   }
+}
+
+TEST(GovernanceCatalogTest, GatherOverBudgetPublishesNothing) {
+  // Six columns, 44 bytes per gathered row. At rate 1.0 every row is
+  // sampled: the draw holds 12 bytes a row and the earlier phases need
+  // less, so a 24-byte-a-row limit fails exactly at the row gather.
+  Schema schema({{"g", DataType::kInt64},
+                 {"a", DataType::kInt64},
+                 {"b", DataType::kInt64},
+                 {"v", DataType::kDouble},
+                 {"w", DataType::kDouble},
+                 {"s", DataType::kString}});
+  TableBuilder builder(schema);
+  const int64_t n = 4000;
+  for (int64_t r = 0; r < n; ++r) {
+    const double x = static_cast<double>(r % 97);
+    ASSERT_OK(builder.AppendRow({Value(r % 8), Value(r), Value(r * 3),
+                                 Value(x), Value(x / 2),
+                                 Value("s" + std::to_string(r % 11))}));
+  }
+  const Table t = std::move(builder).Finish();
+  QuerySpec q;
+  q.group_by = {"g"};
+  q.aggregates = {AggSpec::Avg("v")};
+
+  SampleCatalog catalog(5);
+  {
+    QueryContext ctx;
+    ctx.set_memory_limit(24 * n);
+    ScopedQueryContext install(&ctx);
+    Result<std::shared_ptr<const StratifiedSample>> r =
+        catalog.GetOrBuild(t, q, 1.0);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().ToString().find("sample row gather"),
+              std::string::npos)
+        << r.status().ToString();
+    EXPECT_EQ(ctx.budget().used(), 0u);
+  }
+  EXPECT_EQ(catalog.size(), 0u);
+  EXPECT_EQ(catalog.build_failures(), 1u);
+
+  QueryContext roomy;
+  roomy.set_memory_limit(uint64_t{1} << 30);
+  ScopedQueryContext install(&roomy);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const StratifiedSample> sample,
+                       catalog.GetOrBuild(t, q, 1.0));
+  EXPECT_EQ(sample->size(), t.num_rows());
+  EXPECT_EQ(catalog.size(), 1u);
+  EXPECT_EQ(catalog.builds(), 1u);
 }
 
 TEST(GovernanceStatsTest, CancelledStatsCollectionFailsTyped) {

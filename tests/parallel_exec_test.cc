@@ -160,7 +160,7 @@ TEST_P(ParallelExecTest, ParallelSelectMatchesSelect) {
     // EvalMaskRange stitches to the full mask.
     std::vector<uint8_t> full(t.num_rows()), ranged(t.num_rows());
     cp.EvalMask(nullptr, t.num_rows(), full.data());
-    ParallelEvalMask(cp, nullptr, t.num_rows(), ranged.data());
+    ParallelEvalMask(cp, ranged.data());
     EXPECT_EQ(ranged, full) << p->ToString();
   }
 }

@@ -57,6 +57,16 @@ void ExpectWireBitIdentical(const WireResult& got, const WireResult& want) {
   ASSERT_EQ(got.value_bits, want.value_bits);  // raw IEEE-754 bits
 }
 
+// Value of an unlabelled gauge in a Prometheus scrape (fails the test and
+// returns 0 when absent).
+uint64_t GaugeValue(const std::string& scrape, const std::string& name) {
+  const std::string prefix = "\n" + name + " ";
+  const size_t at = scrape.find(prefix);
+  EXPECT_NE(at, std::string::npos) << name;
+  if (at == std::string::npos) return 0;
+  return std::stoull(scrape.substr(at + prefix.size()));
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   ServerTest() : table_(MakeSkewedTable(/*groups=*/6, /*base=*/40)) {}
@@ -413,6 +423,11 @@ TEST_F(ServerTest, MetricsScrapeAndShutdownRequest) {
   EXPECT_NE(metrics.find("aqp_query_latency_seconds_count 1"),
             std::string::npos);
   EXPECT_NE(metrics.find("aqp_registered_tables 1"), std::string::npos);
+  // A published sample holds its rows, weights and group index.
+  EXPECT_GT(GaugeValue(metrics, "aqp_catalog_resident_bytes"), 0u);
+  server_->catalog().Clear();
+  ASSERT_OK_AND_ASSIGN(metrics, client.Metrics());
+  EXPECT_EQ(GaugeValue(metrics, "aqp_catalog_resident_bytes"), 0u);
 
   // kShutdown wakes a Wait()ing owner; teardown still answers in-flight
   // work first (this response already arrived by protocol ordering).
@@ -420,6 +435,52 @@ TEST_F(ServerTest, MetricsScrapeAndShutdownRequest) {
   ASSERT_OK(client.RequestShutdown());
   waiter.join();
   EXPECT_FALSE(server_->running());
+}
+
+// Pipeline workers answer from one published sample at once, all reading
+// its table and cached GroupIndex: concurrent ExecuteApprox calls on a
+// shared catalog sample must equal the serial answers bit for bit (and
+// run race-free under TSan).
+TEST(SampleCatalogConcurrencyTest, SharedSampleAnswersBitIdenticalAcrossThreads) {
+  const Table table = MakeSkewedTable(/*groups=*/6, /*base=*/200);
+  std::vector<QuerySpec> queries;
+  for (const char* sql :
+       {"SELECT g, AVG(v), SUM(v), COUNT(*) FROM t GROUP BY g",
+        "SELECT g, AVG(v), SUM(v), COUNT(*) FROM t WHERE v > 30 GROUP BY g",
+        "SELECT AVG(v), SUM(v), COUNT(*) FROM t WHERE v < 45"}) {
+    ASSERT_OK_AND_ASSIGN(ParsedQuery parsed, ParseSql(sql));
+    queries.push_back(parsed.query);
+  }
+  SampleCatalog catalog(9);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const StratifiedSample> sample,
+                       catalog.GetOrBuild(table, queries[0], 0.2));
+  ASSERT_NE(sample->group_index(queries[0].group_by), nullptr);
+  std::vector<QueryResult> serial;
+  for (const QuerySpec& q : queries) {
+    ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteApprox(*sample, q));
+    serial.push_back(std::move(r));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  std::vector<std::vector<Result<QueryResult>>> got(kThreads);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        const QuerySpec& q = queries[(w + r) % queries.size()];
+        got[w].push_back(ExecuteApprox(*sample, q));
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  for (int w = 0; w < kThreads; ++w) {
+    for (int r = 0; r < kRounds; ++r) {
+      SCOPED_TRACE(testing::Message() << "worker " << w << " round " << r);
+      ASSERT_OK(got[w][r].status());
+      ExpectBitIdentical(got[w][r].value(),
+                                serial[(w + r) % queries.size()]);
+    }
+  }
 }
 
 // Catalog LRU eviction. Builds are deterministic in (seed, key), so a

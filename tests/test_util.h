@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/exec/group_index.h"
 #include "src/exec/parallel.h"
+#include "src/exec/query_result.h"
 #include "src/table/table_builder.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -44,6 +46,23 @@ class ScopedRadixOverride {
   }
   ~ScopedRadixOverride() { GroupIndex::SetRadixOverrideForTesting(-1, 0); }
 };
+
+/// Bitwise equality of two results: same groups in the same order, with
+/// value doubles compared by representation, not tolerance.
+inline void ExpectBitIdentical(const QueryResult& a, const QueryResult& b) {
+  ASSERT_EQ(a.num_groups(), b.num_groups());
+  ASSERT_EQ(a.num_aggregates(), b.num_aggregates());
+  for (size_t i = 0; i < a.num_groups(); ++i) {
+    EXPECT_EQ(a.label(i), b.label(i));
+    for (size_t j = 0; j < a.num_aggregates(); ++j) {
+      const double x = a.value(i, j);
+      const double y = b.value(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+          << "group " << a.label(i) << " agg " << j << ": " << x << " vs "
+          << y;
+    }
+  }
+}
 
 #define ASSERT_OK(expr)                                         \
   do {                                                          \

@@ -168,8 +168,9 @@ doc["description"] = (
     "group-by under a permissive QueryContext (deadline + budget checks at "
     "morsel boundaries) vs no governance; BM_GovernanceCheck and "
     "BM_FailpointInactive bound the per-checkpoint substrate cost. "
-    "BM_Server* are full client round trips (queries/s, not rows/s) through "
-    "a live AqpServer over an AF_UNIX socket: BM_ServerCatalogHit answers "
+    "BM_Server* are full client round trips (queries/s, not rows/s, timed "
+    "in wall time) through a live AqpServer over an AF_UNIX socket: "
+    "BM_ServerCatalogHit answers "
     "from the warm shared sample, BM_ServerSampleBuild pays the catalog "
     "miss (stratified-sample build) every iteration, BM_ServerExact runs "
     "the exact engine over the 500k-row base table, and "
