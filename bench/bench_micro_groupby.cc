@@ -8,7 +8,6 @@
 #include "bench/bench_threading.h"
 #include "src/core/stratification.h"
 #include "src/datagen/openaq_gen.h"
-#include "src/exec/agg_planner.h"
 #include "src/exec/group_by_executor.h"
 #include "src/exec/group_index.h"
 #include "src/expr/compiled_predicate.h"
@@ -219,15 +218,13 @@ void BM_CollectGroupStats(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectGroupStats);
 
-// ----------------------------------------------------- adaptive planner
+// ------------------------------------------------- packed-tier group-by
 
 // 3M rows over two ~2^12-range int key columns: ~2.7M distinct groups
 // (nearly every row its own group), 24 packed key bits — past the direct
-// tier's cap and deep past the planner's sort threshold. This is the
-// workload the sort-based aggregation path exists for: each radix
-// partition's hash table is ~4 MB of randomly-probed slots (past L2), so
-// the hash build goes latency-bound, while the sort path's two counting
-// passes stream the same partition sequentially.
+// tier's cap. The strided probe finds high cardinality, so the parallel
+// build radix-partitions the rows and hash-probes each partition; each
+// partition's table is ~4 MB of randomly-probed slots (past L2).
 const Table& HugeGroupTable() {
   static const Table* t = [] {
     Schema schema({{"k1", DataType::kInt64},
@@ -246,50 +243,10 @@ const Table& HugeGroupTable() {
   return *t;
 }
 
-// Shared body: run huge-G group-by under a planner mode (-1 auto, 0 forced
-// hash) and report the planner's decisions and estimated-vs-actual
-// cardinality as counters.
-void RunAdaptiveHugeG(benchmark::State& state, int forced_mode) {
-  const Table& t = HugeGroupTable();
-  ScopedThreads threads(8);
-  QuerySpec q;
-  q.group_by = {"k1", "k2"};
-  q.aggregates = {AggSpec::Avg("value")};
-  ResetAggPlannerStats();
-  if (forced_mode >= 0) SetAggPathOverrideForTesting(forced_mode);
-  for (auto _ : state) {
-    auto result = ExecuteExact(t, q);
-    benchmark::DoNotOptimize(result);
-  }
-  SetAggPathOverrideForTesting(-1);
-  const AggPlannerStats stats = GetAggPlannerStats();
-  state.counters["hash_decisions"] = static_cast<double>(stats.hash_decisions);
-  state.counters["sort_decisions"] = static_cast<double>(stats.sort_decisions);
-  state.counters["estimated_groups"] =
-      static_cast<double>(stats.last_estimated_groups);
-  state.counters["actual_groups"] =
-      static_cast<double>(stats.last_actual_groups);
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-
-// Auto planner: the probe extrapolation crosses the sort threshold, so
-// this runs the radix-sort aggregation path.
-void BM_AdaptiveGroupByHugeG(benchmark::State& state) {
-  RunAdaptiveHugeG(state, -1);
-}
-BENCHMARK(BM_AdaptiveGroupByHugeG);
-
-// Same workload with the planner pinned to hash: the pre-PR behavior and
-// the bar BM_AdaptiveGroupByHugeG must beat.
-void BM_AdaptiveGroupByHugeGForcedHash(benchmark::State& state) {
-  RunAdaptiveHugeG(state, 0);
-}
-BENCHMARK(BM_AdaptiveGroupByHugeGForcedHash);
-
-// Small-G control on the same packed tier the planner governs: ~2k groups
-// over 24 key bits (k2's code RANGE forces packed even though it takes two
-// values). The decision counters must show hash, and auto must price at
-// hash-path speed — the no-regression guard for everyday group-bys.
+// Small-G control on the same packed tier: ~2k groups over 24 key bits
+// (k2's code RANGE forces packed even though it takes two values). The
+// probe finds low cardinality, so the build takes the chunk-merge path —
+// the guard for everyday group-bys.
 const Table& SmallGroupPackedTable() {
   static const Table* t = [] {
     Schema schema({{"k1", DataType::kInt64},
@@ -309,25 +266,31 @@ const Table& SmallGroupPackedTable() {
   return *t;
 }
 
-void BM_AdaptiveGroupBySmallG(benchmark::State& state) {
-  const Table& t = SmallGroupPackedTable();
+// Shared body: 8-thread exact AVG group-by on (k1, k2), reporting the
+// realized group count.
+void RunPackedGroupBy(benchmark::State& state, const Table& t) {
   ScopedThreads threads(8);
   QuerySpec q;
   q.group_by = {"k1", "k2"};
   q.aggregates = {AggSpec::Avg("value")};
-  ResetAggPlannerStats();
+  size_t groups = 0;
   for (auto _ : state) {
     auto result = ExecuteExact(t, q);
+    if (result.ok()) groups = result.value().num_groups();
     benchmark::DoNotOptimize(result);
   }
-  const AggPlannerStats stats = GetAggPlannerStats();
-  state.counters["hash_decisions"] = static_cast<double>(stats.hash_decisions);
-  state.counters["sort_decisions"] = static_cast<double>(stats.sort_decisions);
-  state.counters["estimated_groups"] =
-      static_cast<double>(stats.last_estimated_groups);
-  state.counters["actual_groups"] =
-      static_cast<double>(stats.last_actual_groups);
+  state.counters["actual_groups"] = static_cast<double>(groups);
   state.SetItemsProcessed(state.iterations() * t.num_rows());
+}
+
+// The names keep their BENCH_groupby.json keys.
+void BM_AdaptiveGroupByHugeG(benchmark::State& state) {
+  RunPackedGroupBy(state, HugeGroupTable());
+}
+BENCHMARK(BM_AdaptiveGroupByHugeG);
+
+void BM_AdaptiveGroupBySmallG(benchmark::State& state) {
+  RunPackedGroupBy(state, SmallGroupPackedTable());
 }
 BENCHMARK(BM_AdaptiveGroupBySmallG);
 

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "bench/bench_threading.h"
-#include "src/exec/agg_planner.h"
 #include "src/exec/chunked_scan.h"
 #include "src/exec/group_by_executor.h"
 #include "src/expr/compiled_predicate.h"
@@ -117,7 +116,6 @@ void BM_OutOfCoreGroupBy(benchmark::State& state) {
   const MappedFixture& fx = BenchFile();
   const QuerySpec q = StorageBenchQuery();
   ResetChunkCacheStats();
-  ResetAggPlannerStats();
   for (auto _ : state) {
     auto result = ExecuteGroupByMapped(fx.mapped, q);
     benchmark::DoNotOptimize(result);
@@ -126,9 +124,6 @@ void BM_OutOfCoreGroupBy(benchmark::State& state) {
   const double lookups = static_cast<double>(stats.hits + stats.misses);
   state.counters["cache_hit_rate"] =
       lookups == 0.0 ? 0.0 : static_cast<double>(stats.hits) / lookups;
-  const AggPlannerStats plan = GetAggPlannerStats();
-  state.counters["hash_decisions"] = static_cast<double>(plan.hash_decisions);
-  state.counters["sort_decisions"] = static_cast<double>(plan.sort_decisions);
   state.SetItemsProcessed(state.iterations() * fx.mapped.num_rows());
 }
 BENCHMARK(BM_OutOfCoreGroupBy);

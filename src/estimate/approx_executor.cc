@@ -1,6 +1,5 @@
 #include "src/estimate/approx_executor.h"
 
-#include "src/exec/agg_planner.h"
 #include "src/exec/group_by_executor.h"
 #include "src/exec/query_context.h"
 #include "src/expr/compiled_predicate.h"
@@ -11,12 +10,6 @@ namespace cvopt {
 Result<std::shared_ptr<const GroupIndex>> SampleGroupIndex(
     const StratifiedSample& sample, const std::vector<std::string>& group_by) {
   if (auto cached = sample.group_index(group_by)) return cached;
-  // The sampler's observed stratum count (a streaming router's final
-  // occupancy, or the stratification's group count) rides along as the
-  // aggregation planner's cardinality prior — queries grouping coarser than
-  // the stratification overestimate, which only ever steers the
-  // hash-vs-sort choice, never the answer.
-  ScopedAggOccupancyHint occupancy(sample.observed_strata());
   CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx,
                          GroupIndex::Build(sample.table(), group_by));
   return std::make_shared<const GroupIndex>(std::move(gidx));

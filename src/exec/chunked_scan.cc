@@ -365,46 +365,4 @@ Result<QueryResult> ExecuteGroupByMapped(const MappedTable& mt,
   });
 }
 
-Result<QueryResult> ExecuteGroupByAdaptive(const MappedTable& mt,
-                                           const QuerySpec& query) {
-  // Try the parallel in-memory executor over the fully materialized table,
-  // charging the decode to the ambient query budget; when the charge is
-  // refused — or the in-memory run itself reports kResourceExhausted —
-  // degrade to the streaming out-of-core scan, whose answer is bitwise
-  // identical by ExecuteGroupByMapped's determinism contract.
-  const QueryContext* ctx = CurrentQueryContext();
-  if (ctx != nullptr) {
-    uint64_t bytes = 0;
-    for (size_t c = 0; c < mt.num_columns(); ++c) {
-      const DataType type = mt.schema().field(c).type;
-      // Strings materialize as dictionary codes (uint32); numerics as
-      // their 8-byte host representation.
-      bytes += mt.num_rows() *
-               (type == DataType::kString ? sizeof(uint32_t) : sizeof(int64_t));
-    }
-    auto* mut = const_cast<QueryContext*>(ctx);
-    Result<MemoryReservation> res =
-        mut->TryReserve(bytes, "materialized mapped table");
-    if (res.ok()) {
-      MemoryReservation guard = std::move(res).value();
-      Result<Table> table = mt.Materialize();
-      if (table.ok()) {
-        Result<QueryResult> qr = ExecuteExact(table.value(), query);
-        if (qr.ok() ||
-            qr.status().code() != StatusCode::kResourceExhausted) {
-          return qr;
-        }
-        // The in-memory run blew the budget mid-flight: release its
-        // working set and retry below with the streaming scan.
-      } else if (table.status().code() != StatusCode::kResourceExhausted) {
-        return table.status();
-      }
-    }
-  } else {
-    CVOPT_ASSIGN_OR_RETURN(Table table, mt.Materialize());
-    return ExecuteExact(table, query);
-  }
-  return ExecuteGroupByMapped(mt, query);
-}
-
 }  // namespace cvopt

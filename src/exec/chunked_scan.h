@@ -42,18 +42,6 @@ namespace cvopt {
 Result<QueryResult> ExecuteGroupByMapped(const MappedTable& mapped,
                                          const QuerySpec& query);
 
-/// Budget-adaptive exact group-by: materializes the table and runs the
-/// parallel in-memory executor when the ambient QueryContext's memory
-/// budget admits the decoded table (or when ungoverned), and degrades to
-/// the streaming ExecuteGroupByMapped scan when the reservation is refused
-/// or the in-memory run returns kResourceExhausted. Both paths produce the
-/// same groups and aggregates; with one resolved execution thread they are
-/// bitwise-identical (the in-memory executor's float accumulation chunking
-/// follows the thread count, the mapped scan's is fixed), so degradation is
-/// invisible except in speed and working-set size.
-Result<QueryResult> ExecuteGroupByAdaptive(const MappedTable& mapped,
-                                           const QuerySpec& query);
-
 }  // namespace cvopt
 
 #endif  // CVOPT_EXEC_CHUNKED_SCAN_H_

@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/exec/agg_planner.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
 #include "src/util/failpoint.h"
@@ -373,18 +372,15 @@ void BatchedPackedProbe(size_t lo, size_t hi, const FlatGroupTable& t,
 }
 
 // Strided-sample distinct-group probe: builds a small local table over
-// min(n, kRadixSampleMax) evenly-strided positions and returns the sampled
-// distinct count (probe size via *sampled). It feeds both the radix
-// decision (high cardinality = at least half the probes distinct, meaning
-// chunk-local tables would mostly re-discover the same groups) and the
-// hash-vs-sort planner's extrapolated estimate. A pure function of the
-// data — never of the thread count — and the ids are bit-identical
-// whichever way either decision goes, so the probe only steers performance.
+// min(n, kRadixSampleMax) evenly-strided positions and reports high
+// cardinality when at least half the probes are distinct, meaning
+// chunk-local tables would mostly re-discover the same groups and the
+// radix build pays off. A pure function of the data — never of the thread
+// count — and the ids are bit-identical whichever way the decision goes,
+// so the probe only steers performance.
 template <class RowAt, class KeyFn, class EqFn>
-size_t RadixSampleDistinct(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq,
-                           size_t* sampled) {
+bool RadixSampleHighCardinality(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq) {
   const size_t sample = std::min(n, kRadixSampleMax);
-  *sampled = sample;
   const size_t stride = n / sample;
   FlatGroupTable t(sample);
   std::vector<uint32_t> reps;  // representative rows of sampled groups
@@ -400,140 +396,7 @@ size_t RadixSampleDistinct(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq,
                                 reps.size());
         });
   }
-  return reps.size();
-}
-
-template <class RowAt, class KeyFn, class EqFn>
-bool RadixSampleHighCardinality(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq) {
-  size_t sampled = 0;
-  const size_t distinct = RadixSampleDistinct(n, row_at, key_fn, eq, &sampled);
-  return distinct * 2 >= sampled;
-}
-
-// Sort-based per-partition group discovery: a stable LSD radix sort of the
-// partition's packed keys, then one scan over the sorted order assigning a
-// local id per equal-key run. Stability keeps each run's positions
-// ascending, so the run head is the group's first occurrence — exactly
-// what the global renumbering pass ranks — and the partition row lists
-// consumed by accumulation are untouched, so per-group addition order (and
-// float sums) match the hash path bit for bit. Local ids land in
-// sorted-key order rather than first-seen order, which every consumer
-// tolerates: they map locals through local_to_global before touching
-// shared state. The win over hash probing in the huge-G regime is
-// replacing per-row cache-missing probes with sequential counting passes.
-//
-// Fast shape (whenever key and local index fit one word together): each
-// element is (key << idx_bits) | k, so the sort moves ONE uint64 array
-// instead of parallel (key, order) pairs — two thirds of the pair
-// version's per-pass traffic — and the run scan reads positions back out
-// of the low bits. Only the key bits are sorted (the index rides along
-// untouched), so stability still yields ascending indices within a run.
-// Digits are 12 bits when the partition is large enough to amortize the
-// 4 Ki-entry histogram, which sorts a 24-bit packed key in two counting
-// passes instead of three. Scratch is thread-local: partition calls are
-// serialized per worker, and reusing capacity across calls keeps the
-// ~cnt*8-byte buffers off the allocator's mmap path.
-template <class PackAt>
-void SortRunCombined(const uint32_t* pos, size_t cnt, int total_bits,
-                     int idx_bits, PackAt pack_at, uint32_t* local_out,
-                     std::vector<uint32_t>* firsts,
-                     std::vector<uint64_t>* sizes) {
-  static thread_local std::vector<uint64_t> a_store, b_store;
-  static thread_local std::vector<size_t> hist;
-  a_store.resize(cnt);
-  b_store.resize(cnt);
-  uint64_t* a = a_store.data();
-  uint64_t* b = b_store.data();
-  for (size_t k = 0; k < cnt; ++k) {
-    a[k] = (pack_at(k) << idx_bits) | static_cast<uint64_t>(k);
-  }
-  const int digit_bits = cnt >= (size_t{1} << 13) ? 12 : 8;
-  const int passes = std::max(1, (total_bits + digit_bits - 1) / digit_bits);
-  const size_t buckets = size_t{1} << digit_bits;
-  const uint64_t dmask = buckets - 1;
-  hist.assign(buckets, 0);
-  for (int p = 0; p < passes; ++p) {
-    const int shift = idx_bits + digit_bits * p;
-    if (p != 0) std::fill(hist.begin(), hist.end(), size_t{0});
-    for (size_t k = 0; k < cnt; ++k) hist[(a[k] >> shift) & dmask]++;
-    size_t at = 0;
-    for (size_t v = 0; v < buckets; ++v) {
-      const size_t c = hist[v];
-      hist[v] = at;
-      at += c;
-    }
-    for (size_t k = 0; k < cnt; ++k) {
-      b[hist[(a[k] >> shift) & dmask]++] = a[k];
-    }
-    std::swap(a, b);
-  }
-  const uint64_t idx_mask = (uint64_t{1} << idx_bits) - 1;
-  size_t run = 0;
-  while (run < cnt) {
-    const uint64_t key = a[run] >> idx_bits;
-    size_t end = run + 1;
-    while (end < cnt && (a[end] >> idx_bits) == key) ++end;
-    const uint32_t id = static_cast<uint32_t>(firsts->size());
-    firsts->push_back(pos[a[run] & idx_mask]);  // min index: first occurrence
-    sizes->push_back(end - run);
-    for (size_t k = run; k < end; ++k) {
-      local_out[a[k] & idx_mask] = id;
-    }
-    run = end;
-  }
-}
-
-template <class PackAt>
-void SortRunPartition(const uint32_t* pos, size_t cnt, int total_bits,
-                      PackAt pack_at, uint32_t* local_out,
-                      std::vector<uint32_t>* firsts,
-                      std::vector<uint64_t>* sizes) {
-  if (cnt == 0) return;
-  int idx_bits = 0;
-  while ((size_t{1} << idx_bits) < cnt) ++idx_bits;
-  if (total_bits + idx_bits <= 64) {
-    SortRunCombined(pos, cnt, total_bits, idx_bits, pack_at, local_out,
-                    firsts, sizes);
-    return;
-  }
-  // Pair fallback for keys too wide to share a word with the index:
-  // parallel (key, order) arrays, byte-wide passes.
-  std::vector<uint64_t> keys(cnt), keys2(cnt);
-  std::vector<uint32_t> order(cnt), order2(cnt);
-  for (size_t k = 0; k < cnt; ++k) {
-    keys[k] = pack_at(k);
-    order[k] = static_cast<uint32_t>(k);
-  }
-  const int passes = std::max(1, (total_bits + 7) / 8);
-  size_t hist[256];
-  for (int b = 0; b < passes; ++b) {
-    const int shift = 8 * b;
-    std::fill(std::begin(hist), std::end(hist), size_t{0});
-    for (size_t k = 0; k < cnt; ++k) hist[(keys[k] >> shift) & 0xff]++;
-    size_t at = 0;
-    for (size_t v = 0; v < 256; ++v) {
-      const size_t c = hist[v];
-      hist[v] = at;
-      at += c;
-    }
-    for (size_t k = 0; k < cnt; ++k) {
-      const size_t dst = hist[(keys[k] >> shift) & 0xff]++;
-      keys2[dst] = keys[k];
-      order2[dst] = order[k];
-    }
-    keys.swap(keys2);
-    order.swap(order2);
-  }
-  size_t run = 0;
-  while (run < cnt) {
-    size_t end = run + 1;
-    while (end < cnt && keys[end] == keys[run]) ++end;
-    const uint32_t id = static_cast<uint32_t>(firsts->size());
-    firsts->push_back(pos[order[run]]);  // run head: ascending by stability
-    sizes->push_back(end - run);
-    for (size_t k = run; k < end; ++k) local_out[order[k]] = id;
-    run = end;
-  }
+  return reps.size() * 2 >= sample;
 }
 
 // Core build, shared by Build (row_at = identity) and BuildForRows (row_at =
@@ -746,38 +609,15 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
 
   if (total_bits <= 64) {
     // Tier kPacked: per-column codes bit-pack into one uint64; probe on the
-    // exact packed key, so no key comparison beyond one integer.
-    //
-    // Strided cardinality probe (skipped under a forced radix mode — the
-    // partition decision is already made — and below the radix size gates,
-    // where the merge is cheap and sort cannot pay off either).
-    size_t probe_sampled = 0;
-    size_t probe_distinct = 0;
-    if (radix_mode != 1 && radix_auto_ok &&
-        domain_product >= kRadixMinDomain) {
-      probe_distinct = RadixSampleDistinct(
-          n, row_at, pack, [](size_t, size_t) { return true; },
-          &probe_sampled);
-    }
+    // exact packed key, so no key comparison beyond one integer. The
+    // strided cardinality probe runs only above the radix size gates and a
+    // packed-domain floor (below them the chunk-order merge is cheap).
     const bool probe_high_card =
-        probe_sampled != 0 && probe_distinct * 2 >= probe_sampled;
-
-    // Hash-vs-sort plan for this build. The sort path discovers groups
-    // inside radix partitions, so honoring a kSort plan means taking the
-    // radix build even where the heuristic alone would not (ids are
-    // bit-identical either way); a forced-off radix override wins over
-    // everything — it pins the chunk-merge baseline that benches and
-    // differential tests compare against, where only hash exists.
-    AggPlanInputs plan_in;
-    plan_in.rows = n;
-    plan_in.probe_sampled = probe_sampled;
-    plan_in.probe_distinct = probe_distinct;
-    plan_in.domain_bound = domain_product;
-    plan_in.occupancy_hint = CurrentAggOccupancyHint();
-    const AggPlanDecision plan = PlanAggPath(plan_in);
-    const bool sort_path = plan.path == AggPath::kSort && radix_mode != 0;
-
-    if (sort_path || radix_mode == 1 || probe_high_card) {
+        radix_mode != 1 && radix_auto_ok &&
+        domain_product >= kRadixMinDomain &&
+        RadixSampleHighCardinality(n, row_at, pack,
+                                   [](size_t, size_t) { return true; });
+    if (radix_mode == 1 || probe_high_card) {
       // Packed-tier radix: partition by the top bits of the mixed packed
       // key (the local tables probe on the low bits of the same mix).
       const size_t P = RadixPartitionCount(ResolveThreads());
@@ -790,13 +630,6 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
           },
           [&](size_t, const uint32_t* pos, size_t cnt, uint32_t* local_out,
               std::vector<uint32_t>* lf, std::vector<uint64_t>* ls) {
-            if (sort_path) {
-              SortRunPartition(
-                  pos, cnt, total_bits,
-                  [&](size_t k) { return pack(row_at(pos[k])); }, local_out,
-                  lf, ls);
-              return;
-            }
             FlatGroupTable t(std::min<uint64_t>(expected, cnt));
             BatchedPackedProbe(
                 0, cnt, t, [&](size_t k) { return pack(row_at(pos[k])); },
@@ -815,7 +648,6 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
                 });
           },
           &out);
-      RecordAggActualGroups(out.rep_rows.size());
       return out;
     }
     std::vector<LocalGroups> locals(chunks);
@@ -854,7 +686,6 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
             return std::make_pair(fresh, out.rep_rows.size());
           });
     });
-    RecordAggActualGroups(out.rep_rows.size());
     return out;
   }
 

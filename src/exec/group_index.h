@@ -31,10 +31,9 @@ namespace cvopt {
 /// partition the row list is in ascending position order, which is what
 /// lets consumers reproduce the serial pass bit for bit (per-group value
 /// sequences are exactly the serial ascending-row sequences). Local ids
-/// carry no ordering contract — the hash discovery assigns them in
-/// first-seen order, the sort-based discovery in sorted-key order — so
-/// consumers must map locals through local_to_global (which IS in global
-/// first-seen order) before touching shared state; all of them do.
+/// follow first-seen order within the partition only, so consumers must
+/// map locals through local_to_global (which IS in global first-seen
+/// order) before touching shared state; all of them do.
 struct GroupPartitions {
   /// Mapped positions, partition-major: partition p's positions are
   /// part_rows[part_base[p] .. part_base[p+1]), ascending within p.
@@ -99,16 +98,14 @@ void AccumulatePartitioned(const GroupPartitions& gp, bool use_s2, double* S1,
 ///             indexed by the (packed) code, no hashing at all.
 ///   kPacked — keys whose per-column code domains bit-pack into one uint64:
 ///             flat open-addressing table (power-of-two capacity, linear
-///             probing), no per-key heap allocation. On this tier the
-///             adaptive planner (src/exec/agg_planner.h) may swap the
-///             per-partition hash probing for a stable LSD radix sort of
-///             the packed keys when the estimated cardinality is huge —
-///             group ids, ordering, and downstream sums are bit-identical
-///             either way (see CVOPT_AGG_PATH / SetAggPathOverrideForTesting).
+///             probing), no per-key heap allocation.
 ///   kWide   — everything else (e.g. several full-range int columns): rows
 ///             hash via HashCombine over their codes into the same flat
 ///             table layout, with a full key comparison against each
 ///             group's representative row on probe.
+/// Every tier discovers groups by probing. Parallel builds whose strided
+/// probe finds huge cardinality radix-partition the rows first and probe
+/// each partition on its own (see partitions()).
 class GroupIndex {
  public:
   enum class Tier { kDirect, kPacked, kWide };

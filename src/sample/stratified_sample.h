@@ -119,18 +119,6 @@ class StratifiedSample {
     return n;
   }
 
-  /// Optional: how many distinct strata the sampler observed while drawing
-  /// — a StreamGroupRouter's final occupancy for streaming builds, the
-  /// stratification's group count for offline designs. Query-time group
-  /// builds over the sample feed it to the hash-vs-sort aggregation
-  /// planner as a cardinality prior (zero = unknown). Perf-only: the
-  /// planner's choice never changes results.
-  void set_observed_strata(size_t n) { observed_strata_ = n; }
-  size_t observed_strata() const {
-    if (observed_strata_ != 0) return observed_strata_;
-    return strat_ != nullptr ? strat_->num_strata() : 0;
-  }
-
   /// A standalone copy of table() (for export or for engines that want a
   /// physical sample table it can own). String columns carry the base
   /// column's whole dictionary.
@@ -145,7 +133,6 @@ class StratifiedSample {
   std::shared_ptr<const Stratification> strat_;
   std::vector<uint8_t> stratum_exhaustive_;
   std::vector<uint8_t> stratum_degraded_;
-  size_t observed_strata_ = 0;
   std::vector<std::string> group_index_attrs_;
   std::shared_ptr<const GroupIndex> group_index_;
 };

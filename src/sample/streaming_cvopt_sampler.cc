@@ -157,13 +157,8 @@ StratifiedSample StreamingCvoptBuilder::Finish() && {
       weights.push_back(w);
     }
   }
-  StratifiedSample sample(table_, std::move(rows), std::move(weights),
+  return StratifiedSample(table_, std::move(rows), std::move(weights),
                           "CVOPT-STREAM");
-  // The router's final occupancy is a free cardinality prior for whoever
-  // groups this sample next (the hash-vs-sort planner reads it through
-  // ScopedAggOccupancyHint in ExecuteApprox).
-  sample.set_observed_strata(router_.num_groups());
-  return sample;
 }
 
 Result<StratifiedSample> StreamingCvoptSampler::Build(

@@ -253,54 +253,13 @@ class GovernedMappedTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(GovernedMappedTest, AdaptiveDegradationBitIdentical) {
-  // In-memory aggregation chunking follows the resolved thread count while
-  // the mapped scan accumulates in fixed chunk order, so cross-path bitwise
-  // comparison pins to one thread (same idiom as mapped_table_test).
-  ScopedExecThreads serial(1);
-  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path_));
-  const QuerySpec q = FilteredQuery();
-  ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(table_, q));
-
-  // Ungoverned: the adaptive path materializes and matches exactly.
-  ASSERT_OK_AND_ASSIGN(QueryResult fast, ExecuteGroupByAdaptive(mt, q));
-  ExpectBitIdentical(exact, fast);
-
-  // Tiny budget: materialization is refused, the out-of-core scan answers
-  // — bit-identical, with the budget intact afterwards.
-  QueryContext tight;
-  tight.set_memory_limit(1024);
-  {
-    ScopedQueryContext install(&tight);
-    ASSERT_OK_AND_ASSIGN(QueryResult slow, ExecuteGroupByAdaptive(mt, q));
-    ExpectBitIdentical(exact, slow);
-  }
-  EXPECT_EQ(tight.budget().used(), 0u);
-
-  // Forced mid-flight exhaustion: the reservation fits but the in-memory
-  // executor reports kResourceExhausted (injected), so the adaptive path
-  // retries out-of-core — still bit-identical. The mapped scan never
-  // evaluates the in-memory allocation site, so an every-hit policy is
-  // safe.
-  ASSERT_OK(fp::SetForTesting("exec.groupby.alloc:resource"));
-  QueryContext roomy;
-  MakePermissive(&roomy);
-  {
-    ScopedQueryContext install(&roomy);
-    ASSERT_OK_AND_ASSIGN(QueryResult retried, ExecuteGroupByAdaptive(mt, q));
-    ExpectBitIdentical(exact, retried);
-  }
-  EXPECT_GE(fp::HitCount("exec.groupby.alloc"), 1u);
-}
-
 TEST_F(GovernedMappedTest, MappedScanUnderTightBudgetBitIdentical) {
   // A 1 KiB budget refuses the decode wave's reservation: the scan shrinks
   // the wave to one unreserved chunk and still answers exactly as the
   // ungoverned scan does, releasing every reservation afterwards. The
   // 60-group file also outgrows the budget with its accumulators alone
   // (56 bytes a group for FilteredQuery), which the scan then keeps
-  // unreserved too — and so does the adaptive path, whose refused
-  // materialization degrades to this scan.
+  // unreserved too.
   const std::string many_path = path_ + ".many";
   ASSERT_OK(WriteTableFile(MakeSkewedTable(60, 2), many_path));
   const QuerySpec q = FilteredQuery();
@@ -316,9 +275,6 @@ TEST_F(GovernedMappedTest, MappedScanUnderTightBudgetBitIdentical) {
         ASSERT_OK_AND_ASSIGN(QueryResult governed,
                              ExecuteGroupByMapped(mt, q));
         ExpectBitIdentical(ungoverned, governed);
-        ASSERT_OK_AND_ASSIGN(QueryResult adaptive,
-                             ExecuteGroupByAdaptive(mt, q));
-        ExpectBitIdentical(ungoverned, adaptive);
       }
       EXPECT_EQ(tight.budget().used(), 0u)
           << path << " threads=" << threads;

@@ -328,28 +328,33 @@ TEST(RadixBuildTest, PartitionArtifactIsConsistent) {
 }
 
 TEST(RadixBuildTest, AutoHeuristicEngagesOnHugeCardinality) {
-  // A ~100k-group int key over 2^30 spread (packed tier) at n >= 65536:
-  // the automatic path must engage when parallel and stay off serially —
-  // with bit-identical ids either way.
-  Schema schema({{"k", DataType::kInt64}});
-  TableBuilder b(schema);
-  Rng rng(99);
-  const size_t n = 100000;
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_OK(b.AppendRow({Value(static_cast<int64_t>(rng.Uniform(1u << 30)))}));
+  // Int keys over 2^30 spread (packed tier) at n >= 65536: ~100k groups,
+  // and ~400k >= 2^18 groups for the huge-G regime. The automatic path
+  // must engage when parallel and stay off serially — with bit-identical
+  // ids either way.
+  for (const size_t n : {size_t{100000}, size_t{400000}}) {
+    SCOPED_TRACE(n);
+    Schema schema({{"k", DataType::kInt64}});
+    TableBuilder b(schema);
+    Rng rng(99);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_OK(
+          b.AppendRow({Value(static_cast<int64_t>(rng.Uniform(1u << 30)))}));
+    }
+    Table t = std::move(b).Finish();
+    GroupIndex serial = [&] {
+      ScopedExecThreads one(1);
+      return std::move(GroupIndex::Build(t, {"k"})).ValueOrDie();
+    }();
+    EXPECT_EQ(serial.partitions(), nullptr);  // serial: radix never engages
+    EXPECT_GT(serial.num_groups(), n * 99 / 100);  // nearly all distinct
+    ScopedExecThreads threads(4);
+    ASSERT_OK_AND_ASSIGN(GroupIndex par, GroupIndex::Build(t, {"k"}));
+    EXPECT_EQ(par.tier(), GroupIndex::Tier::kPacked);
+    ASSERT_NE(par.partitions(), nullptr);
+    EXPECT_EQ(par.row_groups(), serial.row_groups());
+    EXPECT_EQ(par.sizes(), serial.sizes());
   }
-  Table t = std::move(b).Finish();
-  GroupIndex serial = [&] {
-    ScopedExecThreads one(1);
-    return std::move(GroupIndex::Build(t, {"k"})).ValueOrDie();
-  }();
-  EXPECT_EQ(serial.partitions(), nullptr);  // serial: radix never engages
-  ScopedExecThreads threads(4);
-  ASSERT_OK_AND_ASSIGN(GroupIndex par, GroupIndex::Build(t, {"k"}));
-  EXPECT_EQ(par.tier(), GroupIndex::Tier::kPacked);
-  ASSERT_NE(par.partitions(), nullptr);
-  EXPECT_EQ(par.row_groups(), serial.row_groups());
-  EXPECT_EQ(par.sizes(), serial.sizes());
 }
 
 // --------------------------------------------- SIMD-vs-scalar parity

@@ -157,13 +157,12 @@ doc["description"] = (
     "across the thread ladder (waves of per-chunk decode of the read "
     "columns, chunk-order group routing, gid-range accumulation) — "
     "bit-identical to the one-thread answer at every fan-out. "
-    "BM_AdaptiveGroupByHugeG vs BM_AdaptiveGroupByHugeGForcedHash is the "
-    "hash-vs-sort aggregation planner's headline: a 3M-row two-int-key "
-    "table with ~2.7M distinct groups (24 packed key bits), auto planner "
-    "(radix-sort discovery) against the planner pinned to hash on the same "
-    "data; BM_AdaptiveGroupBySmallG guards the small-G regime, where auto "
-    "must keep pricing at hash-path speed (planner decisions and "
-    "estimated-vs-actual cardinality are reported as bench counters). "
+    "BM_AdaptiveGroupByHugeG is the packed-tier radix build at huge "
+    "cardinality: a 3M-row two-int-key table with ~2.7M distinct groups "
+    "(24 packed key bits), partitioned and hash-probed per partition; "
+    "BM_AdaptiveGroupBySmallG is the ~2k-group control on the same tier, "
+    "which takes the chunk-merge path (the realized group count is "
+    "reported as a bench counter). "
     "BM_ExactGroupByGoverned vs BM_ExactGroupByUngoverned is the same "
     "group-by under a permissive QueryContext (deadline + budget checks at "
     "morsel boundaries) vs no governance; BM_GovernanceCheck and "
