@@ -5,12 +5,8 @@
 #include "src/exec/group_index.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
-#include "src/expr/compiled_predicate.h"
-#include "src/expr/plan_cache.h"
 
 namespace cvopt {
-
-constexpr uint32_t Stratification::kNoStratum;
 
 Result<Stratification> Stratification::Build(const Table& table,
                                              std::vector<std::string> attrs) {
@@ -25,48 +21,10 @@ Result<Stratification> Stratification::Build(const Table& table,
   out.keys_ = gidx.Keys();
   out.row_strata_ = gidx.TakeRowGroups();
   out.sizes_ = gidx.TakeSizes();
+  out.first_rows_ = gidx.TakeRepRows();
   // A partitioned build hands its artifact over: per-stratum row lists then
   // come straight from the partitions instead of a counting-sort pass.
   out.lists_->parts = gidx.partitions();
-  return out;
- });
-}
-
-Result<Stratification> Stratification::Build(const Table& table,
-                                             std::vector<std::string> attrs,
-                                             const PredicatePtr& where) {
-  if (where == nullptr) return Build(table, std::move(attrs));
- return GovernedSection([&]() -> Result<Stratification> {
-  Stratification out;
-  out.table_ = &table;
-  out.attrs_ = std::move(attrs);
-  // Vectorized predicate (cached per table + clause) -> morsel-parallel
-  // selection vector of surviving rows, then the shared dense group-id
-  // pipeline over just those rows.
-  CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> cp,
-                         CompilePredicateCached(table, where));
-  const std::vector<uint32_t> rows = ParallelSelect(*cp);
-  CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx,
-                         GroupIndex::BuildForRows(table, out.attrs_, rows));
-  out.column_indices_ = gidx.column_indices();
-  out.keys_ = gidx.Keys();
-  out.sizes_ = gidx.TakeSizes();
-  out.row_strata_.assign(table.num_rows(), kNoStratum);
-  const std::vector<uint32_t> pos_strata = gidx.TakeRowGroups();
-  // Scatter surviving positions to their table rows; `rows` entries are
-  // distinct, so chunks write disjoint slots.
-  uint32_t* row_strata = out.row_strata_.data();
-  const uint32_t* rowp = rows.data();
-  const uint32_t* posp = pos_strata.data();
-  ParallelFor(rows.size(), [&](size_t, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) row_strata[rowp[i]] = posp[i];
-  });
-  if (gidx.partitions() != nullptr) {
-    // Partition positions index into `rows`; keep the selection so the
-    // partition-backed list fill can map positions back to table rows.
-    out.lists_->parts = gidx.partitions();
-    out.lists_->sel_rows = std::move(rows);
-  }
   return out;
  });
 }
@@ -103,7 +61,6 @@ void Stratification::MaterializeStratumRows() const {
       // land in ascending row order, exactly the stable counting sort's
       // output.
       const GroupPartitions& gp = *c.parts;
-      const uint32_t* sel = c.sel_rows.empty() ? nullptr : c.sel_rows.data();
       const size_t* base = c.base.data();
       ParallelForChunks(
           gp.num_partitions(), gp.num_partitions(),
@@ -115,8 +72,7 @@ void Stratification::MaterializeStratumRows() const {
               cur[l] = base[gp.local_to_global[gb + l]];
             }
             for (size_t k = gp.part_base[p]; k < gp.part_base[p + 1]; ++k) {
-              const uint32_t pos = gp.part_rows[k];
-              out[cur[gp.part_local[k]]++] = sel ? sel[pos] : pos;
+              out[cur[gp.part_local[k]]++] = gp.part_rows[k];
             }
           });
     } else {
@@ -124,19 +80,15 @@ void Stratification::MaterializeStratumRows() const {
       // row_strata. Per-chunk histograms and scatter cursors depend only
       // on chunk boundaries and every chunking yields the same stable
       // (ascending-row) order, so the output is a pure function of the
-      // stratification. Rows marked kNoStratum (excluded by a filtered
-      // build) appear in no bucket. AggregationChunks caps the fan-out
-      // where per-stratum histogram traffic would rival the row scan.
+      // stratification. AggregationChunks caps the fan-out where
+      // per-stratum histogram traffic would rival the row scan.
       const size_t n = row_strata_.size();
       const uint32_t* rs = row_strata_.data();
       const size_t chunks = n == 0 ? 1 : AggregationChunks(n, r);
       std::vector<uint32_t> cursors(chunks * r, 0);
       ParallelForChunks(n, chunks, [&](size_t ck, size_t lo, size_t hi) {
         uint32_t* cnt = cursors.data() + ck * r;
-        for (size_t i = lo; i < hi; ++i) {
-          const uint32_t s = rs[i];
-          if (s != kNoStratum) cnt[s]++;
-        }
+        for (size_t i = lo; i < hi; ++i) cnt[rs[i]]++;
       });
       for (size_t s = 0; s < r; ++s) {
         size_t at = c.base[s];
@@ -149,14 +101,10 @@ void Stratification::MaterializeStratumRows() const {
       ParallelForChunks(n, chunks, [&](size_t ck, size_t lo, size_t hi) {
         uint32_t* cur = cursors.data() + ck * r;
         for (size_t i = lo; i < hi; ++i) {
-          const uint32_t s = rs[i];
-          if (s != kNoStratum) out[cur[s]++] = static_cast<uint32_t>(i);
+          out[cur[rs[i]]++] = static_cast<uint32_t>(i);
         }
       });
     }
-    // `parts` / `sel_rows` stay put: they are written once at Build time
-    // (before the Stratification is shared) and only read afterwards, so
-    // concurrent stratum_rows_cheap() probes never race a mutation.
     c.ready.store(true);
   });
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/exec/group_index.h"
-#include "src/expr/predicate.h"
 #include "src/stats/group_key.h"
 #include "src/table/table.h"
 #include "src/util/status.h"
@@ -29,21 +28,10 @@ namespace cvopt {
 /// outlive it.
 class Stratification {
  public:
-  /// Rows excluded by a filtered Build carry this sentinel in row_strata().
-  static constexpr uint32_t kNoStratum = UINT32_MAX;
-
   /// Builds the stratification in one pass over the table. Attributes must
   /// be int64 or string columns (doubles are not groupable).
   static Result<Stratification> Build(const Table& table,
                                       std::vector<std::string> attrs);
-
-  /// Filtered build: only rows matching `where` (evaluated through the
-  /// compiled kernel engine) are stratified; excluded rows map to
-  /// kNoStratum and contribute to no stratum's size. A null predicate is
-  /// the unfiltered build.
-  static Result<Stratification> Build(const Table& table,
-                                      std::vector<std::string> attrs,
-                                      const PredicatePtr& where);
 
   const Table& table() const { return *table_; }
   const std::vector<std::string>& attrs() const { return attrs_; }
@@ -58,27 +46,23 @@ class Stratification {
   /// Number of rows in each stratum (the paper's n_c).
   const std::vector<uint64_t>& sizes() const { return sizes_; }
 
+  /// The first row of each stratum in table order (its representative).
+  const std::vector<uint32_t>& first_rows() const { return first_rows_; }
+
   /// Per-stratum row lists, stratum-major: stratum c's rows are
   /// stratum_rows()[stratum_row_base()[c] .. stratum_row_base()[c + 1]), in
-  /// ascending row order; rows excluded by a filtered build appear in no
-  /// list. Materialized on first call — straight from the radix-partition
-  /// artifact when the build kept one (each partition fills its own
-  /// groups' disjoint output ranges), otherwise via a stable parallel
-  /// counting sort over row_strata() — then cached; safe to call
+  /// ascending row order. Materialized on first call — straight from the
+  /// radix-partition artifact when the build kept one (each partition fills
+  /// its own groups' disjoint output ranges), otherwise via a stable
+  /// parallel counting sort over row_strata() — then cached; safe to call
   /// concurrently. The content is a pure function of the stratification,
-  /// so every consumer (group statistics, the stratified draw) shares one
-  /// materialization instead of re-deriving its own bucketing.
+  /// so every stratified draw shares one materialization instead of
+  /// re-deriving its own bucketing.
   const std::vector<uint32_t>& stratum_rows() const;
   const std::vector<size_t>& stratum_row_base() const;
 
   /// True once stratum_rows() has been materialized.
   bool stratum_rows_materialized() const { return lists_->ready.load(); }
-  /// True when the lists are already materialized OR can be filled straight
-  /// from the partitioned-build artifact (no counting-sort pass) — the
-  /// signal consumers use to prefer the list-ordered iteration.
-  bool stratum_rows_cheap() const {
-    return stratum_rows_materialized() || lists_->parts != nullptr;
-  }
 
   const GroupKey& key(size_t stratum) const { return keys_[stratum]; }
 
@@ -116,12 +100,9 @@ class Stratification {
     std::atomic<bool> ready{false};
     std::vector<uint32_t> rows;  // stratum-major, ascending within a stratum
     std::vector<size_t> base;    // num_strata + 1 offsets
-    // Build-time inputs for the partition-backed fill. Written once at
-    // Build (before the Stratification can be shared) and never mutated
-    // afterwards, so stratum_rows_cheap() can probe `parts` without
-    // synchronization.
+    // Build-time input for the partition-backed fill, written once at
+    // Build before the Stratification can be shared.
     std::shared_ptr<const GroupPartitions> parts;
-    std::vector<uint32_t> sel_rows;  // filtered builds: position -> table row
   };
 
   Stratification() = default;
@@ -133,6 +114,7 @@ class Stratification {
   std::vector<size_t> column_indices_;
   std::vector<uint32_t> row_strata_;
   std::vector<uint64_t> sizes_;
+  std::vector<uint32_t> first_rows_;
   std::vector<GroupKey> keys_;
   std::shared_ptr<RowListCache> lists_ = std::make_shared<RowListCache>();
 };

@@ -70,9 +70,6 @@ class BoundAggregates {
   const std::vector<StatSource>& sources() const { return sources_; }
   size_t size() const { return sources_.size(); }
 
-  /// Per-row value of aggregate j (what the estimator sums over).
-  double ValueAt(size_t j, size_t row) const { return sources_[j].ValueAt(row); }
-
  private:
   // Indicator vectors are heap-allocated so StatSource pointers stay stable
   // when the BoundAggregates object moves.

@@ -139,35 +139,21 @@ void GroupedAccumulators::Grow(const std::vector<AggSpec>& aggs,
   }
 }
 
-Result<GroupedAccumulators> AccumulateGrouped(
-    const Table& table, const QuerySpec& query, const GroupIndex& gidx,
-    const std::vector<uint32_t>* sel, const std::vector<double>* weights) {
- return GovernedSection([&]() -> Result<GroupedAccumulators> {
-  const size_t n = gidx.num_rows();
-  CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
-                         BoundAggregates::Bind(table, query.aggregates));
-  const size_t t = query.aggregates.size();
-  const size_t G = gidx.num_groups();
-  const uint32_t* rg = gidx.row_groups().data();
+void AccumulateSources(const GroupedPass& pass,
+                       const std::vector<AggSpec>& aggs,
+                       const std::vector<StatSource>& sources,
+                       GroupedAccumulators* out) {
+  GroupedAccumulators& acc = *out;
+  const size_t t = aggs.size();
+  const size_t n = pass.row_groups->size();
+  const size_t G = pass.sizes->size();
+  const uint32_t* rg = pass.row_groups->data();
+  const std::vector<uint32_t>* sel = pass.sel;
   const bool use_sel = sel != nullptr;
   const uint32_t* selp = use_sel ? sel->data() : nullptr;
-  const bool weighted = weights != nullptr;
-
-  // The accumulator slabs are the aggregation's dominant working memory;
-  // reserve them against the query's budget before touching them (the
-  // fail-point lets tests force the kResourceExhausted path without a real
-  // budget). Held until the accumulators are returned to the caller.
-  size_t slabs = weighted ? 1 : 0;  // wcnt
-  for (const auto& a : query.aggregates) {
-    if (a.func == AggFunc::kCount || a.func == AggFunc::kMedian) continue;
-    slabs += a.func == AggFunc::kVariance ? 2 : 1;  // sums (+ sums2)
-  }
-  CVOPT_FAILPOINT("exec.groupby.alloc");
-  MemoryReservation slab_res = ReserveMemoryOrThrow(
-      G * (slabs * sizeof(double) + sizeof(uint64_t)),
-      "group-by accumulator slabs");
-  GroupedAccumulators acc;
-  acc.Grow(query.aggregates, G, weighted);
+  const bool weighted = pass.weights != nullptr;
+  acc.Grow(aggs, G, weighted);
+  if (pass.shift_rows != nullptr) acc.shifts.resize(t);
 
   // Pass over a partitioned build: partition-owned accumulator slabs.
   // Each worker iterates its partition's ascending position list into a
@@ -180,7 +166,7 @@ Result<GroupedAccumulators> AccumulateGrouped(
   // group's surviving positions are still visited ascending, so masked
   // sums match the serial masked loop bit for bit, and fully-filtered
   // groups keep count zero (IngestDense omits them).
-  const GroupPartitions* parts = gidx.partitions().get();
+  const GroupPartitions* parts = pass.parts;
   const uint32_t* prows = parts != nullptr ? parts->part_rows.data() : nullptr;
   const uint32_t* plocal =
       parts != nullptr ? parts->part_local.data() : nullptr;
@@ -191,7 +177,7 @@ Result<GroupedAccumulators> AccumulateGrouped(
   // and merge per-chunk accumulators in chunk order; one chunk is the
   // exact serial loop.
   const size_t m = use_sel ? sel->size() : n;
-  const size_t chunks = AggregationChunks(m, G);
+  const size_t chunks = pass.chunks;
   auto for_range = [&](size_t lo, size_t hi, auto&& fn) {
     if (use_sel) {
       for (size_t i = lo; i < hi; ++i) fn(static_cast<size_t>(selp[i]));
@@ -216,7 +202,7 @@ Result<GroupedAccumulators> AccumulateGrouped(
   // Per-group surviving-position counts (identical across aggregates;
   // integer, so every merge is bit-exact).
   if (!use_sel) {
-    acc.cnt.assign(gidx.sizes().begin(), gidx.sizes().end());
+    acc.cnt.assign(pass.sizes->begin(), pass.sizes->end());
   } else if (parts != nullptr) {
     const uint32_t* l2g = parts->local_to_global.data();
     ParallelForChunks(parts->num_partitions(), parts->num_partitions(),
@@ -319,14 +305,30 @@ Result<GroupedAccumulators> AccumulateGrouped(
                [](size_t) { return 1.0; });
     }
     for (size_t j = 0; j < t; ++j) {
-      const AggFunc f = query.aggregates[j].func;
-      const StatSource& src = bound.sources()[j];
+      const AggFunc f = aggs[j].func;
+      const StatSource& src = sources[j];
       if (src.constant_one) continue;  // COUNT is answered by cnt / wcnt
       auto run = [&](auto value_at) {
         if (f != AggFunc::kMedian) {
-          sum_into(acc.sums[j].data(),
-                   f == AggFunc::kVariance ? acc.sums2[j].data() : nullptr,
-                   weight_at, value_at);
+          double* S = acc.sums[j].data();
+          double* S2 = f == AggFunc::kVariance ? acc.sums2[j].data() : nullptr;
+          if (pass.shift_rows == nullptr) {
+            sum_into(S, S2, weight_at, value_at);
+            return;
+          }
+          // Shifted sums: c_g is the value at the group's shift row (0 for
+          // a group with no positions, whose shift row does not exist).
+          std::vector<double>& c = acc.shifts[j];
+          c.assign(G, 0.0);
+          const uint32_t* srow = pass.shift_rows->data();
+          const uint64_t* sizes = pass.sizes->data();
+          for (size_t g = 0; g < G; ++g) {
+            if (sizes[g] > 0) c[g] = value_at(srow[g]);
+          }
+          const double* cp = c.data();
+          sum_into(S, S2, weight_at, [value_at, cp, rg](size_t i) {
+            return value_at(i) - cp[rg[i]];
+          });
         } else if constexpr (kWeighted) {
           collect_into(&acc.median_pairs[j], [&](size_t i) {
             return std::make_pair(value_at(i), weight_at(i));
@@ -348,11 +350,45 @@ Result<GroupedAccumulators> AccumulateGrouped(
     }
   };
   if (weighted) {
-    const double* w = weights->data();
+    const double* w = pass.weights->data();
     accumulate([w](size_t i) { return w[i]; });
   } else {
     accumulate(UnitWeight{});
   }
+}
+
+Result<GroupedAccumulators> AccumulateGrouped(
+    const Table& table, const QuerySpec& query, const GroupIndex& gidx,
+    const std::vector<uint32_t>* sel, const std::vector<double>* weights) {
+ return GovernedSection([&]() -> Result<GroupedAccumulators> {
+  CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
+                         BoundAggregates::Bind(table, query.aggregates));
+  const size_t G = gidx.num_groups();
+
+  // The accumulator slabs are the aggregation's dominant working memory;
+  // reserve them against the query's budget before touching them (the
+  // fail-point lets tests force the kResourceExhausted path without a real
+  // budget). Held until the accumulators are returned to the caller.
+  size_t slabs = weights != nullptr ? 1 : 0;  // wcnt
+  for (const auto& a : query.aggregates) {
+    if (a.func == AggFunc::kCount || a.func == AggFunc::kMedian) continue;
+    slabs += a.func == AggFunc::kVariance ? 2 : 1;  // sums (+ sums2)
+  }
+  CVOPT_FAILPOINT("exec.groupby.alloc");
+  MemoryReservation slab_res = ReserveMemoryOrThrow(
+      G * (slabs * sizeof(double) + sizeof(uint64_t)),
+      "group-by accumulator slabs");
+
+  GroupedPass pass;
+  pass.row_groups = &gidx.row_groups();
+  pass.sizes = &gidx.sizes();
+  pass.parts = gidx.partitions().get();
+  pass.sel = sel;
+  pass.weights = weights;
+  pass.chunks =
+      AggregationChunks(sel != nullptr ? sel->size() : gidx.num_rows(), G);
+  GroupedAccumulators acc;
+  AccumulateSources(pass, query.aggregates, bound.sources(), &acc);
   return acc;
  });
 }

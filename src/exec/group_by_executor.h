@@ -35,10 +35,35 @@ struct GroupedAccumulators {
   std::vector<std::vector<std::vector<double>>> median_values;  // unweighted
   std::vector<std::vector<std::vector<std::pair<double, double>>>>
       median_pairs;  // weighted MEDIAN: (value, weight) per position
+  // [agg][group]: c_g of a shifted pass (GroupedPass::shift_rows).
+  std::vector<std::vector<double>> shifts;
 
   /// Grows cnt (and wcnt when `weighted`) and every slab and buffer `aggs`
   /// use to `groups` entries; new entries are zero / empty.
   void Grow(const std::vector<AggSpec>& aggs, size_t groups, bool weighted);
+};
+
+/// What one pass of the accumulation core reads besides the value streams.
+struct GroupedPass {
+  /// Position -> dense group id, and the positions per group (whose length
+  /// is the group count): a GroupIndex's row_groups / sizes, or a
+  /// Stratification's row_strata / sizes.
+  const std::vector<uint32_t>* row_groups = nullptr;
+  const std::vector<uint64_t>* sizes = nullptr;
+  /// Radix-partition artifact over the same positions: partition-owned
+  /// slabs instead of the chunk-order merge. Optional.
+  const GroupPartitions* parts = nullptr;
+  /// Surviving positions (a WHERE selection), or null for every position.
+  const std::vector<uint32_t>* sel = nullptr;
+  /// One Horvitz–Thompson weight per position, or null for unit weights.
+  const std::vector<double>* weights = nullptr;
+  /// Chunks of the chunk-order merged path; the merged sums are a pure
+  /// function of this count, never of the thread count.
+  size_t chunks = 1;
+  /// Per-group shift rows, or null. When set, each group's SUM / VARIANCE
+  /// slabs hold sums of (v - c_g) and (v - c_g)^2, where c_g is the value
+  /// at the group's shift row (recorded in GroupedAccumulators::shifts).
+  const std::vector<uint32_t>* shift_rows = nullptr;
 };
 
 /// The one accumulation core: exact execution, the approximate executor
@@ -64,6 +89,16 @@ Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
     const std::vector<uint32_t>* sel,
     const std::vector<double>* weights = nullptr);
+
+/// The loop inside AccumulateGrouped, for callers that bring their own
+/// grouping and value streams (the group-statistics pass): accumulates
+/// sources[j] as aggs[j].func into *acc, grown to the pass's group count.
+/// Only aggs[j].func is read; COUNT sources make no pass. Throws
+/// QueryAbortedError at morsel boundaries; run it inside a GovernedSection.
+void AccumulateSources(const GroupedPass& pass,
+                       const std::vector<AggSpec>& aggs,
+                       const std::vector<StatSource>& sources,
+                       GroupedAccumulators* acc);
 
 /// Finalizes raw accumulators into the aggregate-major finals array
 /// finals[j * G + g]: AVG and VARIANCE divide by the group's count (its

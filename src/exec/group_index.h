@@ -166,6 +166,8 @@ class GroupIndex {
   /// Move-out accessors for callers that keep the mapping (Stratification).
   std::vector<uint32_t> TakeRowGroups() { return std::move(row_groups_); }
   std::vector<uint64_t> TakeSizes() { return std::move(sizes_); }
+  /// Group id -> its first-seen row (the representative KeyOf reads).
+  std::vector<uint32_t> TakeRepRows() { return std::move(rep_rows_); }
 
   /// The radix-partition artifact, when the partitioned build ran (huge
   /// estimated group cardinality and a parallel chunking); null when the

@@ -227,8 +227,7 @@ size_t AggregationChunks(size_t positions, size_t groups) {
 }
 
 void ParallelForChunks(size_t n, size_t chunks,
-                       const std::function<void(size_t, size_t, size_t)>& fn,
-                       int num_threads) {
+                       const std::function<void(size_t, size_t, size_t)>& fn) {
   if (chunks <= 1) {
     // One morsel: a single governance check up front (throws under an
     // expired/cancelled context; no-op when ungoverned).
@@ -240,7 +239,7 @@ void ParallelForChunks(size_t n, size_t chunks,
   // (chunk counts chosen for result determinism, not matched to threads)
   // must not spawn a worker per chunk. The pool's dynamic task claiming
   // spreads the excess chunks over the capped workers.
-  const size_t threads = std::min(chunks, ResolveThreads(num_threads));
+  const size_t threads = std::min(chunks, ResolveThreads());
   // Enforce the nested-call contract at the layer that owns the pool
   // mutex: from inside a batch (worker or draining caller), attempting
   // TryRun would try_to_lock a mutex this thread may already hold (UB), so
@@ -285,11 +284,9 @@ std::vector<size_t> MorselBounds(size_t n, size_t chunks, size_t align) {
 
 }  // namespace
 
-std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp,
-                                     int num_threads) {
+std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp) {
   const size_t n = cp.table_rows();
-  const size_t chunks =
-      ParallelChunkCount(n, ResolveThreads(num_threads), 0);
+  const size_t chunks = ParallelChunkCount(n, ResolveThreads());
   if (chunks <= 1) {
     CheckQueryAbortedOrThrow();
     return cp.Select();
@@ -312,19 +309,14 @@ std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp,
   return out;
 }
 
-void ParallelEvalMask(const CompiledPredicate& cp, uint8_t* out,
-                      int num_threads) {
+void ParallelEvalMask(const CompiledPredicate& cp, uint8_t* out) {
   const size_t n = cp.table_rows();
-  const size_t chunks =
-      ParallelChunkCount(n, ResolveThreads(num_threads), 0);
+  const size_t chunks = ParallelChunkCount(n, ResolveThreads());
   const std::vector<size_t> bounds =
       MorselBounds(n, chunks, cp.zone_chunk_rows());
-  ParallelForChunks(
-      n, chunks,
-      [&](size_t c, size_t, size_t) {
-        cp.EvalMaskRange(bounds[c], bounds[c + 1], out + bounds[c]);
-      },
-      num_threads);
+  ParallelForChunks(n, chunks, [&](size_t c, size_t, size_t) {
+    cp.EvalMaskRange(bounds[c], bounds[c + 1], out + bounds[c]);
+  });
 }
 
 }  // namespace cvopt

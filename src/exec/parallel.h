@@ -8,10 +8,14 @@
 // Determinism contract: chunk boundaries depend only on (n, chunk count),
 // every chunk writes its own slot, and callers merge partial results in
 // chunk order. Integer results are therefore bit-identical to serial for
-// any thread count; floating-point accumulations differ from serial only by
-// summation reassociation (the documented float-summation tolerance). With
-// a resolved thread count of 1 the loop body runs inline on the calling
-// thread over the full range — the exact serial path, no pool involvement.
+// any thread count. Floating-point sums depend on the chunk count alone:
+// the group-statistics pass fixes it from the input shape, so its sums are
+// bit-identical at every thread count; the query executors size it with
+// AggregationChunks, which follows the resolved thread count, so their
+// float sums differ from serial by summation reassociation (the documented
+// float-summation tolerance). With a resolved thread count of 1 the loop
+// body runs inline on the calling thread over the full range — the exact
+// serial path, no pool involvement.
 //
 // Governance: morsel boundaries double as the engine's cancellation /
 // deadline checkpoints. Workers re-install the submitting thread's
@@ -94,11 +98,9 @@ size_t AggregationChunks(size_t positions, size_t groups);
 /// min(chunks, threads) - 1 and claim chunk tasks dynamically. chunks == 1,
 /// one resolved thread, or a nested call runs every chunk inline on the
 /// calling thread — same outputs, since chunk results depend only on chunk
-/// boundaries. `num_threads` overrides the resolved worker count (0 = the
-/// ExecOptions / CVOPT_THREADS / hardware default).
+/// boundaries.
 void ParallelForChunks(size_t n, size_t chunks,
-                       const std::function<void(size_t chunk, size_t lo, size_t hi)>& fn,
-                       int num_threads = 0);
+                       const std::function<void(size_t chunk, size_t lo, size_t hi)>& fn);
 
 /// Partition-then-merge accumulation into per-group slabs, the shared
 /// shape of the executors' SUM/AVG/VAR passes: runs acc(s1, s2, lo, hi)
@@ -158,14 +160,12 @@ void CollectChunked(size_t m, size_t chunks, size_t groups,
 /// Parallel CompiledPredicate evaluation: per-morsel selection vectors,
 /// concatenated in row order — identical output to cp.Select() for every
 /// thread count.
-std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp,
-                                     int num_threads = 0);
+std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp);
 
 /// Parallel byte-mask evaluation over every table row: out[r] = 1 iff row
 /// r matches. Chunks write disjoint output ranges — identical to
 /// cp.EvalMask() for every thread count.
-void ParallelEvalMask(const CompiledPredicate& cp, uint8_t* out,
-                      int num_threads = 0);
+void ParallelEvalMask(const CompiledPredicate& cp, uint8_t* out);
 
 }  // namespace cvopt
 

@@ -85,7 +85,6 @@ Result<StratifiedSample> DrawStratified(
     for (size_t row = 0; row < n; ++row) {
       if ((row & (kCheckEvery - 1)) == 0) CheckQueryAbortedOrThrow();
       const uint32_t c = row_strata[row];
-      if (c == Stratification::kNoStratum) continue;
       const size_t s_c = out_off[c + 1] - out_off[c];
       if (s_c == 0) continue;
       const size_t i = seen[c]++;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/stats/running_stats.h"
-#include "src/util/status.h"
 
 namespace cvopt {
 
@@ -28,9 +27,6 @@ class GroupStatsTable {
   const RunningStats& At(size_t stratum, size_t column) const {
     return flat_[stratum * num_columns_ + column];
   }
-
-  /// Merges another table with identical shape (parallel collection).
-  Status Merge(const GroupStatsTable& other);
 
  private:
   size_t num_strata_ = 0;

@@ -5,13 +5,16 @@
 
 namespace cvopt {
 
+RunningStats RunningStats::FromMoments(uint64_t count, double mean,
+                                       double m2) {
+  RunningStats s;
+  s.count_ = count;
+  s.mean_ = mean;
+  s.m2_ = m2;
+  return s;
+}
+
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
@@ -31,8 +34,6 @@ void RunningStats::Merge(const RunningStats& other) {
   mean_ += delta * nb / n;
   m2_ += other.m2_ + delta * delta * na * nb / n;
   count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance_population() const {
@@ -59,8 +60,7 @@ double RunningStats::cv() const {
 }
 
 bool RunningStats::operator==(const RunningStats& other) const {
-  return count_ == other.count_ && mean_ == other.mean_ && m2_ == other.m2_ &&
-         min_ == other.min_ && max_ == other.max_;
+  return count_ == other.count_ && mean_ == other.mean_ && m2_ == other.m2_;
 }
 
 }  // namespace cvopt

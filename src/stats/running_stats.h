@@ -1,5 +1,5 @@
-// RunningStats: single-pass mean/variance/min/max (Welford), mergeable so
-// statistics can be computed in parallel or combined across strata.
+// RunningStats: single-pass mean/variance (Welford), mergeable so
+// statistics can be combined across strata.
 #ifndef CVOPT_STATS_RUNNING_STATS_H_
 #define CVOPT_STATS_RUNNING_STATS_H_
 
@@ -11,6 +11,10 @@ namespace cvopt {
 class RunningStats {
  public:
   RunningStats() = default;
+
+  /// The accumulator of `count` observations with the given mean and sum
+  /// of squared deviations from it.
+  static RunningStats FromMoments(uint64_t count, double mean, double m2);
 
   /// Adds one observation.
   void Add(double x);
@@ -37,17 +41,12 @@ class RunningStats {
   /// relative to sigma, returns sigma / mu_floor (see cv_mu_floor below).
   double cv() const;
 
-  double min() const { return min_; }
-  double max() const { return max_; }
-
   bool operator==(const RunningStats& other) const;
 
  private:
   uint64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Floor applied to |mu| when computing CVs, relative to sigma. The paper

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/exec/parallel.h"
+#include "src/exec/group_by_executor.h"
 #include "src/exec/query_context.h"
 
 namespace cvopt {
@@ -26,171 +26,72 @@ Status ValidateSources(const Stratification& strat,
   return Status::OK();
 }
 
-// The one value-stream dispatch (constant / indicator / column type),
-// hoisted out of every row loop: calls add_all with a specialized value_at.
-template <class AddAll>
-void WithSourceValues(const StatSource& src, AddAll&& add_all) {
-  if (src.constant_one) {
-    add_all([](size_t) { return 1.0; });
-  } else if (src.indicator != nullptr) {
-    const uint8_t* ind = src.indicator->data();
-    add_all([ind](size_t r) { return ind[r] ? 1.0 : 0.0; });
-  } else if (src.column->type() == DataType::kDouble) {
-    const double* vals = src.column->doubles().data();
-    add_all([vals](size_t r) { return vals[r]; });
-  } else {
-    const int64_t* vals = src.column->ints().data();
-    add_all([vals](size_t r) { return static_cast<double>(vals[r]); });
-  }
-}
-
-// One pass over rows [lo, hi) for a single source: the row-scan order.
-void AccumulateSource(const uint32_t* row_strata, size_t lo, size_t hi,
-                      const StatSource& src, size_t j, GroupStatsTable* out) {
-  WithSourceValues(src, [&](auto value_at) {
-    for (size_t r = lo; r < hi; ++r) {
-      const uint32_t s = row_strata[r];
-      // Filtered stratifications mark excluded rows with kNoStratum; the
-      // branch is never taken (and predicted away) on unfiltered builds.
-      if (s == Stratification::kNoStratum) continue;
-      out->At(s, j).Add(value_at(r));
-    }
-  });
-}
-
-// The list-ordered twin of AccumulateSource: walks the stratification's
-// per-stratum row lists restricted to table-row range [lo, hi) (the whole
-// table when `whole`). Each (stratum, source) RunningStats receives exactly
-// the Add sequence of the row scan — that stratum's rows in ascending row
-// order within the chunk — so the collected statistics are bit-identical;
-// only the iteration order ACROSS strata changes, which keeps each target
-// RunningStats hot across its whole run instead of bouncing per row. Used
-// when the stratification already carries the lists (a partitioned build,
-// or a consumer materialized them); the sampler determinism contract is
-// unaffected because the merged values are identical to the row scan's.
-void AccumulateSourceLists(const uint32_t* srows, const size_t* sbase,
-                           size_t strata, size_t lo, size_t hi, bool whole,
-                           const StatSource& src, size_t j,
-                           GroupStatsTable* out) {
-  WithSourceValues(src, [&](auto value_at) {
-    for (size_t s = 0; s < strata; ++s) {
-      const uint32_t* b = srows + sbase[s];
-      const uint32_t* e = srows + sbase[s + 1];
-      if (!whole) {
-        b = std::lower_bound(b, e, static_cast<uint32_t>(lo));
-        e = std::lower_bound(b, e, static_cast<uint32_t>(hi));
-      }
-      if (b == e) continue;
-      RunningStats& rs = out->At(s, j);
-      for (const uint32_t* it = b; it != e; ++it) {
-        rs.Add(value_at(static_cast<size_t>(*it)));
-      }
-    }
-  });
-}
-
-// Deterministic chunk count for the statistics pass: a pure function of the
-// input shape (rows, strata), never of the resolved thread count or the
-// ExecOptions morsel grain. The samplers' determinism contract (seed ->
-// sample, independent of CVOPT_THREADS) requires it: CVOPT / RL allocations
-// solve from these statistics, and a last-ulp difference in a merged
-// variance can move an integral allocation boundary — so the chunk-order
-// merge must produce bit-identical numbers for every thread count, with the
-// pool's capped workers claiming the fixed chunks dynamically.
-size_t DeterministicStatChunks(size_t n, size_t strata) {
-  constexpr size_t kGrain = 8192;   // amortizes per-chunk table setup
-  // Every chunk beyond the first costs strata * sources division-heavy
-  // RunningStats::Merge calls even when the pass runs on one thread, so
-  // the fixed fan-out stays small; 16 chunks keep the serial overhead a
-  // few percent while feeding realistic thread counts.
-  constexpr size_t kMaxChunks = 16;
-  size_t chunks = std::min(n / kGrain, kMaxChunks);
-  if (strata > 0) {
-    // Merging costs chunks * strata RunningStats::Merge calls; cap the
-    // chunk count where accumulator traffic would rival the row scan (the
-    // AggregationChunks rule, without its thread-count dependence).
-    chunks = std::min(chunks, n / (4 * strata));
-  }
+// The statistics pass's chunk count, fixed by input shape alone (see
+// CollectGroupStats): 8192 rows per chunk amortize the per-chunk slab
+// setup, at most 16 chunks keep the serial merge a few percent of the
+// pass, and n / (4 * strata) caps the fan-out where slab merging would
+// rival the row scan — the AggregationChunks rule without its thread-count
+// dependence.
+size_t StatChunks(size_t n, size_t strata) {
+  size_t chunks = std::min<size_t>(n / 8192, 16);
+  if (strata > 0) chunks = std::min(chunks, n / (4 * strata));
   return std::max<size_t>(1, chunks);
-}
-
-// Shared collection core: accumulate per-chunk GroupStatsTables over a
-// thread-count-independent chunking and merge them in chunk order (Chan et
-// al. pairwise merge). `num_threads` only bounds the pool fan-out (0 = the
-// ExecOptions / CVOPT_THREADS default); the merged statistics are
-// bit-identical for every value. One chunk runs the serial loop inline with
-// no partials. When the stratification already carries per-stratum row
-// lists (partitioned builds), the accumulation walks the lists instead of
-// re-scanning row_strata — same chunk boundaries, same per-(stratum,
-// source, chunk) Add sequences, identical output.
-Result<GroupStatsTable> CollectImpl(const Stratification& strat,
-                                    const std::vector<StatSource>& sources,
-                                    int num_threads) {
- return GovernedSection([&]() -> Result<GroupStatsTable> {
-  CVOPT_RETURN_NOT_OK(ValidateSources(strat, sources));
-  CVOPT_RETURN_NOT_OK(CheckQueryAborted());
-  const size_t n = strat.table().num_rows();
-  const size_t strata = strat.num_strata();
-  const uint32_t* row_strata = strat.row_strata().data();
-  const bool use_lists = strat.stratum_rows_cheap();
-  const uint32_t* srows = nullptr;
-  const size_t* sbase = nullptr;
-  if (use_lists) {
-    srows = strat.stratum_rows().data();
-    sbase = strat.stratum_row_base().data();
-  }
-  const size_t chunks = DeterministicStatChunks(n, strata);
-  if (chunks <= 1) {
-    GroupStatsTable stats(strata, sources.size());
-    for (size_t j = 0; j < sources.size(); ++j) {
-      if (use_lists) {
-        AccumulateSourceLists(srows, sbase, strata, 0, n, /*whole=*/true,
-                              sources[j], j, &stats);
-      } else {
-        AccumulateSource(row_strata, 0, n, sources[j], j, &stats);
-      }
-    }
-    return stats;
-  }
-
-  MemoryReservation partials_res = ReserveMemoryOrThrow(
-      chunks * strata * sources.size() * sizeof(RunningStats),
-      "per-chunk statistics tables");
-  std::vector<GroupStatsTable> partials(
-      chunks, GroupStatsTable(strata, sources.size()));
-  ParallelForChunks(
-      n, chunks,
-      [&](size_t c, size_t lo, size_t hi) {
-        GroupStatsTable& local = partials[c];
-        for (size_t j = 0; j < sources.size(); ++j) {
-          if (use_lists) {
-            AccumulateSourceLists(srows, sbase, strata, lo, hi,
-                                  /*whole=*/false, sources[j], j, &local);
-          } else {
-            AccumulateSource(row_strata, lo, hi, sources[j], j, &local);
-          }
-        }
-      },
-      num_threads);
-  GroupStatsTable merged = std::move(partials[0]);
-  for (size_t c = 1; c < chunks; ++c) {
-    CVOPT_RETURN_NOT_OK(merged.Merge(partials[c]));
-  }
-  return merged;
- });
 }
 
 }  // namespace
 
 Result<GroupStatsTable> CollectGroupStats(
     const Stratification& strat, const std::vector<StatSource>& sources) {
-  return CollectImpl(strat, sources, 0);
-}
+ return GovernedSection([&]() -> Result<GroupStatsTable> {
+  CVOPT_RETURN_NOT_OK(ValidateSources(strat, sources));
+  CVOPT_RETURN_NOT_OK(CheckQueryAborted());
+  const size_t strata = strat.num_strata();
+  const size_t t = sources.size();
+  // Every value source accumulates like a VARIANCE aggregate (sum and
+  // sum-of-squares slabs); COUNT sources are answered by the sizes.
+  std::vector<AggSpec> aggs(t);
+  size_t value_sources = 0;
+  for (size_t j = 0; j < t; ++j) {
+    const bool count = sources[j].constant_one;
+    aggs[j].func = count ? AggFunc::kCount : AggFunc::kVariance;
+    value_sources += count ? 0 : 1;
+  }
+  GroupedPass pass;
+  pass.row_groups = &strat.row_strata();
+  pass.sizes = &strat.sizes();
+  pass.chunks = StatChunks(strat.table().num_rows(), strata);
+  pass.shift_rows = &strat.first_rows();
+  // Sum, sum-of-squares and shift slabs per value source, plus the
+  // per-chunk partial sum slabs of the source being accumulated.
+  const size_t partials =
+      pass.chunks > 1 && value_sources > 0 ? 2 * pass.chunks : 0;
+  MemoryReservation slab_res = ReserveMemoryOrThrow(
+      strata * ((3 * value_sources + partials) * sizeof(double) +
+                sizeof(uint64_t)),
+      "group statistics slabs");
+  GroupedAccumulators acc;
+  AccumulateSources(pass, aggs, sources, &acc);
 
-Result<GroupStatsTable> CollectGroupStatsParallel(
-    const Stratification& strat, const std::vector<StatSource>& sources,
-    int num_threads) {
-  return CollectImpl(strat, sources, num_threads);
+  GroupStatsTable stats(strata, t);
+  for (size_t j = 0; j < t; ++j) {
+    for (size_t c = 0; c < strata; ++c) {
+      const uint64_t n_c = acc.cnt[c];
+      if (n_c == 0) continue;
+      if (sources[j].constant_one) {
+        stats.At(c, j) = RunningStats::FromMoments(n_c, 1.0, 0.0);
+        continue;
+      }
+      // Shifted moments: s1 = sum(v - c), s2 = sum((v - c)^2), so the mean
+      // is c + s1 / n and the squared deviations sum to s2 - s1^2 / n.
+      const double n = static_cast<double>(n_c);
+      const double s1 = acc.sums[j][c];
+      const double m2 = std::max(0.0, acc.sums2[j][c] - s1 * (s1 / n));
+      stats.At(c, j) =
+          RunningStats::FromMoments(n_c, acc.shifts[j][c] + s1 / n, m2);
+    }
+  }
+  return stats;
+ });
 }
 
 }  // namespace cvopt

@@ -21,31 +21,22 @@ struct StatSource {
   const Column* column = nullptr;
   const std::vector<uint8_t>* indicator = nullptr;
   bool constant_one = false;
-
-  double ValueAt(size_t row) const {
-    if (constant_one) return 1.0;
-    if (indicator != nullptr) return (*indicator)[row] ? 1.0 : 0.0;
-    return column->GetDouble(row);
-  }
 };
 
-/// Computes RunningStats for every (stratum, source) pair in one pass over
-/// the table rows of `strat`, chunked through the shared execution pool.
-/// The chunking is a pure function of the input shape — never of the
-/// resolved thread count — so the chunk-order merged statistics (Chan et
-/// al. pairwise merge) are bit-identical for every CVOPT_THREADS value.
-/// That invariant feeds the samplers' determinism contract: allocations
-/// solved from these statistics, and hence the per-stratum RNG-stream
-/// draws, cannot shift with the thread count.
+/// Count, mean and population variance of every (stratum, source) pair, in
+/// one pass of the weighted accumulation core (AccumulateSources) over the
+/// table rows of `strat`. Each stratum accumulates sum(v - c) and
+/// sum((v - c)^2) about c, the source's value at the stratum's first-seen
+/// row, so mean and variance come out numerically sound without a per-row
+/// division; constant-one (COUNT) sources read the stratum sizes and make
+/// no pass. The pass splits rows into min(n / 8192, 16, n / (4 * strata))
+/// chunks merged in chunk order — a pure function of the input shape, never
+/// of the thread count — so the statistics are bit-identical for every
+/// CVOPT_THREADS value. The samplers' determinism contract rests on that:
+/// allocations solved from these statistics, and hence the per-stratum
+/// RNG-stream draws, cannot shift with the thread count.
 Result<GroupStatsTable> CollectGroupStats(const Stratification& strat,
                                           const std::vector<StatSource>& sources);
-
-/// CollectGroupStats with an explicit worker-count override (<= 0 uses the
-/// ExecOptions / CVOPT_THREADS / hardware default). The override bounds the
-/// pool fan-out only; the collected statistics are identical either way.
-Result<GroupStatsTable> CollectGroupStatsParallel(
-    const Stratification& strat, const std::vector<StatSource>& sources,
-    int num_threads = 0);
 
 }  // namespace cvopt
 

@@ -2,8 +2,9 @@
 // every parallel path (predicate selection, GroupIndex builds, exact and
 // approximate aggregation, stratification, group statistics, sampler
 // builds) must reproduce the serial result across thread counts — integer
-// outputs and orderings bit-identically, floating-point accumulations
-// within the documented float-summation tolerance.
+// outputs, orderings and group statistics bit-identically, the executors'
+// floating-point accumulations within the documented float-summation
+// tolerance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,59 +229,58 @@ TEST_P(ParallelExecTest, WideTierBitIdenticalAcrossThreads) {
 
 TEST_P(ParallelExecTest, StratificationBitIdenticalAcrossThreads) {
   const Table& t = TestTable();
-  const PredicatePtr where = Predicate::Between("hour", 6, 18);
-  Stratification serial_plain = [&] {
+  Stratification serial = [&] {
     ScopedExecThreads one(1);
     return std::move(Stratification::Build(t, {"country", "parameter"}))
         .ValueOrDie();
   }();
-  Stratification serial_filtered = [&] {
-    ScopedExecThreads one(1);
-    return std::move(Stratification::Build(t, {"country", "parameter"}, where))
-        .ValueOrDie();
-  }();
   ScopedExecThreads threads(GetParam());
-  ASSERT_OK_AND_ASSIGN(Stratification par_plain,
+  ASSERT_OK_AND_ASSIGN(Stratification par,
                        Stratification::Build(t, {"country", "parameter"}));
-  ASSERT_OK_AND_ASSIGN(
-      Stratification par_filtered,
-      Stratification::Build(t, {"country", "parameter"}, where));
-  EXPECT_EQ(par_plain.row_strata(), serial_plain.row_strata());
-  EXPECT_EQ(par_plain.sizes(), serial_plain.sizes());
-  EXPECT_EQ(par_filtered.row_strata(), serial_filtered.row_strata());
-  EXPECT_EQ(par_filtered.sizes(), serial_filtered.sizes());
-  ASSERT_EQ(par_filtered.num_strata(), serial_filtered.num_strata());
-  for (size_t c = 0; c < serial_filtered.num_strata(); ++c) {
-    EXPECT_EQ(par_filtered.key(c).codes, serial_filtered.key(c).codes);
+  EXPECT_EQ(par.row_strata(), serial.row_strata());
+  EXPECT_EQ(par.sizes(), serial.sizes());
+  EXPECT_EQ(par.first_rows(), serial.first_rows());
+  ASSERT_EQ(par.num_strata(), serial.num_strata());
+  for (size_t c = 0; c < serial.num_strata(); ++c) {
+    EXPECT_EQ(par.key(c).codes, serial.key(c).codes);
   }
 }
 
 TEST_P(ParallelExecTest, GroupStatsMatchSerial) {
+  // The statistics pass chunks by input shape alone, so count, mean and
+  // population variance are bit-identical at every thread count — the
+  // samplers' seed -> sample contract rests on it.
   const Table& t = TestTable();
   ASSERT_OK_AND_ASSIGN(Stratification strat,
                        Stratification::Build(t, {"country", "parameter"}));
   ASSERT_OK_AND_ASSIGN(const Column* v, t.ColumnByName("value"));
-  StatSource src;
-  src.column = v;
-  StatSource one;
+  ASSERT_OK_AND_ASSIGN(const Column* hour, t.ColumnByName("hour"));
+  std::vector<uint8_t> ind(t.num_rows());
+  for (size_t r = 0; r < t.num_rows(); ++r) ind[r] = v->GetDouble(r) > 0.04;
+  StatSource value, ints, indicator, one;
+  value.column = v;
+  ints.column = hour;
+  indicator.indicator = &ind;
   one.constant_one = true;
+  const std::vector<StatSource> sources = {value, ints, indicator, one};
   GroupStatsTable serial = [&] {
     ScopedExecThreads st(1);
-    return std::move(CollectGroupStats(strat, {src, one})).ValueOrDie();
+    return std::move(CollectGroupStats(strat, sources)).ValueOrDie();
   }();
-  ScopedExecThreads threads(GetParam());
-  ASSERT_OK_AND_ASSIGN(GroupStatsTable par, CollectGroupStats(strat, {src, one}));
-  ASSERT_EQ(par.num_strata(), serial.num_strata());
-  for (size_t c = 0; c < serial.num_strata(); ++c) {
-    for (size_t j = 0; j < 2; ++j) {
-      EXPECT_EQ(par.At(c, j).count(), serial.At(c, j).count());
-      EXPECT_DOUBLE_EQ(par.At(c, j).min(), serial.At(c, j).min());
-      EXPECT_DOUBLE_EQ(par.At(c, j).max(), serial.At(c, j).max());
-      EXPECT_NEAR(par.At(c, j).mean(), serial.At(c, j).mean(),
-                  1e-9 * std::max(1.0, std::fabs(serial.At(c, j).mean())));
-      EXPECT_NEAR(par.At(c, j).variance_population(),
-                  serial.At(c, j).variance_population(),
-                  1e-6 * std::max(1.0, serial.At(c, j).variance_population()));
+  for (const int threads : {GetParam(), 16}) {
+    ScopedExecThreads scoped(threads);
+    ASSERT_OK_AND_ASSIGN(GroupStatsTable par,
+                         CollectGroupStats(strat, sources));
+    ASSERT_EQ(par.num_strata(), serial.num_strata());
+    for (size_t c = 0; c < serial.num_strata(); ++c) {
+      for (size_t j = 0; j < sources.size(); ++j) {
+        const RunningStats& p = par.At(c, j);
+        const RunningStats& s = serial.At(c, j);
+        EXPECT_EQ(p.count(), s.count()) << threads << " " << c << " " << j;
+        EXPECT_EQ(p.mean(), s.mean()) << threads << " " << c << " " << j;
+        EXPECT_EQ(p.variance_population(), s.variance_population())
+            << threads << " " << c << " " << j;
+      }
     }
   }
 }
@@ -393,50 +393,36 @@ TEST_P(ParallelExecTest, HugeGroupCountExecutorMatchesSerial) {
 TEST_P(ParallelExecTest, StratumRowListsMatchEveryDerivation) {
   // The per-stratum row lists are a pure function of the stratification:
   // the counting-sort fallback, the partition-backed fill, and every
-  // thread count must produce identical arrays — for plain and filtered
-  // builds alike.
+  // thread count must produce identical arrays.
   const Table& t = TestTable();
-  const PredicatePtr where = Predicate::Between("hour", 6, 18);
-  std::vector<uint32_t> ref_rows, ref_filtered_rows;
-  std::vector<size_t> ref_base, ref_filtered_base;
+  std::vector<uint32_t> ref_rows;
+  std::vector<size_t> ref_base;
   {
     ScopedExecThreads one(1);
     ASSERT_OK_AND_ASSIGN(Stratification s,
                          Stratification::Build(t, {"country", "parameter"}));
-    ASSERT_OK_AND_ASSIGN(
-        Stratification sf,
-        Stratification::Build(t, {"country", "parameter"}, where));
     EXPECT_FALSE(s.stratum_rows_materialized());
     ref_rows = s.stratum_rows();  // counting-sort fallback (no partitions)
     ref_base = s.stratum_row_base();
     EXPECT_TRUE(s.stratum_rows_materialized());
-    ref_filtered_rows = sf.stratum_rows();
-    ref_filtered_base = sf.stratum_row_base();
-    // The lists tile the (surviving) rows exactly.
+    // The lists tile the rows exactly.
     EXPECT_EQ(ref_rows.size(), t.num_rows());
     EXPECT_EQ(ref_base.back(), t.num_rows());
-    EXPECT_LT(ref_filtered_rows.size(), t.num_rows());
   }
   ScopedRadixOverride radix(/*mode=*/1, /*partitions=*/8);
   ScopedExecThreads threads(GetParam());
   ASSERT_OK_AND_ASSIGN(Stratification par,
                        Stratification::Build(t, {"country", "parameter"}));
-  ASSERT_OK_AND_ASSIGN(
-      Stratification parf,
-      Stratification::Build(t, {"country", "parameter"}, where));
-  EXPECT_TRUE(par.stratum_rows_cheap());  // partition-backed fill available
-  EXPECT_EQ(par.stratum_rows(), ref_rows);
+  EXPECT_EQ(par.stratum_rows(), ref_rows);  // partition-backed fill
   EXPECT_EQ(par.stratum_row_base(), ref_base);
-  EXPECT_EQ(parf.stratum_rows(), ref_filtered_rows);
-  EXPECT_EQ(parf.stratum_row_base(), ref_filtered_base);
 }
 
 TEST_P(ParallelExecTest, SamplersBitIdenticalWithForcedRadix) {
   // End-to-end through the partition artifact: stratification lists come
-  // from the radix build, CollectGroupStats walks them list-ordered, and
-  // DrawStratified draws from them — every sampler's rows and weights must
-  // still be bit-identical to the default serial path (the PR 4 sample
-  // determinism contract survives the refactor).
+  // from the radix build and DrawStratified draws from them, while the
+  // statistics pass keeps its shape-fixed chunking — every sampler's rows
+  // and weights must still be bit-identical to the default serial path
+  // (the sample determinism contract).
   const Table& t = TestTable();
   QuerySpec q = AllAggregatesQuery(false);
   const UniformSampler uniform;

@@ -13,13 +13,10 @@
 #include <map>
 #include <numeric>
 
-#include "src/core/stratification.h"
 #include "src/exec/group_by_executor.h"
 #include "src/expr/compiled_predicate.h"
 #include "src/expr/predicate.h"
-#include "src/sample/sampler.h"
 #include "src/sample/streaming_cvopt_sampler.h"
-#include "src/stats/stats_collector.h"
 #include "src/util/simd.h"
 #include "tests/test_util.h"
 
@@ -431,65 +428,6 @@ TEST(NanSemanticsTest, ExactInt64ComparisonsBeyondDoublePrecision) {
             1u);
   EXPECT_EQ(Count(t, Predicate::Compare("i", CompareOp::kGt, two53)), 1u);
   EXPECT_EQ(Count(t, Predicate::In("i", {Value(two53 + 1)})), 1u);
-}
-
-// ----------------------------------------------- filtered stratification
-
-TEST(FilteredStratificationTest, ExcludedRowsCarrySentinel) {
-  Table t = MakeStudentTable();
-  auto where = Predicate::Compare("college", CompareOp::kEq, "Science");
-  ASSERT_OK_AND_ASSIGN(Stratification strat,
-                       Stratification::Build(t, {"major"}, where));
-  // Science rows are 0..3 with majors CS, CS, Math, Math.
-  EXPECT_EQ(strat.num_strata(), 2u);
-  ASSERT_OK_AND_ASSIGN(CompiledPredicate cp,
-                       CompiledPredicate::Compile(t, *where));
-  uint64_t covered = 0;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    if (cp.MatchesRow(r)) {
-      EXPECT_NE(strat.StratumOfRow(r), Stratification::kNoStratum);
-      ++covered;
-    } else {
-      EXPECT_EQ(strat.StratumOfRow(r), Stratification::kNoStratum);
-    }
-  }
-  uint64_t total = 0;
-  for (uint64_t s : strat.sizes()) total += s;
-  EXPECT_EQ(total, covered);
-  // Null predicate falls back to the unfiltered build.
-  ASSERT_OK_AND_ASSIGN(Stratification full,
-                       Stratification::Build(t, {"major"}, nullptr));
-  EXPECT_EQ(full.num_strata(), 4u);
-}
-
-TEST(FilteredStratificationTest, DownstreamConsumersSkipExcludedRows) {
-  Table t = MakeStudentTable();
-  auto where = Predicate::Compare("college", CompareOp::kEq, "Science");
-  ASSERT_OK_AND_ASSIGN(Stratification strat,
-                       Stratification::Build(t, {"major"}, where));
-  // CollectGroupStats must ignore kNoStratum rows: per-stratum counts cover
-  // exactly the 4 Science rows (CS x2, Math x2).
-  StatSource src;
-  src.constant_one = true;
-  ASSERT_OK_AND_ASSIGN(GroupStatsTable stats, CollectGroupStats(strat, {src}));
-  ASSERT_EQ(stats.num_strata(), 2u);
-  uint64_t covered = 0;
-  for (size_t c = 0; c < stats.num_strata(); ++c) {
-    covered += stats.At(c, 0).count();
-  }
-  EXPECT_EQ(covered, 4u);
-  // DrawStratified must never sample an excluded row.
-  auto shared =
-      std::make_shared<const Stratification>(std::move(strat));
-  Rng rng(3);
-  ASSERT_OK_AND_ASSIGN(
-      StratifiedSample sample,
-      DrawStratified(t, shared, std::vector<uint64_t>(2, 2), "TEST", &rng));
-  ASSERT_OK_AND_ASSIGN(CompiledPredicate cp,
-                       CompiledPredicate::Compile(t, *where));
-  for (uint32_t row : sample.rows()) {
-    EXPECT_TRUE(cp.MatchesRow(row)) << "sampled excluded row " << row;
-  }
 }
 
 TEST(IngestDenseTest, RejectsCollisionsWithExistingGroups) {

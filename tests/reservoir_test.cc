@@ -178,36 +178,6 @@ TEST(DrawStratifiedEdgeTest, TakeAllEmptyAndSingleRowStrata) {
   for (double w : s.weights()) EXPECT_DOUBLE_EQ(w, 1.0);
 }
 
-TEST(DrawStratifiedEdgeTest, FilteredStratificationNeverDrawsExcludedRows) {
-  // Rows failing the WHERE carry kNoStratum: they are bucketed nowhere and
-  // can never be drawn, and per-stratum populations count survivors only.
-  Table t = MakeSkewedTable(4, 100, /*seed=*/3);
-  const PredicatePtr where =
-      Predicate::Compare("v", CompareOp::kGt, Value(20.0));
-  ASSERT_OK_AND_ASSIGN(Stratification strat,
-                       Stratification::Build(t, {"g"}, where));
-  auto shared = std::make_shared<Stratification>(std::move(strat));
-  const size_t r = shared->num_strata();
-  ASSERT_GT(r, 0u);
-  std::vector<uint64_t> alloc(r);
-  for (size_t c = 0; c < r; ++c) {
-    alloc[c] = std::max<uint64_t>(1, shared->sizes()[c] / 2);
-  }
-  Rng rng(73);
-  ASSERT_OK_AND_ASSIGN(StratifiedSample s,
-                       DrawStratified(t, shared, alloc, "t", &rng));
-  ASSERT_OK_AND_ASSIGN(const Column* v, t.ColumnByName("v"));
-  std::vector<uint64_t> per(r, 0);
-  for (uint32_t row : s.rows()) {
-    EXPECT_GT(v->GetDouble(row), 20.0) << "excluded row drawn";
-    ASSERT_NE(shared->StratumOfRow(row), Stratification::kNoStratum);
-    per[shared->StratumOfRow(row)]++;
-  }
-  for (size_t c = 0; c < r; ++c) {
-    EXPECT_EQ(per[c], std::min<uint64_t>(alloc[c], shared->sizes()[c]));
-  }
-}
-
 TEST(DrawStratifiedEdgeTest, AllAllocationsZeroYieldsEmptySample) {
   Table t = MakeSkewedTable(3, 20);
   ASSERT_OK_AND_ASSIGN(Stratification strat, Stratification::Build(t, {"g"}));

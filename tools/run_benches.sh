@@ -142,7 +142,14 @@ doc["description"] = (
     "scheduler); interpret them against hardware_concurrency. Values are "
     "per-bench medians across `repeats` runs of the whole suite "
     "(single-run host noise is ±15-25%; regenerate with "
-    "tools/run_benches.sh --repeats 5). BM_MaskedGroupByRadix vs "
+    "tools/run_benches.sh --repeats 5). Benches whose work runs on the "
+    "pool are timed in wall time (a /real_time key); the seed-tracked "
+    "single-configuration benches (BM_ExactGroupBy*, "
+    "BM_StratificationBuild, BM_CollectGroupStats, ...) keep their keys "
+    "and the calling thread's CPU time, because speedup_vs_seed compares "
+    "them against CPU-time baselines — when the pool does part of their "
+    "work, that CPU time understates the cost. "
+    "BM_MaskedGroupByRadix vs "
     "BM_MaskedGroupByMerge is the masked partition-slab path against the "
     "pre-SIMD chunk-merge baseline (radix off, scalar kernels) on the same "
     "data, both pinned to an 8-way fan-out (the merge only exists when "
@@ -162,7 +169,10 @@ doc["description"] = (
     "(24 packed key bits), partitioned and hash-probed per partition; "
     "BM_AdaptiveGroupBySmallG is the ~2k-group control on the same tier, "
     "which takes the chunk-merge path (the realized group count is "
-    "reported as a bench counter). "
+    "reported as a bench counter); the masked and adaptive pairs run on "
+    "an 8-thread pool, hence wall time. BM_GroupStatsParallel/<threads> "
+    "is CollectGroupStats across the thread ladder (its statistics are "
+    "bit-identical at every fan-out). "
     "BM_ExactGroupByGoverned vs BM_ExactGroupByUngoverned is the same "
     "group-by under a permissive QueryContext (deadline + budget checks at "
     "morsel boundaries) vs no governance; BM_GovernanceCheck and "
