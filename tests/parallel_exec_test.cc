@@ -1,10 +1,10 @@
 // Differential tests for the morsel-driven parallel execution engine:
 // every parallel path (predicate selection, GroupIndex builds, exact and
-// approximate aggregation, stratification, group statistics, sampler
-// builds) must reproduce the serial result across thread counts — integer
-// outputs, orderings and group statistics bit-identically, the executors'
-// floating-point accumulations within the documented float-summation
-// tolerance.
+// approximate aggregation, stratification, sampler builds) must reproduce
+// the serial result across thread counts — integer outputs and orderings
+// bit-identically, the executors' floating-point accumulations within the
+// documented float-summation tolerance. The group-statistics pass has its
+// own suite in parallel_stats_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "src/sample/senate_sampler.h"
 #include "src/sample/streaming_cvopt_sampler.h"
 #include "src/sample/uniform_sampler.h"
-#include "src/stats/stats_collector.h"
 #include "src/util/simd.h"
 #include "tests/test_util.h"
 
@@ -243,45 +242,6 @@ TEST_P(ParallelExecTest, StratificationBitIdenticalAcrossThreads) {
   ASSERT_EQ(par.num_strata(), serial.num_strata());
   for (size_t c = 0; c < serial.num_strata(); ++c) {
     EXPECT_EQ(par.key(c).codes, serial.key(c).codes);
-  }
-}
-
-TEST_P(ParallelExecTest, GroupStatsMatchSerial) {
-  // The statistics pass chunks by input shape alone, so count, mean and
-  // population variance are bit-identical at every thread count — the
-  // samplers' seed -> sample contract rests on it.
-  const Table& t = TestTable();
-  ASSERT_OK_AND_ASSIGN(Stratification strat,
-                       Stratification::Build(t, {"country", "parameter"}));
-  ASSERT_OK_AND_ASSIGN(const Column* v, t.ColumnByName("value"));
-  ASSERT_OK_AND_ASSIGN(const Column* hour, t.ColumnByName("hour"));
-  std::vector<uint8_t> ind(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) ind[r] = v->GetDouble(r) > 0.04;
-  StatSource value, ints, indicator, one;
-  value.column = v;
-  ints.column = hour;
-  indicator.indicator = &ind;
-  one.constant_one = true;
-  const std::vector<StatSource> sources = {value, ints, indicator, one};
-  GroupStatsTable serial = [&] {
-    ScopedExecThreads st(1);
-    return std::move(CollectGroupStats(strat, sources)).ValueOrDie();
-  }();
-  for (const int threads : {GetParam(), 16}) {
-    ScopedExecThreads scoped(threads);
-    ASSERT_OK_AND_ASSIGN(GroupStatsTable par,
-                         CollectGroupStats(strat, sources));
-    ASSERT_EQ(par.num_strata(), serial.num_strata());
-    for (size_t c = 0; c < serial.num_strata(); ++c) {
-      for (size_t j = 0; j < sources.size(); ++j) {
-        const RunningStats& p = par.At(c, j);
-        const RunningStats& s = serial.At(c, j);
-        EXPECT_EQ(p.count(), s.count()) << threads << " " << c << " " << j;
-        EXPECT_EQ(p.mean(), s.mean()) << threads << " " << c << " " << j;
-        EXPECT_EQ(p.variance_population(), s.variance_population())
-            << threads << " " << c << " " << j;
-      }
-    }
   }
 }
 

@@ -1,7 +1,11 @@
-// Tests for parallel group-statistics collection.
+// Thread-count tests for group-statistics collection. The statistics pass
+// chunks by input shape alone, so count, mean and population variance are
+// bit-identical at every thread count: the samplers' seed -> sample
+// contract rests on it.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/datagen/openaq_gen.h"
 #include "src/stats/stats_collector.h"
@@ -10,64 +14,79 @@
 namespace cvopt {
 namespace {
 
-class ParallelStatsTest : public testing::TestWithParam<int> {};
+// Non-power-of-two row count: chunk boundaries land mid-stride everywhere.
+constexpr uint64_t kRows = 100003;
 
-TEST_P(ParallelStatsTest, MatchesSerialCollection) {
-  OpenAqOptions opts;
-  opts.num_rows = 100000;
-  Table t = GenerateOpenAq(opts);
-  ASSERT_OK_AND_ASSIGN(Stratification strat,
-                       Stratification::Build(t, {"country", "parameter"}));
-  ASSERT_OK_AND_ASSIGN(const Column* v, t.ColumnByName("value"));
-  StatSource src;
-  src.column = v;
-  StatSource one;
-  one.constant_one = true;
+const Table& TestTable() {
+  static const Table* t = [] {
+    OpenAqOptions opts;
+    opts.num_rows = kRows;
+    return new Table(GenerateOpenAq(opts));
+  }();
+  return *t;
+}
 
-  ASSERT_OK_AND_ASSIGN(GroupStatsTable serial,
-                       CollectGroupStats(strat, {src, one}));
-  ASSERT_OK_AND_ASSIGN(GroupStatsTable parallel,
-                       CollectGroupStatsParallel(strat, {src, one}, GetParam()));
-  ASSERT_EQ(parallel.num_strata(), serial.num_strata());
+void ExpectStatsIdentical(const GroupStatsTable& par,
+                          const GroupStatsTable& serial, int threads) {
+  ASSERT_EQ(par.num_strata(), serial.num_strata());
+  ASSERT_EQ(par.num_columns(), serial.num_columns());
   for (size_t c = 0; c < serial.num_strata(); ++c) {
-    for (size_t j = 0; j < 2; ++j) {
-      EXPECT_EQ(parallel.At(c, j).count(), serial.At(c, j).count());
-      EXPECT_NEAR(parallel.At(c, j).mean(), serial.At(c, j).mean(),
-                  1e-9 * std::max(1.0, std::fabs(serial.At(c, j).mean())));
-      EXPECT_NEAR(parallel.At(c, j).variance_population(),
-                  serial.At(c, j).variance_population(),
-                  1e-6 * std::max(1.0, serial.At(c, j).variance_population()));
-      EXPECT_DOUBLE_EQ(parallel.At(c, j).min(), serial.At(c, j).min());
-      EXPECT_DOUBLE_EQ(parallel.At(c, j).max(), serial.At(c, j).max());
+    for (size_t j = 0; j < serial.num_columns(); ++j) {
+      const RunningStats& p = par.At(c, j);
+      const RunningStats& s = serial.At(c, j);
+      EXPECT_EQ(p.count(), s.count()) << threads << " " << c << " " << j;
+      EXPECT_EQ(p.mean(), s.mean()) << threads << " " << c << " " << j;
+      EXPECT_EQ(p.variance_population(), s.variance_population())
+          << threads << " " << c << " " << j;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelStatsTest,
-                         testing::Values(0, 1, 2, 4, 8, 16));
+class ParallelStatsTest : public testing::TestWithParam<int> {};
 
-TEST(ParallelStatsTest2, TinyTableFallsBackToSerial) {
+TEST_P(ParallelStatsTest, MatchesSerialCollection) {
+  const Table& t = TestTable();
+  ASSERT_OK_AND_ASSIGN(Stratification strat,
+                       Stratification::Build(t, {"country", "parameter"}));
+  ASSERT_OK_AND_ASSIGN(const Column* v, t.ColumnByName("value"));
+  ASSERT_OK_AND_ASSIGN(const Column* hour, t.ColumnByName("hour"));
+  std::vector<uint8_t> ind(t.num_rows());
+  for (size_t r = 0; r < t.num_rows(); ++r) ind[r] = v->GetDouble(r) > 0.04;
+  StatSource value, ints, indicator, one;
+  value.column = v;
+  ints.column = hour;
+  indicator.indicator = &ind;
+  one.constant_one = true;
+  const std::vector<StatSource> sources = {value, ints, indicator, one};
+  GroupStatsTable serial = [&] {
+    ScopedExecThreads st(1);
+    return std::move(CollectGroupStats(strat, sources)).ValueOrDie();
+  }();
+  for (const int threads : {GetParam(), 16}) {
+    ScopedExecThreads scoped(threads);
+    ASSERT_OK_AND_ASSIGN(GroupStatsTable par,
+                         CollectGroupStats(strat, sources));
+    ExpectStatsIdentical(par, serial, threads);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelStatsTest,
+                         testing::Values(1, 2, 3, 8));
+
+TEST(ParallelStatsTest2, TinyTableMatchesSerial) {
   Table t = MakeStudentTable();
   ASSERT_OK_AND_ASSIGN(Stratification strat,
                        Stratification::Build(t, {"major"}));
   ASSERT_OK_AND_ASSIGN(const Column* gpa, t.ColumnByName("gpa"));
   StatSource src;
   src.column = gpa;
-  ASSERT_OK_AND_ASSIGN(GroupStatsTable stats,
-                       CollectGroupStatsParallel(strat, {src}, 8));
-  // 8 rows << 4096/thread: must behave exactly like serial.
-  ASSERT_OK_AND_ASSIGN(GroupStatsTable serial, CollectGroupStats(strat, {src}));
-  for (size_t c = 0; c < serial.num_strata(); ++c) {
-    EXPECT_TRUE(stats.At(c, 0) == serial.At(c, 0));
-  }
-}
-
-TEST(ParallelStatsTest2, ValidatesSourcesLikeSerial) {
-  Table t = MakeStudentTable();
-  ASSERT_OK_AND_ASSIGN(Stratification strat,
-                       Stratification::Build(t, {"major"}));
-  StatSource empty;
-  EXPECT_FALSE(CollectGroupStatsParallel(strat, {empty}, 4).ok());
+  GroupStatsTable serial = [&] {
+    ScopedExecThreads st(1);
+    return std::move(CollectGroupStats(strat, {src})).ValueOrDie();
+  }();
+  ScopedExecThreads scoped(8);
+  ASSERT_OK_AND_ASSIGN(GroupStatsTable par, CollectGroupStats(strat, {src}));
+  ExpectStatsIdentical(par, serial, 8);
 }
 
 }  // namespace
