@@ -32,8 +32,13 @@ QuerySpec TargetQuery() {
   return q;
 }
 
+// The sample-build benches and BM_ApproxQuery run on one thread: they
+// report the calling thread's CPU time, which is then all of the work, and
+// the seed engine BM_Build_CVOPT and BM_ApproxQuery are compared with was
+// serial. The <bench>Parallel variants cover the thread ladder.
 template <typename SamplerT>
 void BM_SamplerBuild(benchmark::State& state) {
+  ScopedThreads threads(1);
   const Table& t = BenchTable();
   SamplerT sampler;
   Rng rng(13);
@@ -50,6 +55,7 @@ BENCHMARK(BM_SamplerBuild<RlSampler>)->Name("BM_Build_RL");
 BENCHMARK(BM_SamplerBuild<CvoptSampler>)->Name("BM_Build_CVOPT");
 
 void BM_ApproxQuery(benchmark::State& state) {
+  ScopedThreads threads(1);
   const Table& t = BenchTable();
   CvoptSampler sampler;
   Rng rng(17);

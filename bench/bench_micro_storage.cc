@@ -111,8 +111,11 @@ const MappedFixture& BenchFile() {
 }
 
 // Streams the mmap-backed file through the group-by; the working set is the
-// chunk cache budget, not the table.
+// chunk cache budget, not the table. One thread, like its in-memory
+// baseline below: both report the calling thread's CPU time, which is then
+// all of the work.
 void BM_OutOfCoreGroupBy(benchmark::State& state) {
+  ScopedThreads threads(1);
   const MappedFixture& fx = BenchFile();
   const QuerySpec q = StorageBenchQuery();
   ResetChunkCacheStats();
@@ -128,10 +131,10 @@ void BM_OutOfCoreGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_OutOfCoreGroupBy);
 
-// Morsel-parallel out-of-core scan across the thread ladder: each wave
-// decodes its chunks on the workers and accumulates over worker-owned gid
-// ranges while the chunk cache stays bounded; the answer is bit-identical
-// at every fan-out.
+// Out-of-core scan across the thread ladder: each wave decodes its chunks
+// on the workers, then routes and accumulates them in chunk order through
+// the shared accumulation core while the chunk cache stays bounded; the
+// answer is bit-identical at every fan-out.
 void BM_OutOfCoreGroupByParallel(benchmark::State& state) {
   const MappedFixture& fx = BenchFile();
   ScopedThreads threads(static_cast<int>(state.range(0)));
@@ -152,6 +155,7 @@ BENCHMARK(BM_OutOfCoreGroupByParallel)->Apply(ThreadArgs)->UseRealTime();
 // The same query on the resident table: the in-memory reference point for
 // the out-of-core path's overhead.
 void BM_InMemoryGroupByBaseline(benchmark::State& state) {
+  ScopedThreads threads(1);
   const Table& t = StorageBenchTable();
   const QuerySpec q = StorageBenchQuery();
   for (auto _ : state) {

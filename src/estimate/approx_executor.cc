@@ -44,13 +44,9 @@ Result<QueryResult> ExecuteApprox(const StratifiedSample& sample,
                         &sample.weights()));
   std::vector<double> finals = FinalizeGrouped(query.aggregates, &acc);
 
-  std::vector<std::string> agg_labels;
-  agg_labels.reserve(query.aggregates.size());
-  for (const auto& a : query.aggregates) agg_labels.push_back(a.Label());
-
   // Groups emit in first-occurrence-over-sampled-rows order; under a WHERE
   // clause this may differ from the legacy first-surviving-row order.
-  QueryResult result(std::move(agg_labels), query.group_by);
+  QueryResult result(query.AggLabels(), query.group_by);
   CVOPT_RETURN_NOT_OK(result.IngestDense(*gidx, acc.cnt, finals));
   return result;
  });

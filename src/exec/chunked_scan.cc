@@ -12,39 +12,18 @@
 #include "src/expr/compiled_predicate.h"
 #include "src/stats/group_key.h"
 #include "src/util/failpoint.h"
-#include "src/util/string_util.h"
 
 namespace cvopt {
 
 namespace {
 
 // Per-aggregate binding against the mapped schema (the streaming analogue
-// of BoundAggregates::Bind, without materialized indicator vectors).
+// of BoundAggregates::Bind: COUNT_IF masks are evaluated per chunk).
 struct MappedAggBinding {
   bool constant_one = false;                  // COUNT: answered by cnt[]
   std::unique_ptr<CompiledPredicate> filter;  // COUNT_IF
   size_t col = 0;                             // value column otherwise
 };
-
-// Renders a group label exactly like GroupKey::Render does for the
-// in-memory executor (dict strings for string columns, decimal otherwise).
-std::string RenderLabel(const MappedTable& mt, const std::vector<size_t>& gcols,
-                        const GroupKey& key) {
-  std::vector<std::string> parts;
-  parts.reserve(key.codes.size());
-  for (size_t i = 0; i < key.codes.size(); ++i) {
-    if (mt.schema().field(gcols[i]).type == DataType::kString) {
-      const auto& dict = mt.dictionary(gcols[i]);
-      const auto code = static_cast<size_t>(key.codes[i]);
-      parts.push_back(code < dict.size()
-                          ? dict[code]
-                          : StrFormat("<%lld>", (long long)key.codes[i]));
-    } else {
-      parts.push_back(StrFormat("%lld", static_cast<long long>(key.codes[i])));
-    }
-  }
-  return Join(parts, "|");
-}
 
 // Query compilation: resolved group-by columns, aggregate bindings, the
 // WHERE clause, and the projection — the columns a chunk the WHERE clause
@@ -52,9 +31,9 @@ std::string RenderLabel(const MappedTable& mt, const std::vector<size_t>& gcols,
 // zero-row prototype, which lives behind a pointer so the compiled plans'
 // borrowed storage stays valid however the struct moves; the plans are
 // only classified against the file's zone maps and rebound to decoded
-// chunks, never evaluated against the prototype.
+// chunks, never evaluated against the prototype. The prototype's string
+// columns adopt the file's dictionaries, so it also renders the labels.
 struct MappedScanPlan {
-  size_t t = 0;  // aggregate count
   std::vector<size_t> gcols;
   std::vector<MappedAggBinding> bindings;
   bool any_var = false;
@@ -71,7 +50,6 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
   }
   const Schema& schema = mt.schema();
   MappedScanPlan plan;
-  plan.t = query.aggregates.size();
   plan.proto = std::make_unique<Table>(mt.Prototype());
   std::vector<bool> read(mt.num_columns(), false);
 
@@ -87,8 +65,8 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
   }
 
   // Resolve aggregates; COUNT_IF filters compile against the prototype.
-  plan.bindings.resize(plan.t);
-  for (size_t j = 0; j < plan.t; ++j) {
+  plan.bindings.resize(query.aggregates.size());
+  for (size_t j = 0; j < plan.bindings.size(); ++j) {
     const AggSpec& a = query.aggregates[j];
     MappedAggBinding& b = plan.bindings[j];
     plan.any_var |= a.func == AggFunc::kVariance;
@@ -135,25 +113,20 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
 // Finalizes through the shared core's rules, then emits groups in
 // first-occurrence order, omitting fully-filtered groups (IngestDense
 // semantics).
-Result<QueryResult> EmitMappedResult(const MappedTable& mt,
-                                     const QuerySpec& query,
+Result<QueryResult> EmitMappedResult(const QuerySpec& query,
                                      const MappedScanPlan& plan,
                                      const StreamGroupRouter& router,
                                      GroupedAccumulators* acc) {
-  const size_t t = plan.t;
+  const size_t t = query.aggregates.size();
   const size_t G = acc->num_groups;
   std::vector<double> finals = FinalizeGrouped(query.aggregates, acc);
-
-  std::vector<std::string> agg_labels;
-  agg_labels.reserve(t);
-  for (const auto& a : query.aggregates) agg_labels.push_back(a.Label());
-  QueryResult result(std::move(agg_labels), query.group_by);
+  QueryResult result(query.AggLabels(), query.group_by);
   for (size_t g = 0; g < G; ++g) {
     if (acc->cnt[g] == 0) continue;
     std::vector<double> values(t);
     for (size_t j = 0; j < t; ++j) values[j] = finals[j * G + g];
     GroupKey key = router.KeyOf(g);
-    std::string label = RenderLabel(mt, plan.gcols, key);
+    std::string label = key.Render(*plan.proto, plan.gcols);
     CVOPT_RETURN_NOT_OK(
         result.AddGroup(std::move(key), std::move(label), std::move(values)));
   }
@@ -179,15 +152,17 @@ struct WaveChunk {
   ChunkVerdict verdict = ChunkVerdict::kResidual;
   std::vector<std::shared_ptr<const DecodedChunk>> cols;
   std::vector<uint32_t> gids;
-  std::vector<uint8_t> smask;  // WHERE survivors; empty when all survive
+  std::vector<uint32_t> sel;  // WHERE survivors of a residual chunk
   std::vector<std::vector<uint8_t>> indicators;  // [agg], COUNT_IF only
+  std::vector<ValueSpan> values;  // [agg]: a column, an indicator or one
   Status status;
 };
 
 // Decodes chunk k's projection — only its group-by columns when the zone
-// maps refute the WHERE clause — and evaluates its WHERE / COUNT_IF masks
-// with the prototype plans rebound to the decoded storage. A provably
-// accepted chunk skips WHERE evaluation.
+// maps refute the WHERE clause — evaluates its WHERE selection and
+// COUNT_IF masks with the prototype plans rebound to the decoded storage,
+// and points each aggregate's value stream at its column or mask. A
+// provably accepted chunk skips WHERE evaluation.
 Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
                        size_t k, WaveChunk* wc) {
   const size_t n = wc->rows;
@@ -202,35 +177,38 @@ Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
     return CompiledPredicate::ColumnSpan{d.ints.data(), d.doubles.data(),
                                          d.codes.data()};
   };
-  if (plan.where != nullptr && wc->verdict != ChunkVerdict::kTakeAll) {
-    wc->smask.resize(n);
-    plan.where->Rebind(span_of, n).EvalMaskRange(0, n, wc->smask.data());
+  if (plan.where != nullptr && wc->verdict == ChunkVerdict::kResidual) {
+    wc->sel = plan.where->Rebind(span_of, n).SelectRange(0, n);
   }
-  wc->indicators.resize(plan.t);
-  for (size_t j = 0; j < plan.t; ++j) {
-    const CompiledPredicate* filter = plan.bindings[j].filter.get();
-    if (filter == nullptr) continue;
-    wc->indicators[j].resize(n);
-    filter->Rebind(span_of, n).EvalMaskRange(0, n, wc->indicators[j].data());
+  const size_t t = plan.bindings.size();
+  wc->indicators.resize(t);
+  wc->values.resize(t);
+  for (size_t j = 0; j < t; ++j) {
+    const MappedAggBinding& b = plan.bindings[j];
+    if (b.filter != nullptr) {
+      std::vector<uint8_t>& mask = wc->indicators[j];
+      mask.resize(n);
+      b.filter->Rebind(span_of, n).EvalMaskRange(0, n, mask.data());
+      wc->values[j].indicator = mask.data();
+    } else if (!b.constant_one) {
+      const DecodedChunk& d = *wc->cols[b.col];
+      if (d.type == DataType::kDouble) {
+        wc->values[j].doubles = d.doubles.data();
+      } else {
+        wc->values[j].ints = d.ints.data();
+      }
+    }
   }
   return Status::OK();
 }
 
-// The scan: one pass in chunk order, in waves of ~2x the fan-out (one
-// chunk at one thread). Each wave (a) decodes its chunks' projections and
-// evaluates their masks, one chunk per worker (the chunk cache is
-// mutex-guarded, so concurrent GetChunk calls are safe and the LRU stays
-// honored); (b) routes every row's group id through one StreamGroupRouter
-// in chunk order, zone-refuted chunks included, so ids are first-seen in
-// ascending row order; (c) grows the accumulators to the new group count;
-// and (d) accumulates, each worker owning a contiguous DISJOINT gid range
-// and walking the wave's chunks in order, rows ascending. Per-group
-// addition order is therefore ascending row order whatever the thread
-// count, wave size, or chunk geometry: no partial-slab float
-// reassociation, no merge pass.
+// The scan (see chunked_scan.h), per wave: (a) decode and evaluate, one
+// chunk per worker (the chunk cache is mutex-guarded, so concurrent
+// GetChunk calls are safe and the LRU stays honored); (b) route, in chunk
+// order, zone-refuted chunks included; (c) grow the accumulators; and (d)
+// accumulate each chunk, in chunk order.
 Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
                                const MappedScanPlan& plan) {
-  const size_t t = plan.t;
   const size_t num_chunks = mt.num_chunks();
   const size_t threads = std::max<size_t>(1, ResolveThreads());
 
@@ -241,7 +219,8 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
   // already refused materialization.
   QueryContext* ctx = const_cast<QueryContext*>(CurrentQueryContext());
   size_t wave_cap = threads == 1 ? 1 : 2 * threads;
-  size_t row_width = sizeof(uint32_t) + 1 + plan.num_countif;  // gid + masks
+  // gid + selection entry + COUNT_IF masks, then the decoded columns.
+  size_t row_width = 2 * sizeof(uint32_t) + plan.num_countif;
   for (size_t c : plan.decode_cols) {
     row_width += mt.schema().field(c).type == DataType::kString
                      ? sizeof(int32_t)
@@ -268,7 +247,8 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
   GroupedAccumulators acc;
   acc.Grow(query.aggregates, 0, /*weighted=*/false);
   const size_t group_bytes =
-      sizeof(uint64_t) + t * sizeof(double) * (plan.any_var ? 2 : 1);
+      sizeof(uint64_t) +
+      plan.bindings.size() * sizeof(double) * (plan.any_var ? 2 : 1);
   std::vector<MemoryReservation> acc_res;
 
   const bool zones_on = ZoneMapPruningEnabled();
@@ -313,42 +293,20 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
       acc.Grow(query.aggregates, G, /*weighted=*/false);
     }
 
-    // (d) Gid-range-partitioned accumulation.
-    if (G == 0) continue;
-    ParallelForChunks(G, std::min(threads, G), [&](size_t, size_t glo,
-                                                   size_t ghi) {
-      for (const WaveChunk& wc : wave) {
-        if (wc.verdict == ChunkVerdict::kSkip) continue;
-        for (size_t r = 0; r < wc.rows; ++r) {
-          const uint32_t gid = wc.gids[r];
-          if (gid < glo || gid >= ghi) continue;
-          if (!wc.smask.empty() && wc.smask[r] == 0) continue;
-          acc.cnt[gid]++;
-          for (size_t j = 0; j < t; ++j) {
-            const MappedAggBinding& b = plan.bindings[j];
-            if (b.constant_one) continue;
-            double v;
-            if (b.filter != nullptr) {
-              v = wc.indicators[j][r] ? 1.0 : 0.0;
-            } else {
-              const DecodedChunk& col = *wc.cols[b.col];
-              v = col.type == DataType::kDouble
-                      ? col.doubles[r]
-                      : static_cast<double>(col.ints[r]);
-            }
-            const AggFunc f = query.aggregates[j].func;
-            if (f == AggFunc::kMedian) {
-              acc.median_values[j][gid].push_back(v);
-              continue;
-            }
-            acc.sums[j][gid] += v;
-            if (f == AggFunc::kVariance) acc.sums2[j][gid] += v * v;
-          }
-        }
+    // (d) Accumulate chunk by chunk: the WHERE survivors are the selection,
+    // the decoded columns and COUNT_IF masks the value streams.
+    for (const WaveChunk& wc : wave) {
+      if (wc.verdict == ChunkVerdict::kSkip) continue;
+      GroupedPass pass;
+      pass.num_groups = G;
+      pass.row_groups = &wc.gids;
+      if (plan.where != nullptr && wc.verdict == ChunkVerdict::kResidual) {
+        pass.sel = &wc.sel;
       }
-    });
+      AccumulateSources(pass, query.aggregates, wc.values, &acc);
+    }
   }
-  return EmitMappedResult(mt, query, plan, router, &acc);
+  return EmitMappedResult(query, plan, router, &acc);
 }
 
 }  // namespace

@@ -73,9 +73,7 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
   codes.reserve(G * k);
   for (size_t g = 0; g < G; ++g) gidx.AppendKeyCodes(g, &codes);
 
-  std::vector<std::string> agg_labels;
-  agg_labels.reserve(t);
-  for (const auto& a : base.aggregates) agg_labels.push_back(a.Label());
+  const std::vector<std::string> agg_labels = base.AggLabels();
 
   // The finest grouping set (specs[0] — ExpandCube emits the full set
   // first) IS the shared accumulation: finalize it directly and

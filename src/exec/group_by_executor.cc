@@ -139,14 +139,30 @@ void GroupedAccumulators::Grow(const std::vector<AggSpec>& aggs,
   }
 }
 
+std::vector<ValueSpan> SpansOf(const std::vector<StatSource>& sources) {
+  std::vector<ValueSpan> spans(sources.size());
+  for (size_t j = 0; j < sources.size(); ++j) {
+    const StatSource& src = sources[j];
+    if (src.constant_one) continue;
+    if (src.indicator != nullptr) {
+      spans[j].indicator = src.indicator->data();
+    } else if (src.column->type() == DataType::kDouble) {
+      spans[j].doubles = src.column->doubles().data();
+    } else {
+      spans[j].ints = src.column->ints().data();
+    }
+  }
+  return spans;
+}
+
 void AccumulateSources(const GroupedPass& pass,
                        const std::vector<AggSpec>& aggs,
-                       const std::vector<StatSource>& sources,
+                       const std::vector<ValueSpan>& values,
                        GroupedAccumulators* out) {
   GroupedAccumulators& acc = *out;
   const size_t t = aggs.size();
   const size_t n = pass.row_groups->size();
-  const size_t G = pass.sizes->size();
+  const size_t G = pass.num_groups;
   const uint32_t* rg = pass.row_groups->data();
   const std::vector<uint32_t>* sel = pass.sel;
   const bool use_sel = sel != nullptr;
@@ -199,10 +215,11 @@ void AccumulateSources(const GroupedPass& pass,
     mk = mp;
   }
 
-  // Per-group surviving-position counts (identical across aggregates;
-  // integer, so every merge is bit-exact).
-  if (!use_sel) {
-    acc.cnt.assign(pass.sizes->begin(), pass.sizes->end());
+  // Per-group surviving-position counts, added to earlier passes' counts
+  // (identical across aggregates; integer, so every merge is bit-exact).
+  if (!use_sel && pass.sizes != nullptr) {
+    const uint64_t* sizes = pass.sizes->data();
+    for (size_t g = 0; g < G; ++g) acc.cnt[g] += sizes[g];
   } else if (parts != nullptr) {
     const uint32_t* l2g = parts->local_to_global.data();
     ParallelForChunks(parts->num_partitions(), parts->num_partitions(),
@@ -215,13 +232,13 @@ void AccumulateSources(const GroupedPass& pass,
       for (size_t l = 0; l < local.size(); ++l) acc.cnt[l2g[gb + l]] = local[l];
     });
   } else if (chunks == 1) {
-    for (const uint32_t i : *sel) acc.cnt[rg[i]]++;
+    for_range(0, m, [&](size_t i) { acc.cnt[rg[i]]++; });
   } else {
     std::vector<std::vector<uint64_t>> part(chunks);
     ParallelForChunks(m, chunks, [&](size_t c, size_t lo, size_t hi) {
       part[c].assign(G, 0);
       uint64_t* p = part[c].data();
-      for (size_t i = lo; i < hi; ++i) p[rg[selp[i]]]++;
+      for_range(lo, hi, [&](size_t i) { p[rg[i]]++; });
     });
     for (const auto& p : part) {
       for (size_t g = 0; g < G; ++g) acc.cnt[g] += p[g];
@@ -306,8 +323,8 @@ void AccumulateSources(const GroupedPass& pass,
     }
     for (size_t j = 0; j < t; ++j) {
       const AggFunc f = aggs[j].func;
-      const StatSource& src = sources[j];
-      if (src.constant_one) continue;  // COUNT is answered by cnt / wcnt
+      const ValueSpan& src = values[j];
+      if (f == AggFunc::kCount) continue;  // answered by cnt / wcnt
       auto run = [&](auto value_at) {
         if (f != AggFunc::kMedian) {
           double* S = acc.sums[j].data();
@@ -338,13 +355,13 @@ void AccumulateSources(const GroupedPass& pass,
         }
       };
       if (src.indicator != nullptr) {
-        const uint8_t* ind = src.indicator->data();
+        const uint8_t* ind = src.indicator;
         run([ind](size_t i) { return ind[i] ? 1.0 : 0.0; });
-      } else if (src.column->type() == DataType::kDouble) {
-        const double* vals = src.column->doubles().data();
+      } else if (src.doubles != nullptr) {
+        const double* vals = src.doubles;
         run([vals](size_t i) { return vals[i]; });
       } else {
-        const int64_t* vals = src.column->ints().data();
+        const int64_t* vals = src.ints;
         run([vals](size_t i) { return static_cast<double>(vals[i]); });
       }
     }
@@ -380,6 +397,7 @@ Result<GroupedAccumulators> AccumulateGrouped(
       "group-by accumulator slabs");
 
   GroupedPass pass;
+  pass.num_groups = G;
   pass.row_groups = &gidx.row_groups();
   pass.sizes = &gidx.sizes();
   pass.parts = gidx.partitions().get();
@@ -388,7 +406,7 @@ Result<GroupedAccumulators> AccumulateGrouped(
   pass.chunks =
       AggregationChunks(sel != nullptr ? sel->size() : gidx.num_rows(), G);
   GroupedAccumulators acc;
-  AccumulateSources(pass, query.aggregates, bound.sources(), &acc);
+  AccumulateSources(pass, query.aggregates, SpansOf(bound.sources()), &acc);
   return acc;
  });
 }
@@ -439,14 +457,10 @@ Result<QueryResult> ExecuteExact(const Table& table, const QuerySpec& query) {
   // key -> index map instead of a per-group AddGroup insert loop.
   std::vector<double> finals = FinalizeGrouped(query.aggregates, &acc);
 
-  std::vector<std::string> agg_labels;
-  agg_labels.reserve(query.aggregates.size());
-  for (const auto& a : query.aggregates) agg_labels.push_back(a.Label());
-
   // Groups emit in first-occurrence-over-all-rows order (the GroupIndex is
   // built unmasked); under a WHERE clause this may differ from the legacy
   // first-surviving-row order. The group set and values are identical.
-  QueryResult result(std::move(agg_labels), query.group_by);
+  QueryResult result(query.AggLabels(), query.group_by);
   CVOPT_RETURN_NOT_OK(result.IngestDense(gidx, acc.cnt, finals));
   return result;
  });

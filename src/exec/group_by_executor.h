@@ -45,10 +45,13 @@ struct GroupedAccumulators {
 
 /// What one pass of the accumulation core reads besides the value streams.
 struct GroupedPass {
-  /// Position -> dense group id, and the positions per group (whose length
-  /// is the group count): a GroupIndex's row_groups / sizes, or a
-  /// Stratification's row_strata / sizes.
+  /// Group ids are dense in [0, num_groups).
+  size_t num_groups = 0;
+  /// Position -> group id: a GroupIndex's row_groups, a Stratification's
+  /// row_strata, or one chunk's routed ids.
   const std::vector<uint32_t>* row_groups = nullptr;
+  /// Positions per group (GroupIndex / Stratification sizes), or null for
+  /// the core to count them. Partitioned and shifted passes need them.
   const std::vector<uint64_t>* sizes = nullptr;
   /// Radix-partition artifact over the same positions: partition-owned
   /// slabs instead of the chunk-order merge. Optional.
@@ -66,9 +69,22 @@ struct GroupedPass {
   const std::vector<uint32_t>* shift_rows = nullptr;
 };
 
+/// One value stream as the accumulation core reads it, per position:
+/// doubles, int64s or 0/1 indicator bytes, the first one set. COUNT reads
+/// none.
+struct ValueSpan {
+  const double* doubles = nullptr;
+  const int64_t* ints = nullptr;
+  const uint8_t* indicator = nullptr;
+};
+
+/// The spans of validated StatSources, one per source.
+std::vector<ValueSpan> SpansOf(const std::vector<StatSource>& sources);
+
 /// The one accumulation core: exact execution, the approximate executor
-/// and the cube rollup accumulate through AccumulateGrouped, and all of
-/// them, the out-of-core scan included, finalize through FinalizeGrouped.
+/// and the cube rollup accumulate through AccumulateGrouped, the
+/// out-of-core scan through AccumulateSources one storage chunk at a time,
+/// and all of them finalize through FinalizeGrouped.
 ///
 /// Accumulates the query's aggregates over the rows of `table`, grouped by
 /// `gidx`, which must be built over `table` (GroupIndex::Build) with the
@@ -91,13 +107,16 @@ Result<GroupedAccumulators> AccumulateGrouped(
     const std::vector<double>* weights = nullptr);
 
 /// The loop inside AccumulateGrouped, for callers that bring their own
-/// grouping and value streams (the group-statistics pass): accumulates
-/// sources[j] as aggs[j].func into *acc, grown to the pass's group count.
-/// Only aggs[j].func is read; COUNT sources make no pass. Throws
-/// QueryAbortedError at morsel boundaries; run it inside a GovernedSection.
+/// grouping and value streams (the group-statistics pass, the out-of-core
+/// scan): accumulates values[j] as aggs[j].func into *acc, grown to the
+/// pass's group count. Only aggs[j].func is read; COUNT makes no pass.
+/// Passes without `parts` add to what earlier passes left in
+/// *acc, so per-chunk passes in chunk order add each group's values in
+/// ascending position order. Throws QueryAbortedError at morsel
+/// boundaries; run it inside a GovernedSection.
 void AccumulateSources(const GroupedPass& pass,
                        const std::vector<AggSpec>& aggs,
-                       const std::vector<StatSource>& sources,
+                       const std::vector<ValueSpan>& values,
                        GroupedAccumulators* acc);
 
 /// Finalizes raw accumulators into the aggregate-major finals array

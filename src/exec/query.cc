@@ -4,13 +4,17 @@
 
 namespace cvopt {
 
+std::vector<std::string> QuerySpec::AggLabels() const {
+  std::vector<std::string> labels;
+  labels.reserve(aggregates.size());
+  for (const auto& a : aggregates) labels.push_back(a.Label());
+  return labels;
+}
+
 std::string QuerySpec::ToString() const {
-  std::vector<std::string> aggs;
-  aggs.reserve(aggregates.size());
-  for (const auto& a : aggregates) aggs.push_back(a.Label());
   std::string s = "SELECT ";
   if (!group_by.empty()) s += Join(group_by, ", ") + ", ";
-  s += Join(aggs, ", ");
+  s += Join(AggLabels(), ", ");
   if (where != nullptr) s += " WHERE " + where->ToString();
   if (!group_by.empty()) s += " GROUP BY " + Join(group_by, ", ");
   if (!name.empty()) s = "[" + name + "] " + s;

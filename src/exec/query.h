@@ -24,6 +24,9 @@ struct QuerySpec {
   /// Query-level weight, e.g. its frequency in a workload (Section 4.3).
   double weight = 1.0;
 
+  /// Each aggregate's Label(), in order.
+  std::vector<std::string> AggLabels() const;
+
   /// SQL-ish rendering for logs.
   std::string ToString() const;
 };

@@ -78,7 +78,20 @@ Result<StratifiedSample> RlSampler::Build(const Table& table,
     sizes[c] = std::min<uint64_t>(s, shared->sizes()[c]);
   }
 
-  // Never exceed the budget overall: trim from the largest allocations.
+  // Never exceed the budget overall. When the one-row minimums alone
+  // exceed it, only the `budget` non-empty strata with the largest
+  // fractions (ties to the lower id) keep their one row; otherwise trim
+  // from the largest allocations.
+  std::vector<size_t> nonempty;
+  for (size_t c = 0; c < r; ++c) {
+    if (sizes[c] > 0) nonempty.push_back(c);
+  }
+  if (nonempty.size() > budget) {
+    std::stable_sort(nonempty.begin(), nonempty.end(),
+                     [&](size_t a, size_t b) { return frac[a] > frac[b]; });
+    sizes.assign(r, 0);
+    for (size_t i = 0; i < budget; ++i) sizes[nonempty[i]] = 1;
+  }
   uint64_t total = 0;
   for (uint64_t s : sizes) total += s;
   while (total > budget) {

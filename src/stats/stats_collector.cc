@@ -57,6 +57,7 @@ Result<GroupStatsTable> CollectGroupStats(
     value_sources += count ? 0 : 1;
   }
   GroupedPass pass;
+  pass.num_groups = strata;
   pass.row_groups = &strat.row_strata();
   pass.sizes = &strat.sizes();
   pass.chunks = StatChunks(strat.table().num_rows(), strata);
@@ -70,7 +71,7 @@ Result<GroupStatsTable> CollectGroupStats(
                 sizeof(uint64_t)),
       "group statistics slabs");
   GroupedAccumulators acc;
-  AccumulateSources(pass, aggs, sources, &acc);
+  AccumulateSources(pass, aggs, SpansOf(sources), &acc);
 
   GroupStatsTable stats(strata, t);
   for (size_t j = 0; j < t; ++j) {

@@ -84,11 +84,6 @@ class MappedTable {
   /// Zone maps read from the file (in memory; the payloads stay mapped).
   const ZoneMapIndex& zone_index() const { return zones_; }
 
-  /// Dictionary of string column `col` (empty for numeric columns).
-  const std::vector<std::string>& dictionary(size_t col) const {
-    return dicts_[col];
-  }
-
   /// Decodes chunk `chunk` of column `col`, consulting the process-wide
   /// LRU cache first. String-column chunks are code-range-checked against
   /// the dictionary before they are handed out.

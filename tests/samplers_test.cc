@@ -188,6 +188,33 @@ TEST(RlSamplerTest, TruncatesWithoutRedistribution) {
   EXPECT_LT(s.size(), 200u);
 }
 
+TEST(RlSamplerTest, StaysWithinBudgetWithMoreStrataThanRows) {
+  // 50 non-empty groups against a 20-row budget: the one-row minimums
+  // alone exceed it, so only 20 groups keep a row.
+  Schema schema({{"g", DataType::kInt64}, {"v", DataType::kDouble}});
+  TableBuilder b(schema);
+  Rng gen(53);
+  for (int64_t g = 0; g < 50; ++g) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_OK(b.AppendRow(
+          {Value(g), Value(100.0 + static_cast<double>(g) * gen.NextGaussian())}));
+    }
+  }
+  Table t = std::move(b).Finish();
+  Rng rng(59);
+  RlSampler rl;
+  QuerySpec q;
+  q.group_by = {"g"};
+  q.aggregates = {AggSpec::Avg("v")};
+  const uint64_t budget = 20;
+  ASSERT_OK_AND_ASSIGN(StratifiedSample s, rl.Build(t, {q}, budget, &rng));
+  EXPECT_LE(s.size(), budget);
+  ASSERT_NE(s.stratification(), nullptr);
+  std::vector<int> per(s.stratification()->num_strata(), 0);
+  for (uint32_t r : s.rows()) per[s.stratification()->StratumOfRow(r)]++;
+  for (int n : per) EXPECT_LE(n, 1);
+}
+
 TEST(SampleSeekSamplerTest, BiasedTowardLargeValues) {
   Schema schema({{"g", DataType::kString}, {"v", DataType::kDouble}});
   TableBuilder b(schema);

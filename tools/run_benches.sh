@@ -143,12 +143,16 @@ doc["description"] = (
     "per-bench medians across `repeats` runs of the whole suite "
     "(single-run host noise is ±15-25%; regenerate with "
     "tools/run_benches.sh --repeats 5). Benches whose work runs on the "
-    "pool are timed in wall time (a /real_time key); the seed-tracked "
-    "single-configuration benches (BM_ExactGroupBy*, "
-    "BM_StratificationBuild, BM_CollectGroupStats, ...) keep their keys "
-    "and the calling thread's CPU time, because speedup_vs_seed compares "
-    "them against CPU-time baselines — when the pool does part of their "
-    "work, that CPU time understates the cost. "
+    "pool are timed in wall time (a /real_time key). The six seed-tracked "
+    "benches (BM_ExactGroupBy, BM_ExactGroupByWithPredicate, "
+    "BM_StratificationBuild, BM_CollectGroupStats, BM_Build_CVOPT, "
+    "BM_ApproxQuery), the other BM_Build_* sample builds, and "
+    "BM_OutOfCoreGroupBy with BM_InMemoryGroupByBaseline run on one "
+    "thread and report the calling thread's CPU time, which is then all "
+    "of their work: speedup_vs_seed is a one-thread ratio against the "
+    "seed's serial engine. The other single-configuration benches run at "
+    "the default thread count and report the calling thread's CPU time, "
+    "which understates their cost when the pool does part of the work. "
     "BM_MaskedGroupByRadix vs "
     "BM_MaskedGroupByMerge is the masked partition-slab path against the "
     "pre-SIMD chunk-merge baseline (radix off, scalar kernels) on the same "
@@ -161,9 +165,10 @@ doc["description"] = (
     "BM_OutOfCoreGroupBy streams the mmap-backed v2 file through the "
     "chunked scan vs the resident BM_InMemoryGroupByBaseline, and "
     "BM_OutOfCoreGroupByParallel/<threads> is the same one-pass scan "
-    "across the thread ladder (waves of per-chunk decode of the read "
-    "columns, chunk-order group routing, gid-range accumulation) — "
-    "bit-identical to the one-thread answer at every fan-out. "
+    "across the thread ladder (waves of parallel per-chunk decode of the "
+    "read columns, then chunk-order group routing and accumulation through "
+    "the shared core) — bit-identical to the one-thread answer at every "
+    "fan-out. "
     "BM_AdaptiveGroupByHugeG is the packed-tier radix build at huge "
     "cardinality: a 3M-row two-int-key table with ~2.7M distinct groups "
     "(24 packed key bits), partitioned and hash-probed per partition; "
