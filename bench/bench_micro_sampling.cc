@@ -104,10 +104,11 @@ void BM_BuildCvoptParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCvoptParallel)->Name("BM_Build_CVOPTParallel")->Apply(ThreadArgs)->UseRealTime();
 
-// The draw phase in isolation (bucket-by-stratum + per-stratum reservoir
-// draws on Rng::ForStratum streams), thread-scaled: the stratification and
-// allocation are prebuilt, so this measures exactly the pass that the
-// splittable RNG streams parallelized.
+// The draw phase in isolation (per-stratum ordinal draws on
+// Rng::ForStratum streams, then one serial pass over the row strata):
+// the stratification and allocation are prebuilt. The draw does not fan
+// out, so the thread ladder should stay flat; it shows that the pool adds
+// no cost.
 void BM_DrawStratifiedParallel(benchmark::State& state) {
   const Table& t = BenchTable();
   static const auto* shared = [] {

@@ -6,14 +6,10 @@
 #ifndef CVOPT_CORE_STRATIFICATION_H_
 #define CVOPT_CORE_STRATIFICATION_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "src/exec/group_index.h"
 #include "src/stats/group_key.h"
 #include "src/table/table.h"
 #include "src/util/status.h"
@@ -49,21 +45,6 @@ class Stratification {
   /// The first row of each stratum in table order (its representative).
   const std::vector<uint32_t>& first_rows() const { return first_rows_; }
 
-  /// Per-stratum row lists, stratum-major: stratum c's rows are
-  /// stratum_rows()[stratum_row_base()[c] .. stratum_row_base()[c + 1]), in
-  /// ascending row order. Materialized on first call — straight from the
-  /// radix-partition artifact when the build kept one (each partition fills
-  /// its own groups' disjoint output ranges), otherwise via a stable
-  /// parallel counting sort over row_strata() — then cached; safe to call
-  /// concurrently. The content is a pure function of the stratification,
-  /// so every stratified draw shares one materialization instead of
-  /// re-deriving its own bucketing.
-  const std::vector<uint32_t>& stratum_rows() const;
-  const std::vector<size_t>& stratum_row_base() const;
-
-  /// True once stratum_rows() has been materialized.
-  bool stratum_rows_materialized() const { return lists_->ready.load(); }
-
   const GroupKey& key(size_t stratum) const { return keys_[stratum]; }
 
   /// Human-readable stratum label, e.g. "US|pm25".
@@ -91,23 +72,7 @@ class Stratification {
   Result<Projection> Project(const std::vector<std::string>& sub_attrs) const;
 
  private:
-  // Lazily-materialized per-stratum row lists, plus the build artifacts
-  // that make the fill cheap. Held behind a shared_ptr so the
-  // Stratification stays movable/copyable (copies share the cache — the
-  // content is a pure function of the stratification).
-  struct RowListCache {
-    std::once_flag once;
-    std::atomic<bool> ready{false};
-    std::vector<uint32_t> rows;  // stratum-major, ascending within a stratum
-    std::vector<size_t> base;    // num_strata + 1 offsets
-    // Build-time input for the partition-backed fill, written once at
-    // Build before the Stratification can be shared.
-    std::shared_ptr<const GroupPartitions> parts;
-  };
-
   Stratification() = default;
-
-  void MaterializeStratumRows() const;
 
   const Table* table_ = nullptr;
   std::vector<std::string> attrs_;
@@ -116,7 +81,6 @@ class Stratification {
   std::vector<uint64_t> sizes_;
   std::vector<uint32_t> first_rows_;
   std::vector<GroupKey> keys_;
-  std::shared_ptr<RowListCache> lists_ = std::make_shared<RowListCache>();
 };
 
 /// Returns the set-union of the given attribute lists, preserving first-seen

@@ -173,11 +173,12 @@ void AccumulateSources(const GroupedPass& pass,
 
   // Pass over a partitioned build: partition-owned accumulator slabs.
   // Each worker iterates its partition's ascending position list into a
-  // slab sized to the partition's own group count, then writes the slab
-  // out at its groups' global ids — disjoint across partitions, so there
-  // is no contention and no chunk-order merge at all. Per-group sums are
-  // the serial ascending-position sums bit for bit (no reassociation), and
-  // MEDIAN buffers land whole (a group's positions live in one partition).
+  // slab sized to the partition's own group count, then adds the slab
+  // into its groups' global ids — disjoint across partitions, so there is
+  // no contention and no chunk-order merge at all. Per-group sums are the
+  // serial ascending-position sums bit for bit (no reassociation), and
+  // MEDIAN buffers append whole (a group's positions live in one
+  // partition).
   // A WHERE selection rides the same slabs through a dense byte mask: a
   // group's surviving positions are still visited ascending, so masked
   // sums match the serial masked loop bit for bit, and fully-filtered
@@ -229,7 +230,9 @@ void AccumulateSources(const GroupedPass& pass,
       for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1]; ++k) {
         local[plocal[k]] += mk[prows[k]];
       }
-      for (size_t l = 0; l < local.size(); ++l) acc.cnt[l2g[gb + l]] = local[l];
+      for (size_t l = 0; l < local.size(); ++l) {
+        acc.cnt[l2g[gb + l]] += local[l];
+      }
     });
   } else if (chunks == 1) {
     for_range(0, m, [&](size_t i) { acc.cnt[rg[i]]++; });
@@ -306,7 +309,8 @@ void AccumulateSources(const GroupedPass& pass,
         local[plocal[k]].push_back(elem_at(prows[k]));
       }
       for (size_t l = 0; l < local.size(); ++l) {
-        (*bufs)[l2g[gb + l]] = std::move(local[l]);
+        std::vector<Elem>& dst = (*bufs)[l2g[gb + l]];
+        dst.insert(dst.end(), local[l].begin(), local[l].end());
       }
     });
   };

@@ -110,10 +110,11 @@ Result<GroupedAccumulators> AccumulateGrouped(
 /// grouping and value streams (the group-statistics pass, the out-of-core
 /// scan): accumulates values[j] as aggs[j].func into *acc, grown to the
 /// pass's group count. Only aggs[j].func is read; COUNT makes no pass.
-/// Passes without `parts` add to what earlier passes left in
-/// *acc, so per-chunk passes in chunk order add each group's values in
-/// ascending position order. Throws QueryAbortedError at morsel
-/// boundaries; run it inside a GovernedSection.
+/// Every pass adds to what earlier passes left in *acc (counts and sums
+/// add, MEDIAN buffers append), so per-chunk passes in chunk order add
+/// each group's values in ascending position order. Throws
+/// QueryAbortedError at morsel boundaries; run it inside a
+/// GovernedSection.
 void AccumulateSources(const GroupedPass& pass,
                        const std::vector<AggSpec>& aggs,
                        const std::vector<ValueSpan>& values,

@@ -21,9 +21,8 @@
 namespace cvopt {
 
 /// The radix-partition artifact of a partitioned GroupIndex build: the one
-/// row->partition->group decomposition every grouped pass above the build
-/// (aggregation, stratification, statistics, the stratified draw) can
-/// consume instead of re-deriving its own row bucketing.
+/// row->partition->group decomposition the grouped aggregation passes above
+/// the build consume instead of re-deriving their own row bucketing.
 ///
 /// Rows are hash-partitioned by their grouping key, so a partition owns its
 /// groups outright: every row of a group lands in the same partition, and
@@ -67,11 +66,11 @@ struct GroupPartitions {
 /// (claimed dynamically through the shared pool), zeroed slabs s1 (and s2
 /// when `use_s2`) of the partition's own group count are handed to
 /// `acc(p, s1, s2)`, which iterates the partition's ascending row list
-/// adding per-LOCAL-group values; the slabs are then written out at the
-/// partition's global ids into S1/S2. Partitions own disjoint global id
-/// sets, so the scattered writes never contend, and per-group results
-/// equal the serial ascending-row accumulation bit for bit — no chunk
-/// merge, no float reassociation.
+/// adding per-LOCAL-group values; the slabs are then added into S1/S2 at
+/// the partition's global ids. Partitions own disjoint global id sets, so
+/// the scattered adds never contend, and into zeroed S1/S2 per-group
+/// results equal the serial ascending-row accumulation bit for bit — no
+/// chunk merge, no float reassociation.
 template <class Acc>
 void AccumulatePartitioned(const GroupPartitions& gp, bool use_s2, double* S1,
                            double* S2, Acc&& acc) {
@@ -83,8 +82,8 @@ void AccumulatePartitioned(const GroupPartitions& gp, bool use_s2, double* S1,
         std::vector<double> s2(use_s2 ? ng : 0, 0.0);
         acc(p, s1.data(), use_s2 ? s2.data() : nullptr);
         for (size_t l = 0; l < ng; ++l) {
-          S1[gp.local_to_global[gb + l]] = s1[l];
-          if (use_s2) S2[gp.local_to_global[gb + l]] = s2[l];
+          S1[gp.local_to_global[gb + l]] += s1[l];
+          if (use_s2) S2[gp.local_to_global[gb + l]] += s2[l];
         }
       });
 }

@@ -1,7 +1,7 @@
 // CVOPT and CVOPT-INF samplers: the paper's contribution, wired end-to-end —
 // finest stratification, per-stratum statistics, optimal allocation
-// (Lemma 1 / Section 5 binary search), and per-stratum reservoir draws
-// (Algorithm 1).
+// (Lemma 1 / Section 5 binary search), and per-stratum uniform draws
+// without replacement (Algorithm 1).
 #ifndef CVOPT_SAMPLE_CVOPT_SAMPLER_H_
 #define CVOPT_SAMPLE_CVOPT_SAMPLER_H_
 

@@ -1,69 +1,34 @@
 #include "src/sample/reservoir.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace cvopt {
 
-size_t DrawReservoir(const uint32_t* items, size_t n, size_t k, Rng* rng,
-                     uint32_t* out) {
-  auto item_at = [items](size_t i) {
-    return items == nullptr ? static_cast<uint32_t>(i) : items[i];
-  };
-  if (k == 0) return 0;
-  const size_t take = n < k ? n : k;
-  for (size_t i = 0; i < take; ++i) out[i] = item_at(i);
-  for (size_t i = k; i < n; ++i) {
-    const size_t j = ReservoirVictim(i + 1, k, rng);
-    if (j < k) out[j] = item_at(i);
+size_t DrawOrdinals(uint64_t n, uint64_t k, Rng* rng, uint32_t* out,
+                    std::vector<uint64_t>* bitmap) {
+  if (k >= n) {
+    for (uint64_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(i);
+    return static_cast<size_t>(n);
   }
-  return take;
-}
-
-ReservoirSampler::ReservoirSampler(size_t capacity, Rng* rng)
-    : capacity_(capacity), rng_(rng) {
-  sample_.reserve(capacity);
-}
-
-void ReservoirSampler::Offer(uint32_t item) {
-  ++seen_;
-  if (capacity_ == 0) return;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(item);
-    return;
+  const size_t words = static_cast<size_t>((n + 63) / 64);
+  if (bitmap->size() < words) bitmap->resize(words, 0);
+  uint64_t* bits = bitmap->data();
+  // Floyd: for j = n-k .. n-1, take a uniform t in [0, j], or j itself
+  // when t is already taken (j never is: earlier picks are all below j).
+  for (uint64_t j = n - k; j < n; ++j) {
+    uint64_t t = rng->Uniform(j + 1);
+    if ((bits[t >> 6] >> (t & 63)) & 1) t = j;
+    bits[t >> 6] |= uint64_t{1} << (t & 63);
   }
-  const size_t j = ReservoirVictim(seen_, capacity_, rng_);
-  if (j < capacity_) sample_[j] = item;
-}
-
-WeightedReservoirSampler::WeightedReservoirSampler(size_t capacity, Rng* rng)
-    : capacity_(capacity), rng_(rng) {
-  heap_.reserve(capacity + 1);
-}
-
-void WeightedReservoirSampler::Offer(uint32_t item, double weight) {
-  if (capacity_ == 0 || weight <= 0.0) return;
-  double u = rng_->NextDouble();
-  if (u <= 0.0) u = 1e-300;
-  const double key = std::pow(u, 1.0 / weight);
-  if (heap_.size() < capacity_) {
-    heap_.push_back(Entry{key, item});
-    std::push_heap(heap_.begin(), heap_.end());
-    return;
+  // Read back ascending, zeroing each word; the words past the k-th set
+  // bit are already zero.
+  size_t i = 0;
+  for (size_t w = 0; i < k; ++w) {
+    uint64_t x = bits[w];
+    bits[w] = 0;
+    for (; x != 0; x &= x - 1) {
+      out[i++] = static_cast<uint32_t>(w * 64 + __builtin_ctzll(x));
+    }
   }
-  if (key > heap_.front().key) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = Entry{key, item};
-    std::push_heap(heap_.begin(), heap_.end());
-  }
-}
-
-std::vector<uint32_t> WeightedReservoirSampler::TakeSample() {
-  std::vector<uint32_t> out;
-  out.reserve(heap_.size());
-  for (const auto& e : heap_) out.push_back(e.item);
-  heap_.clear();
-  return out;
+  return static_cast<size_t>(k);
 }
 
 }  // namespace cvopt

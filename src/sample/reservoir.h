@@ -1,7 +1,7 @@
-// Reservoir sampling: uniform (Vitter's Algorithm R) and weighted
-// (Efraimidis–Spirakis A-Res) selection of k stream items without
-// replacement. Algorithm 1 of the paper draws each stratum's rows with
-// reservoir sampling.
+// Without-replacement draws: the known-population ordinal draw every
+// stratified sampler uses (Algorithm 1 of the paper draws each stratum's
+// rows uniformly without replacement), and the Algorithm-R displacement
+// step of the streaming builder, which does not know its population.
 #ifndef CVOPT_SAMPLE_RESERVOIR_H_
 #define CVOPT_SAMPLE_RESERVOIR_H_
 
@@ -15,77 +15,25 @@ namespace cvopt {
 
 /// One Algorithm-R displacement step: the `seen`-th offered item (1-based)
 /// against a full reservoir of `capacity` slots. Returns the slot the item
-/// displaces, or `capacity` when the item is rejected. Every reservoir in
-/// the library (DrawReservoir, ReservoirSampler, the samplers' interleaved
-/// serial draw, the streaming builder) routes through this one step, so the
-/// displacement sequence — load-bearing for the seed->sample determinism
-/// contract — has exactly one implementation.
+/// displaces, or `capacity` when the item is rejected. The streaming
+/// builder's reservoirs route through this step; every draw whose
+/// population is known up front uses DrawOrdinals instead.
 inline size_t ReservoirVictim(uint64_t seen, size_t capacity, Rng* rng) {
   const uint64_t j = rng->Uniform(seen);
   return j < capacity ? static_cast<size_t>(j) : capacity;
 }
 
-/// Draws min(k, n) of the n ordered items uniformly without replacement
-/// (Vitter's Algorithm R over the sequence) into out[0 .. min(k, n)),
-/// returning the number of items written. `items == nullptr` samples the
-/// identity sequence 0..n-1 without materializing it (the uniform sampler's
-/// whole-table draw). The result is a pure function of (rng state, item
-/// order); when n <= k every item is copied and the rng is never touched
-/// (the take-all path consumes no draws). This is the per-stratum unit of
-/// the parallel DrawStratified: each stratum draws on its own
-/// Rng::ForStratum stream, so strata can be processed in any order or
-/// thread interleaving.
-size_t DrawReservoir(const uint32_t* items, size_t n, size_t k, Rng* rng,
-                     uint32_t* out);
-
-/// Uniform sample of up to `capacity` items from a stream, without
-/// replacement: every size-k subset of the offered items is equally likely.
-class ReservoirSampler {
- public:
-  ReservoirSampler(size_t capacity, Rng* rng);
-
-  /// Offers the next stream item.
-  void Offer(uint32_t item);
-
-  /// Items currently in the reservoir (unordered).
-  const std::vector<uint32_t>& sample() const { return sample_; }
-
-  size_t capacity() const { return capacity_; }
-  uint64_t seen() const { return seen_; }
-
- private:
-  size_t capacity_;
-  Rng* rng_;
-  uint64_t seen_ = 0;
-  std::vector<uint32_t> sample_;
-};
-
-/// Weighted sample of up to `capacity` items without replacement, selection
-/// probability proportional to weight (A-Res: keep the k items with the
-/// largest u^(1/w) keys).
-class WeightedReservoirSampler {
- public:
-  WeightedReservoirSampler(size_t capacity, Rng* rng);
-
-  /// Offers an item with a positive weight; non-positive weights are skipped.
-  void Offer(uint32_t item, double weight);
-
-  /// Selected items (unordered).
-  std::vector<uint32_t> TakeSample();
-
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    double key;
-    uint32_t item;
-    bool operator<(const Entry& other) const { return key > other.key; }  // min-heap
-  };
-
-  size_t capacity_;
-  Rng* rng_;
-  std::vector<Entry> heap_;
-};
+/// Draws min(k, n) distinct ordinals of [0, n) uniformly without
+/// replacement (every k-subset equally likely) and writes them in
+/// ascending order to out[0 .. min(k, n)), returning min(k, n). Floyd's
+/// algorithm over an n-bit membership bitmap: exactly k calls to
+/// rng->Uniform when k < n; k >= n takes every ordinal and consumes no
+/// draws. The result is a pure function of (rng state, n, k). `bitmap` is
+/// scratch reused across calls: grown to at least ceil(n / 64) words, it
+/// must be all zero on entry and is all zero again on return. n must be
+/// below 2^32.
+size_t DrawOrdinals(uint64_t n, uint64_t k, Rng* rng, uint32_t* out,
+                    std::vector<uint64_t>* bitmap);
 
 }  // namespace cvopt
 

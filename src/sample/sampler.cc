@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
 #include "src/sample/reservoir.h"
+#include "src/util/failpoint.h"
 #include "src/util/string_util.h"
 
 namespace cvopt {
@@ -22,139 +22,99 @@ Result<StratifiedSample> DrawStratified(
 
   // One serial draw derives the master seed; everything below is a pure
   // function of (master, stratification, sizes). Stratum c draws on its own
-  // Rng::ForStratum(master, c) stream, so the per-stratum loop can fan out
-  // across threads — in any order, with any chunking — and still produce
-  // the drawn row sets of the serial pass, bit for bit.
+  // Rng::ForStratum(master, c) stream, so its ordinals depend only on
+  // (master, c, n_c, s_c), and nothing below depends on the thread count.
   const uint64_t master = rng->Next64();
 
   const std::vector<uint64_t>& pop = strat->sizes();
   // Per-stratum draw sizes: an allocation at or above the stratum
-  // population takes every row (take-all — the reservoir consumes no random
-  // draws there), so s_c = min(sizes[c], n_c) is known before drawing and
-  // each stratum writes a disjoint output slab. Strata served exactly
-  // (s_c == n_c > 0) are recorded on the sample, so reports can tell
-  // exhaustive strata from sampled ones.
-  std::vector<size_t> base(r + 1, 0);     // population offsets
+  // population takes every row (take-all — no random draws there), so
+  // s_c = min(sizes[c], n_c) is known before drawing and each stratum
+  // writes a disjoint output slab. Strata served exactly (s_c == n_c > 0)
+  // are recorded on the sample, so reports can tell exhaustive strata from
+  // sampled ones.
   std::vector<size_t> out_off(r + 1, 0);  // output offsets (draw sizes)
   std::vector<uint8_t> exhaustive(r, 0);
+  uint64_t max_pop = 0;
   for (size_t c = 0; c < r; ++c) {
     const uint64_t s_c = std::min<uint64_t>(sizes[c], pop[c]);
-    base[c + 1] = base[c] + static_cast<size_t>(pop[c]);
     out_off[c + 1] = out_off[c] + static_cast<size_t>(s_c);
     exhaustive[c] = pop[c] > 0 && s_c == pop[c] ? 1 : 0;
+    max_pop = std::max(max_pop, pop[c]);
   }
 
+  // Per-stratum state of the row pass: rows of the stratum seen so far,
+  // the ordinal wanted next (kDone once every wanted row is matched), and
+  // the slab slots of that ordinal and of the slab's end.
+  struct Cursor {
+    uint32_t seen;
+    uint32_t want;
+    uint32_t at;
+    uint32_t end;
+  };
+  constexpr uint32_t kDone = ~uint32_t{0};
   MemoryReservation draw_res = ReserveMemoryOrThrow(
-      out_off[r] * (sizeof(uint32_t) + sizeof(double)),
+      out_off[r] * (sizeof(uint32_t) + sizeof(double)) +
+          r * sizeof(Cursor) + (max_pop + 63) / 64 * sizeof(uint64_t),
       "stratified sample rows and weights");
   std::vector<uint32_t> rows(out_off[r]);
   std::vector<double> weights(out_off[r]);
   uint32_t* rowp = rows.data();
-  double* weightp = weights.data();
 
-  const std::vector<uint32_t>& row_strata = strat->row_strata();
-  const size_t n = row_strata.size();
-  // Partial draws degrade at stratum granularity (a stratum either draws
-  // fully or is skipped), which needs the per-stratum list path — the two
-  // paths are bit-identical, so steering by allow_partial is free.
+  // Stratum c's s_c ascending ordinals in [0, n_c), drawn with exactly s_c
+  // draws on its own stream, wait in its output slab for the row pass.
+  std::vector<Cursor> cursors(r);
+  std::vector<uint64_t> bitmap;
+  for (size_t c = 0; c < r; ++c) {
+    const uint32_t lo = static_cast<uint32_t>(out_off[c]);
+    const uint32_t hi = static_cast<uint32_t>(out_off[c + 1]);
+    cursors[c] = Cursor{0, kDone, lo, hi};
+    if (lo == hi) continue;  // allocation 0 / empty stratum: no draws
+    Rng stream = Rng::ForStratum(master, c);
+    DrawOrdinals(pop[c], hi - lo, &stream, rowp + lo, &bitmap);
+    cursors[c].want = rowp[lo];
+    std::fill(weights.begin() + lo, weights.begin() + hi,
+              static_cast<double>(pop[c]) / static_cast<double>(hi - lo));
+  }
+
+  // One pass over the rows replaces each ordinal with the row holding it:
+  // the want-th row of stratum c in table order. Governance checks every
+  // kCheckEvery rows. Under allow_partial a firing check ends the pass:
+  // strata whose wanted rows are all matched keep them, every other drawn
+  // stratum is flagged and dropped below.
   const QueryContext* qctx = CurrentQueryContext();
   const bool allow_partial = qctx != nullptr && qctx->allow_partial();
-  std::vector<uint8_t> degraded(r, 0);
-  // Two draw paths, one output: each stratum's draw is Algorithm R over its
-  // rows in ascending row order on its own stream, so running the strata
-  // interleaved in one table pass (serial fast path: no list
-  // materialization) or walking the shared per-stratum row lists (the
-  // stratification's partition-backed — or counting-sorted — artifact,
-  // fanned out across the pool) produces the same rows bit for bit. The
-  // choice can therefore follow the resolved thread count and whether the
-  // lists already exist, without entering the determinism contract.
-  const bool use_lists = allow_partial ||
-                         strat->stratum_rows_materialized() ||
-                         ParallelChunkCount(n, ResolveThreads()) > 1;
-  if (!use_lists) {
-    // One interleaved pass: offer each row to its stratum's reservoir
-    // state. seen[c] plays DrawReservoir's item index i; the slab fills,
-    // then rows displace uniformly via the stratum's stream.
-    std::vector<Rng> streams;
-    streams.reserve(r);
-    for (size_t c = 0; c < r; ++c) streams.push_back(Rng::ForStratum(master, c));
-    std::vector<size_t> seen(r, 0);
-    // Governance boundary inside the single interleaved pass: a blocked
-    // check that never perturbs the row order or the streams' consumption.
-    constexpr size_t kCheckEvery = 1 << 16;
-    for (size_t row = 0; row < n; ++row) {
-      if ((row & (kCheckEvery - 1)) == 0) CheckQueryAbortedOrThrow();
-      const uint32_t c = row_strata[row];
-      const size_t s_c = out_off[c + 1] - out_off[c];
-      if (s_c == 0) continue;
-      const size_t i = seen[c]++;
-      if (i < s_c) {
-        rowp[out_off[c] + i] = static_cast<uint32_t>(row);
-      } else {
-        const size_t j = ReservoirVictim(i + 1, s_c, &streams[c]);
-        if (j < s_c) rowp[out_off[c] + j] = static_cast<uint32_t>(row);
-      }
+  const std::vector<uint32_t>& row_strata = strat->row_strata();
+  const uint32_t* rs = row_strata.data();
+  const size_t n = row_strata.size();
+  constexpr size_t kCheckEvery = 1 << 16;
+  for (size_t lo = 0; lo < n; lo += kCheckEvery) {
+    Status st = CheckQueryAborted();
+    if (st.ok()) st = CVOPT_FAILPOINT_STATUS("sample.draw");
+    if (!st.ok()) {
+      if (!allow_partial) throw QueryAbortedError(std::move(st));
+      break;
     }
-    for (size_t c = 0; c < r; ++c) {
-      const size_t s_c = out_off[c + 1] - out_off[c];
-      if (s_c == 0) continue;
-      const double w = static_cast<double>(base[c + 1] - base[c]) /
-                       static_cast<double>(s_c);
-      std::fill(weightp + out_off[c], weightp + out_off[c + 1], w);
-    }
-  } else {
-    // The per-stratum row lists come from the stratification itself (one
-    // shared materialization — straight from the radix-partition artifact
-    // when the build kept one), not from a sampler-private bucketing pass.
-    // Under allow_partial the materialization itself may hit the deadline
-    // (it runs governed); with no lists there is nothing to draw from, so
-    // every stratum is skipped and flagged rather than failing the draw.
-    bool lists_ok = true;
-    if (allow_partial) {
-      try {
-        strat->stratum_rows();
-      } catch (const QueryAbortedError&) {
-        lists_ok = false;
-        std::fill(degraded.begin(), degraded.end(), uint8_t{1});
-      }
-    }
-    if (lists_ok) {
-    const std::vector<uint32_t>& stratum_rows = strat->stratum_rows();
-    const uint32_t* bucketp = stratum_rows.data();
-    const size_t* sbase = strat->stratum_row_base().data();
-    ParallelFor(
-        r,
-        [&](size_t, size_t lo, size_t hi) {
-          for (size_t c = lo; c < hi; ++c) {
-            if (allow_partial) {
-              // Deadline mid-draw: skip this stratum (its slab was never
-              // written) and flag the shortfall instead of failing.
-              if (!CheckQueryAborted().ok()) {
-                degraded[c] = 1;
-                continue;
-              }
-            } else {
-              CheckQueryAbortedOrThrow();
-            }
-            const size_t s_c = out_off[c + 1] - out_off[c];
-            if (s_c == 0) continue;  // allocation 0 / empty stratum: no draws
-            const size_t n_c = sbase[c + 1] - sbase[c];
-            Rng stream = Rng::ForStratum(master, c);
-            DrawReservoir(bucketp + sbase[c], n_c, s_c, &stream,
-                          rowp + out_off[c]);
-            const double w =
-                static_cast<double>(n_c) / static_cast<double>(s_c);
-            std::fill(weightp + out_off[c], weightp + out_off[c + 1], w);
-          }
-        },
-        0, 1);
+    const size_t hi = std::min(n, lo + kCheckEvery);
+    for (size_t row = lo; row < hi; ++row) {
+      Cursor& cur = cursors[rs[row]];
+      if (cur.seen++ != cur.want) continue;
+      rowp[cur.at++] = static_cast<uint32_t>(row);
+      cur.want = cur.at < cur.end ? rowp[cur.at] : kDone;
     }
   }
+  // A full pass matches every ordinal, so a stratum still wanting a row
+  // was cut off.
+  std::vector<uint8_t> degraded(r);
   size_t num_degraded = 0;
-  for (uint8_t f : degraded) num_degraded += f;
+  for (size_t c = 0; c < r; ++c) {
+    degraded[c] = cursors[c].want != kDone;
+    num_degraded += degraded[c];
+  }
   if (num_degraded > 0) {
-    // Compact away the skipped strata's (unwritten) slabs so the sample
-    // holds only rows that were actually drawn; flags keep stratum ids.
+    // Compact away the flagged strata's slabs, which still hold ordinals
+    // the pass did not reach, so the sample holds only drawn rows; flags
+    // keep stratum ids.
     std::vector<uint32_t> crows;
     std::vector<double> cweights;
     crows.reserve(out_off[r]);

@@ -35,11 +35,19 @@ class Sampler {
 /// the stratum population take every row) and assembles the sample with
 /// weights n_c / s_c, rows grouped stratum-major.
 ///
+/// Stratum c draws its s_c ascending ordinals in [0, n_c) with DrawOrdinals
+/// (exactly s_c draws; a take-all stratum draws none), then one pass over
+/// row_strata() replaces each ordinal with the stratum's row of that rank in
+/// table order.
+///
 /// Determinism contract: the drawn row sets are a pure function of the rng's
 /// state at entry (one Next64() derives a master seed; stratum c then draws
 /// on its own Rng::ForStratum(master, c) stream), the stratification, and
-/// the allocation — independent of thread count and chunking, so the
-/// per-stratum draw loop morsels through the shared execution pool.
+/// the allocation — independent of thread count and chunking.
+///
+/// Under QueryContext::allow_partial a firing governance check ends the row
+/// pass early: strata whose wanted rows were all matched keep them, every
+/// other stratum with s_c > 0 is dropped and flagged degraded.
 Result<StratifiedSample> DrawStratified(
     const Table& table, std::shared_ptr<const Stratification> strat,
     const std::vector<uint64_t>& sizes, const std::string& method, Rng* rng);

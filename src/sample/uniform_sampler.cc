@@ -16,12 +16,13 @@ Result<StratifiedSample> UniformSampler::Build(
   const uint64_t m = std::min(budget, n);
   // Uniform is a single-stratum draw: derive the same master-seed ->
   // per-stratum stream as DrawStratified (stratum id 0), so seed -> sample
-  // is a pure function under the one shared determinism contract.
+  // is a pure function under the one shared determinism contract. Over the
+  // whole table the ordinals are the rows themselves.
   const uint64_t master = rng->Next64();
   Rng stream = Rng::ForStratum(master, 0);
   std::vector<uint32_t> rows(static_cast<size_t>(m));
-  DrawReservoir(nullptr, static_cast<size_t>(n), static_cast<size_t>(m),
-                &stream, rows.data());
+  std::vector<uint64_t> bitmap;
+  DrawOrdinals(n, m, &stream, rows.data(), &bitmap);
   const double w =
       rows.empty() ? 0.0 : static_cast<double>(n) / static_cast<double>(rows.size());
   std::vector<double> weights(rows.size(), w);

@@ -40,9 +40,9 @@ class Rng {
   /// Splittable per-stratum stream derivation: a generator that is a pure
   /// function of (seed, stratum_id) — no shared state, no draw from any
   /// other stream. For a fixed seed, distinct stratum ids map injectively to
-  /// distinct, SplitMix64-finalized child seeds, so per-stratum consumers
-  /// (the parallel stratified draw) can run in any order or thread
-  /// interleaving and still produce the same numbers. This is the
+  /// distinct, SplitMix64-finalized child seeds, so a stratum's draws (the
+  /// stratified draw's ordinals) depend on no other stratum's and can run
+  /// in any order or thread interleaving. This is the
   /// reproducibility primitive behind the sampler determinism contract:
   /// seed -> sample is a function, independent of thread count.
   static Rng ForStratum(uint64_t seed, uint64_t stratum_id);

@@ -114,6 +114,59 @@ TEST(ExecuteExactTest, ErrorsOnBadQuery) {
   EXPECT_FALSE(ExecuteExact(t, bad_group).ok());
 }
 
+TEST(AccumulateSourcesTest, PartitionedPassesAddToEarlierPasses) {
+  // Two passes over a radix-partitioned build into one accumulator hold
+  // twice one pass: counts, weight sums and sums double (x + x == 2x
+  // exactly), MEDIAN buffers hold each value twice.
+  Table t = MakeSkewedTable(40, 30);
+  ScopedRadixOverride radix(/*mode=*/1, /*partitions=*/8);
+  ScopedExecThreads threads(4);
+  ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::Build(t, {"g"}));
+  ASSERT_NE(gidx.partitions(), nullptr);
+  std::vector<uint32_t> sel;
+  for (uint32_t i = 0; i < t.num_rows(); ++i) {
+    if (i % 3 != 0) sel.push_back(i);
+  }
+  const std::vector<double> weights(t.num_rows(), 1.5);
+  const std::vector<AggSpec> aggs = {AggSpec::Count(), AggSpec::Sum("v"),
+                                     AggSpec::Variance("v"),
+                                     AggSpec::Median("v")};
+  std::vector<ValueSpan> values(aggs.size());
+  for (size_t j = 1; j < aggs.size(); ++j) {
+    values[j].doubles = t.column(1).doubles().data();
+  }
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted);
+    GroupedPass pass;
+    pass.num_groups = gidx.num_groups();
+    pass.row_groups = &gidx.row_groups();
+    pass.sizes = &gidx.sizes();
+    pass.parts = gidx.partitions().get();
+    pass.sel = &sel;
+    pass.weights = weighted ? &weights : nullptr;
+    GroupedAccumulators once, twice;
+    AccumulateSources(pass, aggs, values, &once);
+    AccumulateSources(pass, aggs, values, &twice);
+    AccumulateSources(pass, aggs, values, &twice);
+    for (size_t g = 0; g < gidx.num_groups(); ++g) {
+      ASSERT_GT(once.cnt[g], 0u);
+      EXPECT_EQ(twice.cnt[g], 2 * once.cnt[g]);
+      if (weighted) {
+        EXPECT_EQ(twice.wcnt[g], 2 * once.wcnt[g]);
+      }
+      EXPECT_EQ(twice.sums[1][g], 2 * once.sums[1][g]);
+      EXPECT_EQ(twice.sums[2][g], 2 * once.sums[2][g]);
+      EXPECT_EQ(twice.sums2[2][g], 2 * once.sums2[2][g]);
+      const size_t median_len = weighted ? once.median_pairs[3][g].size()
+                                         : once.median_values[3][g].size();
+      EXPECT_EQ(median_len, once.cnt[g]);
+      EXPECT_EQ(weighted ? twice.median_pairs[3][g].size()
+                         : twice.median_values[3][g].size(),
+                2 * median_len);
+    }
+  }
+}
+
 TEST(QueryResultTest, DuplicateGroupRejected) {
   QueryResult r({"COUNT(*)"}, {"g"});
   ASSERT_OK(r.AddGroup(GroupKey{{1}}, "1", {2.0}));

@@ -367,9 +367,8 @@ TEST(GovernancePartialDrawTest, WithoutAllowPartialDeadlineFailsTyped) {
 }
 
 TEST(GovernancePartialDrawTest, AllowPartialAloneDoesNotChangeTheDraw) {
-  // allow_partial steers the draw onto the per-stratum list path; by the
-  // documented path equivalence the drawn sample must match the ungoverned
-  // draw bit for bit when nothing fires.
+  // allow_partial only decides what a firing check does, so when nothing
+  // fires the drawn sample must match the ungoverned draw bit for bit.
   Table t = MakeSkewedTable(8, 150);
   ASSERT_OK_AND_ASSIGN(Stratification strat, Stratification::Build(t, {"g"}));
   auto shared = std::make_shared<Stratification>(std::move(strat));
@@ -388,6 +387,77 @@ TEST(GovernancePartialDrawTest, AllowPartialAloneDoesNotChangeTheDraw) {
   EXPECT_EQ(plain.rows(), governed.rows());
   EXPECT_EQ(plain.weights(), governed.weights());
   EXPECT_EQ(governed.num_degraded_strata(), 0u);
+}
+
+// 100,005 rows in table order: "early" (20,000 rows), "tiny" (10), then
+// "a", "b", "c" cycling to row 100,000, then "late" (5). The draw checks
+// governance every 65,536 rows, so a check firing on its second hit cuts
+// the row pass at row 65,536: after "early" and "tiny" ended, inside the
+// cycling strata, before "late" began.
+Table MidPassCutTable() {
+  Schema schema({{"g", DataType::kString}, {"v", DataType::kDouble}});
+  TableBuilder b(schema);
+  auto add = [&](const char* g, int rows) {
+    for (int i = 0; i < rows; ++i) {
+      CVOPT_CHECK(b.AppendRow({Value(g), Value(1.0)}).ok(), "append failed");
+    }
+  };
+  add("early", 20000);
+  add("tiny", 10);
+  const char* cycle[] = {"a", "b", "c"};
+  for (int row = 20010; row < 100000; ++row) add(cycle[row % 3], 1);
+  add("late", 5);
+  return std::move(b).Finish();
+}
+
+TEST(GovernancePartialDrawTest, MidPassDeadlineKeepsCompletedStrata) {
+  Table t = MidPassCutTable();
+  ASSERT_OK_AND_ASSIGN(Stratification strat, Stratification::Build(t, {"g"}));
+  auto shared = std::make_shared<Stratification>(std::move(strat));
+  ASSERT_EQ(shared->num_strata(), 6u);  // early, tiny, a, b, c, late
+  // early and the cycling strata sample, tiny and late take all, c draws
+  // nothing.
+  const std::vector<uint64_t> sizes = {40, 100, 40, 40, 0, 5};
+  Rng rng_full(303);
+  ASSERT_OK_AND_ASSIGN(StratifiedSample full,
+                       DrawStratified(t, shared, sizes, "test", &rng_full));
+
+  QueryContext ctx;
+  MakePermissive(&ctx);
+  ctx.set_allow_partial(true);
+  ASSERT_OK(fp::SetForTesting("sample.draw:deadline@2"));
+  Result<StratifiedSample> cut = [&] {
+    ScopedQueryContext install(&ctx);
+    Rng rng(303);
+    return DrawStratified(t, shared, sizes, "test", &rng);
+  }();
+  fp::ClearForTesting();
+  ASSERT_OK(cut.status());
+  // Strata whose wanted rows all precede the cut keep them; every other
+  // drawn stratum is flagged; a stratum drawing nothing is not.
+  EXPECT_EQ(cut->stratum_degraded(),
+            (std::vector<uint8_t>{0, 0, 1, 1, 0, 1}));
+  EXPECT_EQ(cut->stratum_exhaustive(),
+            (std::vector<uint8_t>{0, 1, 0, 0, 0, 0}));
+  // The kept rows and weights are the full draw's first two slabs.
+  const size_t kept = 40 + 10;
+  ASSERT_EQ(cut->rows().size(), kept);
+  EXPECT_TRUE(std::equal(cut->rows().begin(), cut->rows().end(),
+                         full.rows().begin()));
+  EXPECT_TRUE(std::equal(cut->weights().begin(), cut->weights().end(),
+                         full.weights().begin()));
+
+  // Without allow_partial the same cut fails the draw, typed.
+  ctx.set_allow_partial(false);
+  ASSERT_OK(fp::SetForTesting("sample.draw:deadline@2"));
+  Result<StratifiedSample> failed = [&] {
+    ScopedQueryContext install(&ctx);
+    Rng rng(303);
+    return DrawStratified(t, shared, sizes, "test", &rng);
+  }();
+  fp::ClearForTesting();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(GovernancePartialDrawTest, DegradedStrataSurfaceInErrorReport) {

@@ -350,39 +350,12 @@ TEST_P(ParallelExecTest, HugeGroupCountExecutorMatchesSerial) {
   ExpectResultsMatch(serial, par, /*weighted_counts=*/false);
 }
 
-TEST_P(ParallelExecTest, StratumRowListsMatchEveryDerivation) {
-  // The per-stratum row lists are a pure function of the stratification:
-  // the counting-sort fallback, the partition-backed fill, and every
-  // thread count must produce identical arrays.
-  const Table& t = TestTable();
-  std::vector<uint32_t> ref_rows;
-  std::vector<size_t> ref_base;
-  {
-    ScopedExecThreads one(1);
-    ASSERT_OK_AND_ASSIGN(Stratification s,
-                         Stratification::Build(t, {"country", "parameter"}));
-    EXPECT_FALSE(s.stratum_rows_materialized());
-    ref_rows = s.stratum_rows();  // counting-sort fallback (no partitions)
-    ref_base = s.stratum_row_base();
-    EXPECT_TRUE(s.stratum_rows_materialized());
-    // The lists tile the rows exactly.
-    EXPECT_EQ(ref_rows.size(), t.num_rows());
-    EXPECT_EQ(ref_base.back(), t.num_rows());
-  }
-  ScopedRadixOverride radix(/*mode=*/1, /*partitions=*/8);
-  ScopedExecThreads threads(GetParam());
-  ASSERT_OK_AND_ASSIGN(Stratification par,
-                       Stratification::Build(t, {"country", "parameter"}));
-  EXPECT_EQ(par.stratum_rows(), ref_rows);  // partition-backed fill
-  EXPECT_EQ(par.stratum_row_base(), ref_base);
-}
-
 TEST_P(ParallelExecTest, SamplersBitIdenticalWithForcedRadix) {
-  // End-to-end through the partition artifact: stratification lists come
-  // from the radix build and DrawStratified draws from them, while the
-  // statistics pass keeps its shape-fixed chunking — every sampler's rows
-  // and weights must still be bit-identical to the default serial path
-  // (the sample determinism contract).
+  // End-to-end over a radix-partitioned build: the stratification comes
+  // from the partitioned GroupIndex, while the statistics pass keeps its
+  // shape-fixed chunking — every sampler's rows and weights must still be
+  // bit-identical to the default serial path (the sample determinism
+  // contract).
   const Table& t = TestTable();
   QuerySpec q = AllAggregatesQuery(false);
   const UniformSampler uniform;

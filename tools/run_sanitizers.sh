@@ -12,15 +12,15 @@
 # src/table/.
 #
 # Pass 2 — TSan: the guard rail for the parallel execution engine
-# (chunk-disjoint writes in the executors, the GroupIndex build, and the
-# per-stratum stratified draw, the thread pool's batch handshake,
-# plan-cache locking). The suite runs with CVOPT_THREADS=4 so every morsel
+# (chunk-disjoint writes in the executors, the GroupIndex build and the
+# statistics pass, the thread pool's batch handshake, plan-cache locking). The suite runs with CVOPT_THREADS=4 so every morsel
 # path actually fans out even on small machines. Run before merging changes
 # to src/exec/parallel.* or any code called from inside ParallelFor.
 #
 # Both passes run the FULL ctest suite, including the "slow"-labelled
-# statistical sampling tests — the chi-square draws hammer the parallel
-# reservoir path, which is exactly what the sanitizers should see.
+# statistical sampling tests — the chi-square draws hammer the stratified
+# draw and the statistics pass under it, which is exactly what the
+# sanitizers should see.
 #
 # Usage: tools/run_sanitizers.sh [--asan-only|--tsan-only]
 #                                [asan-build-dir] [tsan-build-dir]

@@ -31,7 +31,7 @@ done
 
 # Every CVOPT_FAILPOINT site compiled into the library, read from the
 # source so a new site cannot be left out of the sweep.
-mapfile -t FAULT_SITES < <(grep -rhoE 'CVOPT_FAILPOINT\("[^"]+' src |
+mapfile -t FAULT_SITES < <(grep -rhoE 'CVOPT_FAILPOINT(_STATUS)?\("[^"]+' src |
   cut -d'"' -f2 | sort -u)
 if [[ "${#FAULT_SITES[@]}" == "0" ]]; then
   echo "no CVOPT_FAILPOINT sites found under src/" >&2
