@@ -212,6 +212,20 @@ void BM_StratificationBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_StratificationBuild);
 
+// The same build over an int-keyed grouping (a dictionary column and the
+// small-range `year`): the direct tier takes year's range from the table's
+// zone maps.
+void BM_StratificationBuildIntKey(benchmark::State& state) {
+  ScopedThreads threads(1);
+  const Table& t = BenchTable();
+  for (auto _ : state) {
+    auto strat = Stratification::Build(t, {"parameter", "year"});
+    benchmark::DoNotOptimize(strat);
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+}
+BENCHMARK(BM_StratificationBuildIntKey);
+
 void BM_CollectGroupStats(benchmark::State& state) {
   ScopedThreads threads(1);
   const Table& t = BenchTable();

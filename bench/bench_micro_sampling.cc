@@ -106,10 +106,9 @@ BENCHMARK(BM_BuildCvoptParallel)->Name("BM_Build_CVOPTParallel")->Apply(ThreadAr
 
 // The draw phase in isolation (per-stratum ordinal draws on
 // Rng::ForStratum streams, then one serial pass over the row strata):
-// the stratification and allocation are prebuilt. The draw does not fan
-// out, so the thread ladder should stay flat; it shows that the pool adds
-// no cost.
-void BM_DrawStratifiedParallel(benchmark::State& state) {
+// the stratification and allocation are prebuilt. The draw does not use
+// the pool, so it runs on one thread and reports its CPU time.
+void BM_DrawStratified(benchmark::State& state) {
   const Table& t = BenchTable();
   static const auto* shared = [] {
     auto strat = Stratification::Build(BenchTable(), {"country", "parameter"});
@@ -118,7 +117,7 @@ void BM_DrawStratifiedParallel(benchmark::State& state) {
   }();
   static const auto* alloc = new std::vector<uint64_t>(
       EqualAllocation((*shared)->sizes(), BenchTable().num_rows() / 100));
-  ScopedThreads threads(static_cast<int>(state.range(0)));
+  ScopedThreads threads(1);
   Rng rng(19);
   for (auto _ : state) {
     auto sample = DrawStratified(t, *shared, *alloc, "bench", &rng);
@@ -126,7 +125,7 @@ void BM_DrawStratifiedParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
-BENCHMARK(BM_DrawStratifiedParallel)->Apply(ThreadArgs)->UseRealTime();
+BENCHMARK(BM_DrawStratified);
 
 // Streaming-router row throughput: the per-row packed dense-id probe that
 // replaced GroupKey materialization + interning in the streaming sampler.

@@ -2,27 +2,16 @@
 
 #include <algorithm>
 
-#include "src/exec/group_index.h"
-#include "src/exec/query_context.h"
-
 namespace cvopt {
 
 Result<Stratification> Stratification::Build(const Table& table,
                                              std::vector<std::string> attrs) {
- return GovernedSection([&]() -> Result<Stratification> {
   Stratification out;
   out.table_ = &table;
+  CVOPT_ASSIGN_OR_RETURN(out.index_, GroupIndex::BuildShared(table, attrs));
   out.attrs_ = std::move(attrs);
-  // One vectorized pass: dense stratum ids, sizes, and representative keys
-  // all come from the shared group-id pipeline.
-  CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx, GroupIndex::Build(table, out.attrs_));
-  out.column_indices_ = gidx.column_indices();
-  out.keys_ = gidx.Keys();
-  out.row_strata_ = gidx.TakeRowGroups();
-  out.sizes_ = gidx.TakeSizes();
-  out.first_rows_ = gidx.TakeRepRows();
+  out.keys_ = out.index_->Keys();
   return out;
- });
 }
 
 Result<Stratification::Projection> Stratification::Project(
@@ -41,7 +30,7 @@ Result<Stratification::Projection> Stratification::Project(
   }
   proj.parent_column_indices.reserve(positions.size());
   for (size_t p : positions) {
-    proj.parent_column_indices.push_back(column_indices_[p]);
+    proj.parent_column_indices.push_back(column_indices()[p]);
   }
 
   proj.stratum_to_parent.resize(num_strata());
@@ -55,7 +44,7 @@ Result<Stratification::Projection> Stratification::Project(
     const uint32_t parent = interner.Intern(sub);
     if (parent == proj.parent_sizes.size()) proj.parent_sizes.push_back(0);
     proj.stratum_to_parent[c] = parent;
-    proj.parent_sizes[parent] += sizes_[c];
+    proj.parent_sizes[parent] += sizes()[c];
   }
   proj.parent_keys = interner.TakeKeys();
   return proj;

@@ -7,9 +7,11 @@
 #define CVOPT_CORE_STRATIFICATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/exec/group_index.h"
 #include "src/stats/group_key.h"
 #include "src/table/table.h"
 #include "src/util/status.h"
@@ -20,36 +22,46 @@ namespace cvopt {
 /// combination of the stratification attributes that occurs in the data.
 /// An empty attribute list yields a single stratum holding every row.
 ///
-/// The Stratification holds a pointer to the source table; the table must
-/// outlive it.
+/// A view over the table's full-table GroupIndex for the attributes: the
+/// strata are its groups, and the row mapping, sizes and representative
+/// rows are the index's own (shared, not copied). The Stratification holds
+/// a pointer to the source table; the table must outlive it.
 class Stratification {
  public:
-  /// Builds the stratification in one pass over the table. Attributes must
-  /// be int64 or string columns (doubles are not groupable).
+  /// Builds the stratification in one pass over the table, or shares the
+  /// index an earlier query of the same request built (see
+  /// GroupIndex::BuildShared). Attributes must be int64 or string columns
+  /// (doubles are not groupable).
   static Result<Stratification> Build(const Table& table,
                                       std::vector<std::string> attrs);
 
   const Table& table() const { return *table_; }
   const std::vector<std::string>& attrs() const { return attrs_; }
-  const std::vector<size_t>& column_indices() const { return column_indices_; }
+  const std::vector<size_t>& column_indices() const {
+    return index_->column_indices();
+  }
 
   size_t num_strata() const { return keys_.size(); }
 
   /// Per-row stratum ids, aligned with table rows.
-  const std::vector<uint32_t>& row_strata() const { return row_strata_; }
-  uint32_t StratumOfRow(size_t row) const { return row_strata_[row]; }
+  const std::vector<uint32_t>& row_strata() const {
+    return index_->row_groups();
+  }
+  uint32_t StratumOfRow(size_t row) const { return index_->group_of(row); }
 
   /// Number of rows in each stratum (the paper's n_c).
-  const std::vector<uint64_t>& sizes() const { return sizes_; }
+  const std::vector<uint64_t>& sizes() const { return index_->sizes(); }
 
   /// The first row of each stratum in table order (its representative).
-  const std::vector<uint32_t>& first_rows() const { return first_rows_; }
+  const std::vector<uint32_t>& first_rows() const {
+    return index_->rep_rows();
+  }
 
   const GroupKey& key(size_t stratum) const { return keys_[stratum]; }
 
   /// Human-readable stratum label, e.g. "US|pm25".
   std::string Label(size_t stratum) const {
-    return keys_[stratum].Render(*table_, column_indices_);
+    return keys_[stratum].Render(*table_, column_indices());
   }
 
   /// Mapping of this (finest) stratification onto the coarser grouping by a
@@ -76,10 +88,7 @@ class Stratification {
 
   const Table* table_ = nullptr;
   std::vector<std::string> attrs_;
-  std::vector<size_t> column_indices_;
-  std::vector<uint32_t> row_strata_;
-  std::vector<uint64_t> sizes_;
-  std::vector<uint32_t> first_rows_;
+  std::shared_ptr<const GroupIndex> index_;
   std::vector<GroupKey> keys_;
 };
 

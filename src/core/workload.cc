@@ -87,16 +87,17 @@ Result<Workload::AllocationInput> Workload::Deduce(const Table& table) const {
   // The group index depends only on the merged query's attribute set, so
   // entries sharing a grouping (e.g. the same query under different year
   // filters) share one full-table build.
-  std::vector<std::unique_ptr<GroupIndex>> index_cache(out.queries.size());
+  std::vector<std::shared_ptr<const GroupIndex>> index_cache(
+      out.queries.size());
   for (const auto& [q, freq] : entries_) {
     const std::string canon = CanonicalAttrs(q.group_by);
     const size_t qi = query_index.at(canon);
     // Dense group ids over all rows; honor the WHERE predicate with one
     // per-group occurrence flag instead of a per-row key-map probe.
     if (index_cache[qi] == nullptr) {
-      CVOPT_ASSIGN_OR_RETURN(GroupIndex built,
-                             GroupIndex::Build(table, out.queries[qi].group_by));
-      index_cache[qi] = std::make_unique<GroupIndex>(std::move(built));
+      CVOPT_ASSIGN_OR_RETURN(
+          index_cache[qi],
+          GroupIndex::BuildShared(table, out.queries[qi].group_by));
     }
     const GroupIndex& gidx = *index_cache[qi];
     std::vector<uint8_t> seen(gidx.num_groups(), 0);

@@ -51,8 +51,9 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
   // the full key set, the WHERE selection evaluated once, and one raw
   // accumulation (which itself reuses the partition artifact on unmasked
   // queries — partition-owned slabs, no chunk merge).
-  CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx,
-                         GroupIndex::Build(table, base.group_by));
+  CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> index,
+                         GroupIndex::BuildShared(table, base.group_by));
+  const GroupIndex& gidx = *index;
   const bool use_sel = base.where != nullptr;
   std::vector<uint32_t> sel;
   if (use_sel) {

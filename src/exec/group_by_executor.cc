@@ -315,6 +315,28 @@ void AccumulateSources(const GroupedPass& pass,
     });
   };
 
+  // The earlier aggregate whose slabs aggregate j's pass would repeat, or
+  // j: one of the same kind (SUM-like: AVG, SUM, COUNT_IF; or VARIANCE)
+  // over the same value stream, e.g. AVG(v) beside SUM(v). Its pass makes
+  // the same additions in the same order, so j copies its sums.
+  auto sums_source = [&](size_t j) {
+    auto kind = [&](size_t i) {
+      const AggFunc f = aggs[i].func;
+      return f == AggFunc::kCount || f == AggFunc::kMedian ? 0
+             : f == AggFunc::kVariance                     ? 2
+                                                           : 1;
+    };
+    for (size_t k = 0; k < j; ++k) {
+      if (kind(k) != 0 && kind(k) == kind(j) &&
+          values[k].doubles == values[j].doubles &&
+          values[k].ints == values[j].ints &&
+          values[k].indicator == values[j].indicator) {
+        return k;
+      }
+    }
+    return j;
+  };
+
   // Hoists the weight stream and each aggregate's value stream (indicator
   // or column type) out of the row loops; each combination instantiates a
   // specialized inner loop.
@@ -329,6 +351,12 @@ void AccumulateSources(const GroupedPass& pass,
       const AggFunc f = aggs[j].func;
       const ValueSpan& src = values[j];
       if (f == AggFunc::kCount) continue;  // answered by cnt / wcnt
+      if (const size_t k = sums_source(j); k != j) {
+        acc.sums[j] = acc.sums[k];
+        acc.sums2[j] = acc.sums2[k];
+        if (pass.shift_rows != nullptr) acc.shifts[j] = acc.shifts[k];
+        continue;
+      }
       auto run = [&](auto value_at) {
         if (f != AggFunc::kMedian) {
           double* S = acc.sums[j].data();
@@ -433,8 +461,9 @@ Result<QueryResult> ExecuteExact(const Table& table, const QuerySpec& query) {
     return Status::InvalidArgument("query has no aggregates");
   }
   CVOPT_RETURN_NOT_OK(CheckQueryAborted());
-  CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx,
-                         GroupIndex::Build(table, query.group_by));
+  CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> index,
+                         GroupIndex::BuildShared(table, query.group_by));
+  const GroupIndex& gidx = *index;
 
   // WHERE compiles through the shared plan cache (workload replays reuse
   // the plan) and evaluates per-morsel through the pool straight to a

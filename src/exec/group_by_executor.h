@@ -112,7 +112,11 @@ Result<GroupedAccumulators> AccumulateGrouped(
 /// pass's group count. Only aggs[j].func is read; COUNT makes no pass.
 /// Every pass adds to what earlier passes left in *acc (counts and sums
 /// add, MEDIAN buffers append), so per-chunk passes in chunk order add
-/// each group's values in ascending position order. Throws
+/// each group's values in ascending position order. An aggregate of the
+/// same kind over the same stream as an earlier one (AVG(v) beside SUM(v);
+/// two VARIANCE sources over one column) makes no pass of its own and
+/// copies that one's slabs, so across several passes into one *acc such a
+/// pair must share its stream in every pass or in none. Throws
 /// QueryAbortedError at morsel boundaries; run it inside a
 /// GovernedSection.
 void AccumulateSources(const GroupedPass& pass,

@@ -371,6 +371,38 @@ void BatchedPackedProbe(size_t lo, size_t hi, const FlatGroupTable& t,
   }
 }
 
+// The packed key of a K-column grouping, with the column plans held by
+// value: the direct tier's row loop keeps them in registers instead of
+// reloading them through memory its stores may alias.
+template <size_t K>
+struct FixedPackedKey {
+  ColAccess cols[K];
+  uint64_t operator()(size_t r) const {
+    uint64_t key = 0;
+    for (size_t j = 0; j < K; ++j) key |= cols[j].PackedCode(r) << cols[j].shift;
+    return key;
+  }
+};
+
+// Calls body(key_of) with key_of(row) == pack(row): a FixedPackedKey for
+// keys of one to three columns, `pack` itself for wider ones.
+template <class Pack, class Body>
+void WithPackedKey(const std::vector<ColAccess>& acc, Pack pack, Body&& body) {
+  switch (acc.size()) {
+    case 1:
+      body(FixedPackedKey<1>{{acc[0]}});
+      break;
+    case 2:
+      body(FixedPackedKey<2>{{acc[0], acc[1]}});
+      break;
+    case 3:
+      body(FixedPackedKey<3>{{acc[0], acc[1], acc[2]}});
+      break;
+    default:
+      body(pack);
+  }
+}
+
 // Strided-sample distinct-group probe: builds a small local table over
 // min(n, kRadixSampleMax) evenly-strided positions and reports high
 // cardinality when at least half the probes are distinct, meaning
@@ -415,9 +447,12 @@ bool RadixSampleHighCardinality(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq) {
 //      ids to global ids.
 // With one chunk (threads == 1 or a small input) step 1 runs inline over
 // the whole range and steps 2–3 collapse to moves: the exact serial path.
+//
+// `zones` is the table's zone-map index on a full-table build (row_at is
+// the identity), null on a subset build.
 template <class RowAt>
 BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
-                      size_t n, RowAt row_at) {
+                      size_t n, RowAt row_at, const ZoneMapIndex* zones) {
   BuildOutput out;
   out.row_groups.assign(n, 0);
 
@@ -433,9 +468,10 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
   const size_t chunks = ParallelChunkCount(n, ResolveThreads());
 
   // Column access plans and code domains: dictionary size for strings, the
-  // observed [min, max] for ints (one cheap scan over contiguous storage,
-  // chunked through the pool; min/max merge associatively, so the result is
-  // identical to the serial scan).
+  // observed [min, max] for ints. A full-table build reads the int range
+  // off the table's zone maps (each chunk's exact [min, max]); a subset
+  // build scans its positions, chunked through the pool (min/max merge
+  // associatively, so the result is identical to the serial scan).
   std::vector<ColAccess> acc(cols.size());
   int total_bits = 0;
   uint64_t domain_product = 1;
@@ -448,18 +484,27 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
       a.domain = std::max<uint64_t>(1, col.dictionary().size());
     } else {
       a.ints = col.ints().data();
-      std::vector<int64_t> chunk_lo(chunks), chunk_hi(chunks);
-      ParallelForChunks(n, chunks, [&](size_t c, size_t lo, size_t hi) {
-        int64_t vlo = a.ints[row_at(lo)];
-        int64_t vhi = vlo;
-        for (size_t i = lo + 1; i < hi; ++i) {
-          const int64_t v = a.ints[row_at(i)];
-          vlo = std::min(vlo, v);
-          vhi = std::max(vhi, v);
+      std::vector<int64_t> chunk_lo, chunk_hi;
+      if (zones != nullptr) {
+        for (const ZoneMap& z : zones->columns[cols[j]]) {
+          chunk_lo.push_back(z.imin);
+          chunk_hi.push_back(z.imax);
         }
-        chunk_lo[c] = vlo;
-        chunk_hi[c] = vhi;
-      });
+      } else {
+        chunk_lo.resize(chunks);
+        chunk_hi.resize(chunks);
+        ParallelForChunks(n, chunks, [&](size_t c, size_t lo, size_t hi) {
+          int64_t vlo = a.ints[row_at(lo)];
+          int64_t vhi = vlo;
+          for (size_t i = lo + 1; i < hi; ++i) {
+            const int64_t v = a.ints[row_at(i)];
+            vlo = std::min(vlo, v);
+            vhi = std::max(vhi, v);
+          }
+          chunk_lo[c] = vlo;
+          chunk_hi[c] = vhi;
+        });
+      }
       const int64_t lo = *std::min_element(chunk_lo.begin(), chunk_lo.end());
       const int64_t hi = *std::max_element(chunk_hi.begin(), chunk_hi.end());
       a.base = static_cast<uint64_t>(lo);
@@ -573,19 +618,21 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
     ParallelForChunks(n, chunks, [&](size_t c, size_t lo, size_t hi) {
       LocalGroups& lg = locals[c];
       std::vector<uint32_t> remap(size_t{1} << total_bits, kEmptyId);
-      for (size_t i = lo; i < hi; ++i) {
-        const size_t r = row_at(i);
-        const uint64_t key = pack(r);
-        uint32_t id = remap[key];
-        if (id == kEmptyId) {
-          id = static_cast<uint32_t>(lg.rep_rows.size());
-          remap[key] = id;
-          lg.rep_rows.push_back(static_cast<uint32_t>(r));
-          lg.sizes.push_back(0);
+      WithPackedKey(acc, pack, [&](auto key_of) {
+        for (size_t i = lo; i < hi; ++i) {
+          const size_t r = row_at(i);
+          const uint64_t key = key_of(r);
+          uint32_t id = remap[key];
+          if (id == kEmptyId) {
+            id = static_cast<uint32_t>(lg.rep_rows.size());
+            remap[key] = id;
+            lg.rep_rows.push_back(static_cast<uint32_t>(r));
+            lg.sizes.push_back(0);
+          }
+          rg[i] = id;
+          lg.sizes[id]++;
         }
-        rg[i] = id;
-        lg.sizes[id]++;
-      }
+      });
     });
     out.tier = GroupIndex::Tier::kDirect;
     std::vector<uint32_t> global_remap;
@@ -803,7 +850,7 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
   MemoryReservation res = ReserveMemoryOrThrow(
       table.num_rows() * sizeof(uint32_t), "GroupIndex row->group mapping");
   BuildOutput built = BuildImpl(table, out.cols_, table.num_rows(),
-                                [](size_t i) { return i; });
+                                [](size_t i) { return i; }, table.zone_index());
   out.tier_ = built.tier;
   out.row_groups_ = std::move(built.row_groups);
   out.rep_rows_ = std::move(built.rep_rows);
@@ -827,7 +874,8 @@ Result<GroupIndex> GroupIndex::BuildForRows(const Table& table,
   const uint32_t* r = rows.data();
   BuildOutput built =
       BuildImpl(table, out.cols_, rows.size(),
-                [r](size_t i) { return static_cast<size_t>(r[i]); });
+                [r](size_t i) { return static_cast<size_t>(r[i]); },
+                /*zones=*/nullptr);
   out.tier_ = built.tier;
   out.row_groups_ = std::move(built.row_groups);
   out.rep_rows_ = std::move(built.rep_rows);
@@ -835,6 +883,20 @@ Result<GroupIndex> GroupIndex::BuildForRows(const Table& table,
   out.partitions_ = std::move(built.partitions);
   return out;
  });
+}
+
+Result<std::shared_ptr<const GroupIndex>> GroupIndex::BuildShared(
+    const Table& table, const std::vector<std::string>& attrs) {
+  const QueryContext* ctx = CurrentQueryContext();
+  std::vector<size_t> cols;
+  if (ctx != nullptr) {
+    CVOPT_ASSIGN_OR_RETURN(cols, Resolve(table, attrs));
+    if (auto memo = ctx->FindGroupIndex(table, cols)) return memo;
+  }
+  CVOPT_ASSIGN_OR_RETURN(GroupIndex built, Build(table, attrs));
+  auto index = std::make_shared<const GroupIndex>(std::move(built));
+  if (ctx != nullptr) ctx->RememberGroupIndex(table, std::move(cols), index);
+  return index;
 }
 
 uint64_t GroupIndex::resident_bytes() const {

@@ -121,6 +121,14 @@ class GroupIndex {
   static Result<GroupIndex> Build(const Table& table,
                                   const std::vector<std::string>& attrs);
 
+  /// Build, shared within the ambient QueryContext: the one entry point of
+  /// every full-table index (exact execution, stratification, the cube and
+  /// workload deduction). An index the context's one-slot memo holds for
+  /// the same table and grouping columns is returned as is; otherwise the
+  /// index is built and remembered. Without an ambient context it builds.
+  static Result<std::shared_ptr<const GroupIndex>> BuildShared(
+      const Table& table, const std::vector<std::string>& attrs);
+
   /// Builds over a subset of rows (e.g. the rows passing a filter):
   /// group_of(i) is the group of table row rows[i]. Ids are dense over the
   /// groups that occur in `rows`, in first-seen position order.
@@ -138,6 +146,8 @@ class GroupIndex {
 
   /// Rows mapped to each group (the stratification's n_c).
   const std::vector<uint64_t>& sizes() const { return sizes_; }
+  /// Group id -> its first-seen table row (the representative KeyOf reads).
+  const std::vector<uint32_t>& rep_rows() const { return rep_rows_; }
 
   const std::vector<size_t>& column_indices() const { return cols_; }
   Tier tier() const { return tier_; }
@@ -161,12 +171,6 @@ class GroupIndex {
   /// Appends group g's label to *out without materializing a GroupKey —
   /// the batch-rendering path of QueryResult::IngestDense.
   void AppendLabel(size_t g, std::string* out) const;
-
-  /// Move-out accessors for callers that keep the mapping (Stratification).
-  std::vector<uint32_t> TakeRowGroups() { return std::move(row_groups_); }
-  std::vector<uint64_t> TakeSizes() { return std::move(sizes_); }
-  /// Group id -> its first-seen row (the representative KeyOf reads).
-  std::vector<uint32_t> TakeRepRows() { return std::move(rep_rows_); }
 
   /// The radix-partition artifact, when the partitioned build ran (huge
   /// estimated group cardinality and a parallel chunking); null when the

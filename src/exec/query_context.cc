@@ -1,5 +1,6 @@
 #include "src/exec/query_context.h"
 
+#include "src/table/table.h"
 #include "src/util/string_util.h"
 
 namespace cvopt {
@@ -70,6 +71,26 @@ void QueryContext::InitForRequest(std::chrono::nanoseconds timeout,
   if (timeout.count() > 0) set_timeout(timeout);
   set_memory_limit(memory_limit_bytes, parent);
   set_allow_partial(allow_partial);
+}
+
+std::shared_ptr<const GroupIndex> QueryContext::FindGroupIndex(
+    const Table& table, const std::vector<size_t>& cols) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_index_ == nullptr || memo_table_ != &table ||
+      memo_table_id_ != table.id() || memo_cols_ != cols) {
+    return nullptr;
+  }
+  return memo_index_;
+}
+
+void QueryContext::RememberGroupIndex(
+    const Table& table, std::vector<size_t> cols,
+    std::shared_ptr<const GroupIndex> index) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_table_id_ = table.id();
+  memo_table_ = &table;
+  memo_cols_ = std::move(cols);
+  memo_index_.swap(index);  // the previous index is freed outside the lock
 }
 
 const QueryContext* CurrentQueryContext() { return tls_query_context; }

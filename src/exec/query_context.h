@@ -35,7 +35,10 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <memory>
+#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "src/util/status.h"
 
@@ -77,7 +80,9 @@ class MemoryBudget {
   MemoryBudget* parent_ = nullptr;
 };
 
+class GroupIndex;
 class QueryContext;
+class Table;
 
 /// Exception used to propagate a governance abort (deadline, cancellation,
 /// memory exhaustion, or an injected fault) out of void-returning morsel
@@ -217,12 +222,34 @@ class QueryContext {
   }
   void CountCheck() const { checks_.fetch_add(1, std::memory_order_relaxed); }
 
+  // --- per-request sharing ------------------------------------------------
+
+  /// One-slot memo of the last full-table GroupIndex built under this
+  /// context (GroupIndex::BuildShared). The queries of one request batch
+  /// often group one table by the same columns (an exact query and the
+  /// sample build of its approximate twin), and share one build through
+  /// it. Keyed by the table's id and the grouping column indices, and by
+  /// the table's address too: an index reads its table through a pointer,
+  /// and a moved table keeps its id. The index is freed with the context
+  /// or by the next remember. Thread-safe. Find returns null on a miss.
+  std::shared_ptr<const GroupIndex> FindGroupIndex(
+      const Table& table, const std::vector<size_t>& cols) const;
+  void RememberGroupIndex(const Table& table, std::vector<size_t> cols,
+                          std::shared_ptr<const GroupIndex> index) const;
+
  private:
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> allow_partial_{false};
   std::atomic<int64_t> deadline_ns_{0};  // steady-clock ns since epoch; 0=none
   MemoryBudget budget_;
   mutable std::atomic<uint64_t> checks_{0};
+  // The group-index memo; mutable like the check counter, since engine
+  // code sees the ambient context as const.
+  mutable std::mutex memo_mu_;
+  mutable uint64_t memo_table_id_ = 0;
+  mutable const Table* memo_table_ = nullptr;
+  mutable std::vector<size_t> memo_cols_;
+  mutable std::shared_ptr<const GroupIndex> memo_index_;
 };
 
 /// The context governing the current thread's work, nullptr when ungoverned.

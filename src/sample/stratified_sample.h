@@ -75,7 +75,9 @@ class StratifiedSample {
   /// its positions and weights, and the cached GroupIndex.
   uint64_t resident_bytes() const;
 
-  /// Optional: the stratification the sample was drawn under (for reports).
+  /// Optional: the stratification the sample was drawn under (for reports
+  /// and tests). It maps every base-table row and resident_bytes() does
+  /// not count it, so the serving catalog publishes samples without it.
   void set_stratification(std::shared_ptr<const Stratification> s) {
     strat_ = std::move(s);
   }

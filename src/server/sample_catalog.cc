@@ -98,13 +98,17 @@ Result<std::shared_ptr<const StratifiedSample>> SampleCatalog::GetOrBuild(
   const uint64_t budget = static_cast<uint64_t>(
       std::llround(rate * static_cast<double>(table.num_rows())));
   // The class's GROUP BY is part of the key, so the GroupIndex over the
-  // sample's rows is built once here and reused by every hit.
+  // sample's rows is built once here and reused by every hit. The
+  // stratification the draw ran under maps every base-table row, so the
+  // published sample drops it: it would pin 4 bytes per base row for as
+  // long as the sample stays resident.
   auto build = [&]() -> Result<std::shared_ptr<const StratifiedSample>> {
     Rng rng(BuildSeed(seed_, key));
     CvoptSampler sampler;
     CVOPT_ASSIGN_OR_RETURN(
         StratifiedSample sample,
         sampler.Build(table, {CanonicalSpec(query)}, budget, &rng));
+    sample.set_stratification(nullptr);
     CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> gidx,
                            SampleGroupIndex(sample, key.group_by));
     sample.set_group_index(key.group_by, std::move(gidx));

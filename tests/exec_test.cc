@@ -2,8 +2,13 @@
 // result joins.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "src/core/stratification.h"
 #include "src/exec/cube.h"
 #include "src/exec/group_by_executor.h"
+#include "src/exec/parallel.h"
+#include "src/exec/query_context.h"
 #include "src/exec/result_join.h"
 #include "tests/test_util.h"
 
@@ -165,6 +170,114 @@ TEST(AccumulateSourcesTest, PartitionedPassesAddToEarlierPasses) {
                 2 * median_len);
     }
   }
+}
+
+TEST(AccumulateSourcesTest, SharedStreamMatchesSeparatePasses) {
+  // AVG(v) and SUM(v) over one stream share one pass, and so do two
+  // VARIANCE sources; their slabs equal those of passes each over a
+  // private copy of the stream bit for bit, on the chunk-merged and
+  // partitioned paths, shifted or not.
+  Table t = MakeSkewedTable(40, 30);
+  const std::vector<double>& v = t.column(1).doubles();
+  const std::vector<AggSpec> aggs = {AggSpec::Avg("v"), AggSpec::Sum("v"),
+                                     AggSpec::Variance("v"),
+                                     AggSpec::Variance("v")};
+  const std::vector<std::vector<double>> copies(aggs.size(), v);
+  std::vector<ValueSpan> shared(aggs.size()), separate(aggs.size());
+  for (size_t j = 0; j < aggs.size(); ++j) {
+    shared[j].doubles = v.data();
+    separate[j].doubles = copies[j].data();
+  }
+  auto same_bits = [](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  };
+  ScopedExecThreads threads(4);
+  for (const int radix : {0, 1}) {
+    ScopedRadixOverride force(radix, /*partitions=*/8);
+    ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::Build(t, {"g"}));
+    ASSERT_EQ(gidx.partitions() != nullptr, radix == 1);
+    for (const bool shifted : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "radix " << radix << " shifted "
+                                      << shifted);
+      GroupedPass pass;
+      pass.num_groups = gidx.num_groups();
+      pass.row_groups = &gidx.row_groups();
+      pass.sizes = &gidx.sizes();
+      pass.parts = gidx.partitions().get();
+      pass.chunks = 4;
+      pass.shift_rows = shifted ? &gidx.rep_rows() : nullptr;
+      GroupedAccumulators one, two;
+      AccumulateSources(pass, aggs, shared, &one);
+      AccumulateSources(pass, aggs, separate, &two);
+      for (size_t j = 0; j < aggs.size(); ++j) {
+        EXPECT_TRUE(same_bits(one.sums[j], two.sums[j])) << j;
+        EXPECT_TRUE(same_bits(one.sums2[j], two.sums2[j])) << j;
+        if (shifted) EXPECT_TRUE(same_bits(one.shifts[j], two.shifts[j])) << j;
+      }
+    }
+  }
+}
+
+TEST(SharedGroupIndexTest, OneBuildPerContextTableAndGrouping) {
+  Table t = MakeStudentTable();
+  Table other = MakeStudentTable();
+  // Without an ambient context every call builds.
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> a,
+                       GroupIndex::BuildShared(t, {"major"}));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> b,
+                       GroupIndex::BuildShared(t, {"major"}));
+  EXPECT_NE(a, b);
+
+  std::shared_ptr<const GroupIndex> first;
+  {
+    QueryContext ctx;
+    ScopedQueryContext scope(&ctx);
+    ASSERT_OK_AND_ASSIGN(first, GroupIndex::BuildShared(t, {"major"}));
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> again,
+                         GroupIndex::BuildShared(t, {"major"}));
+    EXPECT_EQ(again, first);
+    // The stratification is a view over the same index, not a copy.
+    ASSERT_OK_AND_ASSIGN(Stratification strat,
+                         Stratification::Build(t, {"major"}));
+    EXPECT_EQ(&strat.row_strata(), &first->row_groups());
+    EXPECT_EQ(&strat.sizes(), &first->sizes());
+    EXPECT_EQ(&strat.first_rows(), &first->rep_rows());
+    // Another table, or another grouping, builds its own.
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> other_table,
+                         GroupIndex::BuildShared(other, {"major"}));
+    EXPECT_NE(other_table, first);
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> by_college,
+                         GroupIndex::BuildShared(t, {"college"}));
+    EXPECT_NE(by_college, first);
+  }
+  // A later context starts empty.
+  QueryContext later;
+  ScopedQueryContext scope(&later);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> fresh,
+                       GroupIndex::BuildShared(t, {"major"}));
+  EXPECT_NE(fresh, first);
+  EXPECT_EQ(fresh->row_groups(), first->row_groups());
+}
+
+TEST(SharedGroupIndexTest, PoolWorkersShareTheContextMemo) {
+  // Pool workers inherit the submitting thread's context, so concurrent
+  // BuildShared calls touch one memo; every caller gets the same mapping.
+  Table t = MakeSkewedTable(40, 30);
+  ScopedExecThreads threads(4);
+  QueryContext ctx;
+  ScopedQueryContext scope(&ctx);
+  ASSERT_OK_AND_ASSIGN(GroupIndex want, GroupIndex::Build(t, {"g"}));
+  std::vector<std::shared_ptr<const GroupIndex>> got(8);
+  ParallelForChunks(got.size(), got.size(), [&](size_t c, size_t, size_t) {
+    got[c] = std::move(GroupIndex::BuildShared(t, {"g"})).ValueOrDie();
+  });
+  for (const auto& g : got) EXPECT_EQ(g->row_groups(), want.row_groups());
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> after,
+                       GroupIndex::BuildShared(t, {"g"}));
+  EXPECT_EQ(after->row_groups(), want.row_groups());
 }
 
 TEST(QueryResultTest, DuplicateGroupRejected) {

@@ -379,6 +379,106 @@ TEST_F(ServerTest, FailpointAbortLeavesServerServing) {
   server_->Stop();
 }
 
+// A refresh batch {exact Q, approx Q} builds Q's full-table GroupIndex once:
+// the exact query builds it, and the approximate query's catalog miss
+// stratifies on the same index (the batch's QueryContext memo). Every
+// full-table build passes the exec.group_index.alloc fail point (armed
+// `off`, which only counts), and so does the index the catalog builds over
+// the drawn sample's rows. The answers are byte-identical to the same two
+// queries sent as two batches to a second server, whose approximate query
+// stratifies on a fresh build.
+TEST_F(ServerTest, BatchSharesOneFullTableGroupIndex) {
+  ServerOptions opts;
+  opts.socket_path = TestSocketPath("shared_together");
+  StartServer(opts);
+  ServerOptions opts2;
+  opts2.socket_path = TestSocketPath("shared_apart");
+  AqpServer apart(opts2);
+  ASSERT_OK(apart.RegisterTable("skewed", &table_));
+  ASSERT_OK(apart.Start());
+
+  std::vector<QueryRequestItem> batch(2);
+  batch[0].sql = "SELECT g, AVG(v), SUM(v) FROM skewed GROUP BY g";
+  batch[0].exact = true;
+  batch[1].sql = batch[0].sql;
+  batch[1].sample_rate = 0.25;
+
+  ASSERT_OK(failpoint::SetForTesting("exec.group_index.alloc:off"));
+  auto builds_during = [](auto&& fn) {
+    const uint64_t before = failpoint::HitCount("exec.group_index.alloc");
+    fn();
+    return failpoint::HitCount("exec.group_index.alloc") - before;
+  };
+
+  AqpClient client;
+  ASSERT_OK(client.Connect(opts.socket_path));
+  ResponseEnvelope together;
+  const uint64_t together_builds = builds_during([&] {
+    ASSERT_OK_AND_ASSIGN(together, client.Query(batch));
+  });
+
+  AqpClient client2;
+  ASSERT_OK(client2.Connect(opts2.socket_path));
+  ResponseEnvelope exact_alone, approx_alone;
+  const uint64_t exact_builds = builds_during([&] {
+    ASSERT_OK_AND_ASSIGN(exact_alone, client2.Query({batch[0]}));
+  });
+  const uint64_t approx_builds = builds_during([&] {
+    ASSERT_OK_AND_ASSIGN(approx_alone, client2.Query({batch[1]}));
+  });
+  failpoint::ClearForTesting();
+
+  EXPECT_EQ(exact_builds, 1u);
+  EXPECT_EQ(approx_builds, 2u);  // stratification + sample-row index
+  EXPECT_EQ(together_builds, 2u);
+
+  ASSERT_EQ(together.results.size(), 2u);
+  ASSERT_OK(together.results[0].status);
+  ASSERT_OK(together.results[1].status);
+  EXPECT_EQ(together.results[1].served_from, ServedFrom::kCatalogBuild);
+  ASSERT_OK(exact_alone.results[0].status);
+  ASSERT_OK(approx_alone.results[0].status);
+  EXPECT_EQ(approx_alone.results[0].served_from, ServedFrom::kCatalogBuild);
+  ExpectWireBitIdentical(together.results[0].result,
+                         exact_alone.results[0].result);
+  ExpectWireBitIdentical(together.results[1].result,
+                         approx_alone.results[0].result);
+  apart.Stop();
+  server_->Stop();
+}
+
+// The memo is the batch's: a later batch, or a batch grouping the table by
+// other columns, builds its own full-table index.
+TEST_F(ServerTest, LaterOrDifferentlyGroupedBatchesDoNotShare) {
+  ServerOptions opts;
+  opts.socket_path = TestSocketPath("shared_not");
+  StartServer(opts);
+  AqpClient client;
+  ASSERT_OK(client.Connect(opts.socket_path));
+  QueryRequestItem exact;
+  exact.sql = "SELECT g, AVG(v) FROM skewed GROUP BY g";
+  exact.exact = true;
+  QueryRequestItem whole = exact;
+  whole.sql = "SELECT AVG(v) FROM skewed";
+
+  ASSERT_OK(failpoint::SetForTesting("exec.group_index.alloc:off"));
+  const uint64_t before = failpoint::HitCount("exec.group_index.alloc");
+  ASSERT_OK_AND_ASSIGN(ResponseEnvelope first, client.Query({exact}));
+  ASSERT_OK_AND_ASSIGN(ResponseEnvelope second, client.Query({exact}));
+  ASSERT_OK_AND_ASSIGN(ResponseEnvelope mixed,
+                       client.Query({exact, whole, exact}));
+  const uint64_t builds =
+      failpoint::HitCount("exec.group_index.alloc") - before;
+  failpoint::ClearForTesting();
+  // One build per batch for the first two; the mixed batch's one-slot memo
+  // holds the grouping by g, then by nothing, then by g again.
+  EXPECT_EQ(builds, 5u);
+  ASSERT_OK(mixed.results[2].status);
+  ExpectWireBitIdentical(mixed.results[2].result, first.results[0].result);
+  ExpectWireBitIdentical(second.results[0].result, first.results[0].result);
+  server_->Stop();
+}
+
 // Bad SQL and unknown tables are per-query failures, not connection or
 // server failures.
 TEST_F(ServerTest, MalformedQueriesAreContained) {
@@ -486,6 +586,33 @@ TEST(SampleCatalogConcurrencyTest, SharedSampleAnswersBitIdenticalAcrossThreads)
 // Catalog LRU eviction. Builds are deterministic in (seed, key), so a
 // throwaway catalog measures each key's sample size first and the scenario
 // catalog then gets budgets placed exactly between the interesting totals.
+// A published catalog sample keeps no stratification: its strata map every
+// base-table row, so keeping them would make a resident sample grow with
+// its base table. Same-size samples over a table and over that table
+// repeated four times hold the same bytes. A sampler called directly still
+// records the stratification it drew under.
+TEST(SampleCatalogFootprintTest, PublishedSamplesDoNotPinBaseTableStrata) {
+  const Table small = MakeSkewedTable(/*groups=*/6, /*base=*/400);
+  const Table big = small.Duplicate(4);
+  const std::string sql = "SELECT g, AVG(v) FROM t GROUP BY g";
+  ASSERT_OK_AND_ASSIGN(ParsedQuery parsed, ParseSql(sql));
+  SampleCatalog catalog;
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const StratifiedSample> over_small,
+                       catalog.GetOrBuild(small, parsed.query, 0.1));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const StratifiedSample> over_big,
+                       catalog.GetOrBuild(big, parsed.query, 0.025));
+  EXPECT_EQ(over_small->stratification(), nullptr);
+  EXPECT_EQ(over_big->stratification(), nullptr);
+  ASSERT_EQ(over_small->size(), over_big->size());
+  EXPECT_EQ(over_small->resident_bytes(), over_big->resident_bytes());
+
+  ASSERT_OK_AND_ASSIGN(StratifiedSample direct,
+                       ReplicateCatalogBuild(small, sql, 0.1, 42));
+  ASSERT_NE(direct.stratification(), nullptr);
+  EXPECT_EQ(direct.stratification()->row_strata().size(), small.num_rows());
+  EXPECT_EQ(direct.rows(), over_small->rows());
+}
+
 TEST(SampleCatalogEvictionTest, EvictsLruAndKeepsTouchedEntries) {
   const Table table = MakeSkewedTable(/*groups=*/6, /*base=*/40);
   ASSERT_OK_AND_ASSIGN(ParsedQuery parsed,

@@ -175,7 +175,12 @@ doc["description"] = (
     "BM_AdaptiveGroupBySmallG is the ~2k-group control on the same tier, "
     "which takes the chunk-merge path (the realized group count is "
     "reported as a bench counter); the masked and adaptive pairs run on "
-    "an 8-thread pool, hence wall time. BM_GroupStatsParallel/<threads> "
+    "an 8-thread pool, hence wall time. BM_StratificationBuildIntKey is "
+    "BM_StratificationBuild over the int-keyed (parameter, year) grouping, "
+    "whose year range the direct tier reads off the zone maps. "
+    "BM_DrawStratified is the stratified draw alone over a prebuilt "
+    "stratification and allocation, on one thread (the draw does not use "
+    "the pool). BM_GroupStatsParallel/<threads> "
     "is CollectGroupStats across the thread ladder (its statistics are "
     "bit-identical at every fan-out). "
     "BM_ExactGroupByGoverned vs BM_ExactGroupByUngoverned is the same "
