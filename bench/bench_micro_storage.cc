@@ -111,9 +111,10 @@ const MappedFixture& BenchFile() {
 }
 
 // Streams the mmap-backed file through the group-by; the working set is the
-// chunk cache budget, not the table. One thread, like its in-memory
-// baseline below: both report the calling thread's CPU time, which is then
-// all of the work.
+// chunk cache budget, not the table. The first iteration builds the
+// grouping's group directory; later ones decode nothing of the chunks the
+// zone maps refute. One thread, like its in-memory baseline below: both
+// report the calling thread's CPU time, which is then all of the work.
 void BM_OutOfCoreGroupBy(benchmark::State& state) {
   ScopedThreads threads(1);
   const MappedFixture& fx = BenchFile();
@@ -132,9 +133,9 @@ void BM_OutOfCoreGroupBy(benchmark::State& state) {
 BENCHMARK(BM_OutOfCoreGroupBy);
 
 // Out-of-core scan across the thread ladder: each wave decodes its chunks
-// on the workers, then routes and accumulates them in chunk order through
-// the shared accumulation core while the chunk cache stays bounded; the
-// answer is bit-identical at every fan-out.
+// and looks up their group ids on the workers, then accumulates them in
+// chunk order through the shared accumulation core while the chunk cache
+// stays bounded; the answer is bit-identical at every fan-out.
 void BM_OutOfCoreGroupByParallel(benchmark::State& state) {
   const MappedFixture& fx = BenchFile();
   ScopedThreads threads(static_cast<int>(state.range(0)));

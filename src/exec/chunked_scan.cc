@@ -111,11 +111,10 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
 }
 
 // Finalizes through the shared core's rules, then emits groups in
-// first-occurrence order, omitting fully-filtered groups (IngestDense
-// semantics).
+// directory order, omitting fully-filtered groups (IngestDense semantics).
 Result<QueryResult> EmitMappedResult(const QuerySpec& query,
                                      const MappedScanPlan& plan,
-                                     const StreamGroupRouter& router,
+                                     const StreamGroupRouter& dir,
                                      GroupedAccumulators* acc) {
   const size_t t = query.aggregates.size();
   const size_t G = acc->num_groups;
@@ -125,12 +124,44 @@ Result<QueryResult> EmitMappedResult(const QuerySpec& query,
     if (acc->cnt[g] == 0) continue;
     std::vector<double> values(t);
     for (size_t j = 0; j < t; ++j) values[j] = finals[j * G + g];
-    GroupKey key = router.KeyOf(g);
+    GroupKey key = dir.KeyOf(g);
     std::string label = key.Render(*plan.proto, plan.gcols);
     CVOPT_RETURN_NOT_OK(
         result.AddGroup(std::move(key), std::move(label), std::move(values)));
   }
   return result;
+}
+
+// Builds the file's group directory for `gcols`: one serial route over
+// every chunk's GROUP BY columns, in chunk order, so its ids are the
+// full-file first-seen ids ExecuteExact assigns the materialized table.
+// A cancelled or failed build returns its Status and publishes nothing.
+Result<MappedTable::GroupDirectoryPtr> BuildGroupDirectory(
+    const MappedTable& mt, const std::vector<size_t>& gcols) {
+  std::vector<DataType> gtypes;
+  for (size_t c : gcols) gtypes.push_back(mt.schema().field(c).type);
+  auto dir = std::make_shared<StreamGroupRouter>(gtypes);
+  std::vector<uint32_t> positions(mt.chunk_rows()), gids(mt.chunk_rows());
+  std::iota(positions.begin(), positions.end(), 0u);
+  std::vector<StreamGroupRouter::ColumnRef> refs(gcols.size());
+  std::vector<std::shared_ptr<const DecodedChunk>> held(gcols.size());
+  for (size_t k = 0; k < mt.num_chunks(); ++k) {
+    CVOPT_RETURN_NOT_OK(CheckQueryAborted());
+    CVOPT_FAILPOINT("exec.mapped.chunk");
+    for (size_t i = 0; i < gcols.size(); ++i) {
+      CVOPT_ASSIGN_OR_RETURN(held[i], mt.GetChunk(gcols[i], k));
+      refs[i] = {held[i]->ints.data(), held[i]->codes.data()};
+      dir->Bind(i, refs[i].ints, refs[i].codes);
+    }
+    // Known keys resolve read-only; the rest route in row order, which
+    // assigns new ids exactly as routing every row would.
+    const uint32_t n = static_cast<uint32_t>(mt.ChunkRowCount(k));
+    if (dir->FindBatch(refs.data(), positions.data(), n, gids.data())) continue;
+    for (uint32_t r = 0; r < n; ++r) {
+      if (gids[r] == StreamGroupRouter::kNotFound) dir->Route(r);
+    }
+  }
+  return MappedTable::GroupDirectoryPtr(std::move(dir));
 }
 
 ChunkVerdict ClassifyChunk(const MappedTable& mt, const MappedScanPlan& plan,
@@ -151,33 +182,38 @@ struct WaveChunk {
   size_t rows = 0;
   ChunkVerdict verdict = ChunkVerdict::kResidual;
   std::vector<std::shared_ptr<const DecodedChunk>> cols;
-  std::vector<uint32_t> gids;
+  std::vector<uint32_t> gids;  // directory ids, set at surviving rows
   std::vector<uint32_t> sel;  // WHERE survivors of a residual chunk
   std::vector<std::vector<uint8_t>> indicators;  // [agg], COUNT_IF only
   std::vector<ValueSpan> values;  // [agg]: a column, an indicator or one
   Status status;
 };
 
-// Decodes chunk k's projection — only its group-by columns when the zone
-// maps refute the WHERE clause — evaluates its WHERE selection and
-// COUNT_IF masks with the prototype plans rebound to the decoded storage,
-// and points each aggregate's value stream at its column or mask. A
-// provably accepted chunk skips WHERE evaluation.
+bool Selects(const MappedScanPlan& plan, const WaveChunk& wc) {
+  return plan.where != nullptr && wc.verdict == ChunkVerdict::kResidual;
+}
+
+// Decodes chunk k's projection, evaluates its WHERE selection and COUNT_IF
+// masks with the prototype plans rebound to the decoded storage, points
+// each aggregate's value stream at its column or mask, and looks up each
+// surviving row's group id in the read-only directory. A chunk the zone
+// maps refute is never decoded; a provably accepted one skips WHERE.
 Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
+                       const StreamGroupRouter& dir, const uint32_t* positions,
                        size_t k, WaveChunk* wc) {
+  if (wc->verdict == ChunkVerdict::kSkip) return Status::OK();
   const size_t n = wc->rows;
   wc->cols.resize(mt.num_columns());
-  const bool skip = wc->verdict == ChunkVerdict::kSkip;
-  for (size_t c : skip ? plan.gcols : plan.decode_cols) {
+  for (size_t c : plan.decode_cols) {
     CVOPT_ASSIGN_OR_RETURN(wc->cols[c], mt.GetChunk(c, k));
   }
-  if (skip) return Status::OK();
   const auto span_of = [&](uint32_t c) {
     const DecodedChunk& d = *wc->cols[c];
     return CompiledPredicate::ColumnSpan{d.ints.data(), d.doubles.data(),
                                          d.codes.data()};
   };
-  if (plan.where != nullptr && wc->verdict == ChunkVerdict::kResidual) {
+  const bool selects = Selects(plan, *wc);
+  if (selects) {
     wc->sel = plan.where->Rebind(span_of, n).SelectRange(0, n);
   }
   const size_t t = plan.bindings.size();
@@ -199,16 +235,35 @@ Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
       }
     }
   }
+
+  std::vector<StreamGroupRouter::ColumnRef> keys(plan.gcols.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const DecodedChunk& d = *wc->cols[plan.gcols[i]];
+    keys[i] = {d.ints.data(), d.codes.data()};
+  }
+  wc->gids.resize(n);
+  if (!dir.FindBatch(keys.data(), selects ? wc->sel.data() : positions,
+                     selects ? wc->sel.size() : n, wc->gids.data())) {
+    // The directory was built from this file, so the file changed under
+    // the mapping; a key is never added outside a build.
+    return Status::Internal("group key missing from the file's directory");
+  }
   return Status::OK();
 }
 
-// The scan (see chunked_scan.h), per wave: (a) decode and evaluate, one
-// chunk per worker (the chunk cache is mutex-guarded, so concurrent
-// GetChunk calls are safe and the LRU stays honored); (b) route, in chunk
-// order, zone-refuted chunks included; (c) grow the accumulators; and (d)
-// accumulate each chunk, in chunk order.
+// The scan (see chunked_scan.h): the grouping's directory first (built by
+// the grouping's first scan, then shared through the table), then per
+// wave: (a) decode, evaluate and look up group ids, one chunk per worker
+// (the chunk cache is mutex-guarded, so concurrent GetChunk calls are
+// safe and the LRU stays honored); and (b) accumulate each chunk, in
+// chunk order.
 Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
                                const MappedScanPlan& plan) {
+  CVOPT_ASSIGN_OR_RETURN(
+      MappedTable::GroupDirectoryPtr dir,
+      mt.GroupDirectory(plan.gcols,
+                        [&] { return BuildGroupDirectory(mt, plan.gcols); }));
+  const size_t G = dir->num_groups();
   const size_t num_chunks = mt.num_chunks();
   const size_t threads = std::max<size_t>(1, ResolveThreads());
 
@@ -226,7 +281,10 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
                      ? sizeof(int32_t)
                      : sizeof(int64_t);
   }
-  MemoryReservation wave_res;
+  const size_t group_bytes =
+      sizeof(uint64_t) +
+      plan.bindings.size() * sizeof(double) * (plan.any_var ? 2 : 1);
+  MemoryReservation wave_res, acc_res;
   if (ctx != nullptr) {
     Result<MemoryReservation> res = ctx->TryReserve(
         std::min(wave_cap, num_chunks) * mt.chunk_rows() * row_width,
@@ -236,20 +294,13 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
     } else {
       wave_cap = 1;
     }
+    res = ctx->TryReserve(G * group_bytes, "mapped scan accumulators");
+    if (res.ok()) acc_res = std::move(res).value();
   }
-
-  std::vector<DataType> gtypes;
-  for (size_t c : plan.gcols) gtypes.push_back(mt.schema().field(c).type);
-  StreamGroupRouter router(gtypes);
+  GroupedAccumulators acc;
+  acc.Grow(query.aggregates, G, /*weighted=*/false);
   std::vector<uint32_t> positions(mt.chunk_rows());
   std::iota(positions.begin(), positions.end(), 0u);
-
-  GroupedAccumulators acc;
-  acc.Grow(query.aggregates, 0, /*weighted=*/false);
-  const size_t group_bytes =
-      sizeof(uint64_t) +
-      plan.bindings.size() * sizeof(double) * (plan.any_var ? 2 : 1);
-  std::vector<MemoryReservation> acc_res;
 
   const bool zones_on = ZoneMapPruningEnabled();
   for (size_t w0 = 0; w0 < num_chunks; w0 += wave_cap) {
@@ -264,49 +315,27 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
       wave[i].verdict = ClassifyChunk(mt, plan, zones_on, w0 + i);
     }
 
-    // (a) Decode + masks, one chunk per morsel. Failures park in per-chunk
-    // Status slots (workers cannot early-return across the pool) and
-    // surface in chunk order.
+    // (a) Decode, masks and ids, one chunk per morsel. Failures park in
+    // per-chunk Status slots (workers cannot early-return across the pool)
+    // and surface in chunk order.
     ParallelForChunks(wn, wn, [&](size_t i, size_t, size_t) {
-      wave[i].status = DecodeWaveChunk(mt, plan, w0 + i, &wave[i]);
+      wave[i].status =
+          DecodeWaveChunk(mt, plan, *dir, positions.data(), w0 + i, &wave[i]);
     });
     for (const WaveChunk& wc : wave) CVOPT_RETURN_NOT_OK(wc.status);
 
-    // (b) Route, in chunk order.
-    for (WaveChunk& wc : wave) {
-      for (size_t i = 0; i < plan.gcols.size(); ++i) {
-        const DecodedChunk& d = *wc.cols[plan.gcols[i]];
-        router.Bind(i, d.ints.data(), d.codes.data());
-      }
-      wc.gids.resize(wc.rows);
-      router.RouteBatch(positions.data(), wc.rows, wc.gids.data());
-    }
-
-    // (c) Grow the accumulators to the groups discovered so far.
-    const size_t G = router.num_groups();
-    if (G > acc.num_groups) {
-      if (ctx != nullptr) {
-        Result<MemoryReservation> res = ctx->TryReserve(
-            (G - acc.num_groups) * group_bytes, "mapped scan accumulators");
-        if (res.ok()) acc_res.push_back(std::move(res).value());
-      }
-      acc.Grow(query.aggregates, G, /*weighted=*/false);
-    }
-
-    // (d) Accumulate chunk by chunk: the WHERE survivors are the selection,
+    // (b) Accumulate chunk by chunk: the WHERE survivors are the selection,
     // the decoded columns and COUNT_IF masks the value streams.
     for (const WaveChunk& wc : wave) {
       if (wc.verdict == ChunkVerdict::kSkip) continue;
       GroupedPass pass;
       pass.num_groups = G;
       pass.row_groups = &wc.gids;
-      if (plan.where != nullptr && wc.verdict == ChunkVerdict::kResidual) {
-        pass.sel = &wc.sel;
-      }
+      if (Selects(plan, wc)) pass.sel = &wc.sel;
       AccumulateSources(pass, query.aggregates, wc.values, &acc);
     }
   }
-  return EmitMappedResult(query, plan, router, &acc);
+  return EmitMappedResult(query, plan, *dir, &acc);
 }
 
 }  // namespace

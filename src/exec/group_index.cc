@@ -838,6 +838,13 @@ Result<std::vector<size_t>> GroupIndex::Resolve(
 
 Result<GroupIndex> GroupIndex::Build(const Table& table,
                                      const std::vector<std::string>& attrs) {
+  MemoryReservation mapping;
+  return BuildCharged(table, attrs, &mapping);
+}
+
+Result<GroupIndex> GroupIndex::BuildCharged(
+    const Table& table, const std::vector<std::string>& attrs,
+    MemoryReservation* mapping) {
  return GovernedSection([&]() -> Result<GroupIndex> {
   CVOPT_ASSIGN_OR_RETURN(std::vector<size_t> cols, Resolve(table, attrs));
   GroupIndex out;
@@ -847,7 +854,7 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
   // serial, chunk-local, and radix passes below all check governance at
   // their morsel boundaries through the shared scheduler.
   CVOPT_FAILPOINT("exec.group_index.alloc");
-  MemoryReservation res = ReserveMemoryOrThrow(
+  *mapping = ReserveMemoryOrThrow(
       table.num_rows() * sizeof(uint32_t), "GroupIndex row->group mapping");
   BuildOutput built = BuildImpl(table, out.cols_, table.num_rows(),
                                 [](size_t i) { return i; }, table.zone_index());
@@ -893,9 +900,12 @@ Result<std::shared_ptr<const GroupIndex>> GroupIndex::BuildShared(
     CVOPT_ASSIGN_OR_RETURN(cols, Resolve(table, attrs));
     if (auto memo = ctx->FindGroupIndex(table, cols)) return memo;
   }
-  CVOPT_ASSIGN_OR_RETURN(GroupIndex built, Build(table, attrs));
+  MemoryReservation mapping;
+  CVOPT_ASSIGN_OR_RETURN(GroupIndex built, BuildCharged(table, attrs, &mapping));
   auto index = std::make_shared<const GroupIndex>(std::move(built));
-  if (ctx != nullptr) ctx->RememberGroupIndex(table, std::move(cols), index);
+  if (ctx != nullptr) {
+    ctx->RememberGroupIndex(table, std::move(cols), index, std::move(mapping));
+  }
   return index;
 }
 
@@ -961,34 +971,27 @@ void GroupIndex::AppendLabel(size_t g, std::string* out) const {
 }
 
 StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types,
-                                     size_t expected_groups) {
-  plans_.reserve(types.size());
+                                     size_t expected_groups)
+    : bound_(types.size()) {
   for (DataType type : types) {
     CVOPT_CHECK(type != DataType::kDouble, "cannot route by a double column");
     ColPlan p;
     p.is_string = type == DataType::kString;
     plans_.push_back(p);
   }
-  // Minimal initial widths: every column starts at one bit and widens as
-  // codes appear, so the packed layout always reflects only what the
-  // stream has shown so far (no pre-scan). More columns than packable bits
-  // (one bit each) starts in the wide tier outright, mirroring Widen().
-  int shift = 0;
-  for (ColPlan& p : plans_) {
-    p.shift = std::min(shift, 63);
-    shift += p.bits;
-  }
-  total_bits_ = shift;
-  if (total_bits_ > 64) wide_ = true;
   slots_.assign(NextPow2(std::max<size_t>(64, 2 * expected_groups)), Slot{});
   mask_ = slots_.size() - 1;
   codes_.reserve(plans_.size() * expected_groups);
+  // Minimal initial widths: every column starts at one bit and widens as
+  // codes appear, so the packed layout always reflects only what the
+  // stream has shown so far (no pre-scan). More columns than packable bits
+  // (one bit each) starts in the wide tier outright.
+  Relayout();
 }
 
 void StreamGroupRouter::Bind(size_t j, const int64_t* ints,
                              const int32_t* codes) {
-  plans_[j].ints = ints;
-  plans_[j].codes = codes;
+  bound_[j] = {ints, codes};
 }
 
 uint64_t StreamGroupRouter::PackRaw(int64_t raw, bool is_string) {
@@ -997,14 +1000,6 @@ uint64_t StreamGroupRouter::PackRaw(int64_t raw, bool is_string) {
   }
   // Zig-zag: small-magnitude ints of either sign pack into few bits.
   return (static_cast<uint64_t>(raw) << 1) ^ static_cast<uint64_t>(raw >> 63);
-}
-
-uint64_t StreamGroupRouter::PackedCode(const ColPlan& p, uint32_t row) const {
-  return PackRaw(RawCode(p, row), p.is_string);
-}
-
-int64_t StreamGroupRouter::RawCode(const ColPlan& p, uint32_t row) const {
-  return p.is_string ? p.codes[row] : p.ints[row];
 }
 
 uint64_t StreamGroupRouter::PackGroup(size_t g) const {
@@ -1017,14 +1012,6 @@ uint64_t StreamGroupRouter::PackGroup(size_t g) const {
   return key;
 }
 
-uint64_t StreamGroupRouter::WideHashRow(uint32_t row) const {
-  uint64_t h = kWideHashSeed;
-  for (const ColPlan& p : plans_) {
-    h = HashCombine(h, static_cast<uint64_t>(RawCode(p, row)));
-  }
-  return h;
-}
-
 uint64_t StreamGroupRouter::WideHashGroup(size_t g) const {
   const int64_t* raw = codes_.data() + g * plans_.size();
   uint64_t h = kWideHashSeed;
@@ -1034,31 +1021,15 @@ uint64_t StreamGroupRouter::WideHashGroup(size_t g) const {
   return h;
 }
 
-bool StreamGroupRouter::GroupEqualsRow(size_t g, uint32_t row) const {
-  const int64_t* raw = codes_.data() + g * plans_.size();
-  for (size_t j = 0; j < plans_.size(); ++j) {
-    if (raw[j] != RawCode(plans_[j], row)) return false;
-  }
-  return true;
-}
-
 void StreamGroupRouter::PlaceSlot(std::vector<Slot>& slots, size_t mask,
                                   Slot s) const {
   // Packed slots position by the mixed packed key, wide slots by the stored
-  // composite hash — the same start index Route's probes compute.
+  // composite hash — the same start index Find's probes compute.
   size_t idx = (wide_ ? static_cast<size_t>(s.key)
                       : static_cast<size_t>(HashMix64(s.key))) &
                mask;
   while (slots[idx].id != kEmptyId) idx = (idx + 1) & mask;
   slots[idx] = s;
-}
-
-uint32_t StreamGroupRouter::Insert(size_t idx, uint64_t key, uint32_t row) {
-  const uint32_t id = static_cast<uint32_t>(groups_++);
-  slots_[idx] = {key, id};
-  for (const ColPlan& p : plans_) codes_.push_back(RawCode(p, row));
-  if (groups_ * 10 >= slots_.size() * 7) GrowSlots();
-  return id;
 }
 
 void StreamGroupRouter::GrowSlots() {
@@ -1076,6 +1047,10 @@ void StreamGroupRouter::Widen(size_t col, uint64_t code) {
   int need = 0;
   for (uint64_t v = code; v != 0; v >>= 1) ++need;
   plans_[col].bits = std::max(plans_[col].bits, need);
+  Relayout();
+}
+
+void StreamGroupRouter::Relayout() {
   int shift = 0;
   for (ColPlan& p : plans_) {
     p.shift = std::min(shift, 63);
@@ -1083,10 +1058,6 @@ void StreamGroupRouter::Widen(size_t col, uint64_t code) {
   }
   total_bits_ = shift;
   if (total_bits_ > 64) wide_ = true;  // permanent: widths only grow
-  Rebuild();
-}
-
-void StreamGroupRouter::Rebuild() {
   // Re-place every known group under the new layout (wider packed fields,
   // or wide-tier hashes after the switch). Distinct groups stay distinct,
   // so collisions only probe forward into empty slots.
@@ -1095,113 +1066,108 @@ void StreamGroupRouter::Rebuild() {
     const uint64_t key = wide_ ? WideHashGroup(g) : PackGroup(g);
     PlaceSlot(slots_, mask_, {key, static_cast<uint32_t>(g)});
   }
+  // While packed keys span at most 2^16 values, ids are also kept in a
+  // table indexed by the packed key: one load per row, no probe.
+  direct_.clear();
+  if (plans_.empty() || wide_ || total_bits_ > kDirectRouteBits) return;
+  direct_.assign(size_t{1} << total_bits_, kNotFound);
+  for (size_t g = 0; g < groups_; ++g) {
+    direct_[PackGroup(g)] = static_cast<uint32_t>(g);
+  }
+}
+
+uint32_t StreamGroupRouter::Find(const ColumnRef* cols, uint32_t row) const {
+  if (plans_.empty()) return groups_ > 0 ? 0 : kNotFound;
+  const size_t arity = plans_.size();
+  if (wide_) {
+    uint64_t h = kWideHashSeed;
+    for (size_t j = 0; j < arity; ++j) {
+      h = HashCombine(h, static_cast<uint64_t>(RawCode(cols, j, row)));
+    }
+    for (size_t idx = static_cast<size_t>(h) & mask_;
+         slots_[idx].id != kEmptyId; idx = (idx + 1) & mask_) {
+      if (slots_[idx].key != h) continue;
+      const int64_t* raw = codes_.data() + slots_[idx].id * arity;
+      size_t j = 0;
+      while (j < arity && raw[j] == RawCode(cols, j, row)) ++j;
+      if (j == arity) return slots_[idx].id;
+    }
+    return kNotFound;
+  }
+  uint64_t key = 0;
+  for (size_t j = 0; j < arity; ++j) {
+    const ColPlan& p = plans_[j];
+    const uint64_t code = PackRaw(RawCode(cols, j, row), p.is_string);
+    // A code wider than its field belongs to no routed key.
+    if (p.bits < 64 && (code >> p.bits) != 0) return kNotFound;
+    key |= code << p.shift;
+  }
+  if (!direct_.empty()) return direct_[key];
+  for (size_t idx = static_cast<size_t>(HashMix64(key)) & mask_;
+       slots_[idx].id != kEmptyId; idx = (idx + 1) & mask_) {
+    if (slots_[idx].key == key) return slots_[idx].id;
+  }
+  return kNotFound;
+}
+
+uint32_t StreamGroupRouter::Add(uint32_t row) {
+  // A key Find did not find: widen the fields its codes outgrow (re-packing
+  // the known groups, possibly into the wide tier), then store and place it
+  // under the final layout.
+  if (plans_.empty()) {
+    groups_ = 1;
+    return 0;
+  }
+  const uint32_t id = static_cast<uint32_t>(groups_);
+  for (size_t j = 0; j < plans_.size(); ++j) {
+    const int64_t raw = RawCode(bound_.data(), j, row);
+    const uint64_t code = PackRaw(raw, plans_[j].is_string);
+    if (!wide_ && plans_[j].bits < 64 && (code >> plans_[j].bits) != 0) {
+      Widen(j, code);
+    }
+    codes_.push_back(raw);
+  }
+  ++groups_;
+  const uint64_t key = wide_ ? WideHashGroup(id) : PackGroup(id);
+  PlaceSlot(slots_, mask_, {key, id});
+  if (!direct_.empty()) direct_[key] = id;
+  if (groups_ * 10 >= slots_.size() * 7) GrowSlots();
+  return id;
 }
 
 uint32_t StreamGroupRouter::Route(uint32_t row) {
-  if (plans_.empty()) {
-    // No grouping columns: a single group covering the whole stream.
-    if (groups_ == 0) groups_ = 1;
-    return 0;
+  const uint32_t id = Find(bound_.data(), row);
+  return id != kNotFound ? id : Add(row);
+}
+
+bool StreamGroupRouter::FindBatch(const ColumnRef* cols, const uint32_t* rows,
+                                  size_t n, uint32_t* out) const {
+  bool found = true;
+  if (direct_.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t id = Find(cols, rows[i]);
+      found &= id != kNotFound;
+      out[rows[i]] = id;
+    }
+    return found;
   }
-  while (!wide_) {
+  // Find's direct-table case with the tier checks hoisted out of the loop
+  // (fields are at most 16 bits wide here).
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = rows[i];
     uint64_t key = 0;
-    size_t widened = plans_.size();
+    uint64_t overflow = 0;
     for (size_t j = 0; j < plans_.size(); ++j) {
       const ColPlan& p = plans_[j];
-      const uint64_t code = PackedCode(p, row);
-      if (p.bits < 64 && (code >> p.bits) != 0) {
-        widened = j;
-        break;
-      }
+      const uint64_t code = PackRaw(RawCode(cols, j, row), p.is_string);
+      overflow |= code >> p.bits;
       key |= code << p.shift;
     }
-    if (widened != plans_.size()) {
-      // A code outgrew its field: widen, re-pack the known groups, and
-      // retry (possibly in the wide tier now).
-      Widen(widened, PackedCode(plans_[widened], row));
-      continue;
-    }
-    size_t idx = static_cast<size_t>(HashMix64(key)) & mask_;
-    while (slots_[idx].id != kEmptyId) {
-      if (slots_[idx].key == key) return slots_[idx].id;
-      idx = (idx + 1) & mask_;
-    }
-    return Insert(idx, key, row);
+    const uint32_t id = overflow == 0 ? direct_[key] : kNotFound;
+    found &= id != kNotFound;
+    out[row] = id;
   }
-  return RouteWide(row);
-}
-
-void StreamGroupRouter::RouteBatch(const uint32_t* rows, size_t n,
-                                   uint32_t* out) {
-  if (plans_.empty()) {
-    if (groups_ == 0 && n > 0) groups_ = 1;
-    std::fill(out, out + n, 0u);
-    return;
-  }
-  constexpr size_t kBatch = 8;
-  const simd::Ops* ops = simd::ActiveOps();
-  uint64_t keys[kBatch];
-  uint64_t hashes[kBatch];
-  size_t i = 0;
-  while (i + kBatch <= n && !wide_) {
-    // Pack the whole block under the current field layout. A code that
-    // outgrows its field sends the entire block through per-row Route —
-    // no probes have run yet, so the widen/retry sequence (and any group
-    // ids it assigns) is exactly what the serial loop would produce.
-    bool overflow = false;
-    for (size_t j = 0; j < kBatch && !overflow; ++j) {
-      uint64_t key = 0;
-      for (const ColPlan& p : plans_) {
-        const uint64_t code = PackedCode(p, rows[i + j]);
-        if (p.bits < 64 && (code >> p.bits) != 0) {
-          overflow = true;
-          break;
-        }
-        key |= code << p.shift;
-      }
-      keys[j] = key;
-    }
-    if (overflow) {
-      for (size_t j = 0; j < kBatch; ++j) out[i + j] = Route(rows[i + j]);
-      i += kBatch;
-      continue;
-    }
-    if (ops != nullptr) {
-      ops->hash_mix64_x8(keys, hashes);
-    } else {
-      for (size_t j = 0; j < kBatch; ++j) hashes[j] = HashMix64(keys[j]);
-    }
-    for (size_t j = 0; j < kBatch; ++j) {
-      simd::PrefetchRead(&slots_[static_cast<size_t>(hashes[j]) & mask_]);
-    }
-    // Probe in position order; Insert may GrowSlots mid-block, so each
-    // probe recomputes its start index from the current mask (the stale
-    // prefetches above are harmless).
-    for (size_t j = 0; j < kBatch; ++j) {
-      size_t idx = static_cast<size_t>(hashes[j]) & mask_;
-      while (slots_[idx].id != kEmptyId) {
-        if (slots_[idx].key == keys[j]) break;
-        idx = (idx + 1) & mask_;
-      }
-      out[i + j] = slots_[idx].id != kEmptyId
-                       ? slots_[idx].id
-                       : Insert(idx, keys[j], rows[i + j]);
-    }
-    i += kBatch;
-  }
-  for (; i < n; ++i) out[i] = Route(rows[i]);
-}
-
-uint32_t StreamGroupRouter::RouteWide(uint32_t row) {
-  const uint64_t h = WideHashRow(row);
-  size_t idx = static_cast<size_t>(h) & mask_;
-  while (slots_[idx].id != kEmptyId) {
-    if (slots_[idx].key == h && GroupEqualsRow(slots_[idx].id, row)) {
-      return slots_[idx].id;
-    }
-    idx = (idx + 1) & mask_;
-  }
-  return Insert(idx, h, row);
+  return found;
 }
 
 GroupKey StreamGroupRouter::KeyOf(size_t g) const {

@@ -20,6 +20,8 @@
 
 namespace cvopt {
 
+class MemoryReservation;
+
 /// The radix-partition artifact of a partitioned GroupIndex build: the one
 /// row->partition->group decomposition the grouped aggregation passes above
 /// the build consume instead of re-deriving their own row bucketing.
@@ -125,7 +127,9 @@ class GroupIndex {
   /// every full-table index (exact execution, stratification, the cube and
   /// workload deduction). An index the context's one-slot memo holds for
   /// the same table and grouping columns is returned as is; otherwise the
-  /// index is built and remembered. Without an ambient context it builds.
+  /// index is built and remembered with its row->group reservation, which
+  /// stays charged to the context's budget while the memo holds it.
+  /// Without an ambient context it builds.
   static Result<std::shared_ptr<const GroupIndex>> BuildShared(
       const Table& table, const std::vector<std::string>& attrs);
 
@@ -191,6 +195,11 @@ class GroupIndex {
  private:
   GroupIndex() = default;
 
+  // Build, handing the row->group mapping's reservation to the caller.
+  static Result<GroupIndex> BuildCharged(const Table& table,
+                                         const std::vector<std::string>& attrs,
+                                         MemoryReservation* mapping);
+
   const Table* table_ = nullptr;
   std::vector<size_t> cols_;
   Tier tier_ = Tier::kDirect;
@@ -208,18 +217,28 @@ class GroupIndex {
 /// (strings by dictionary code, ints zig-zag encoded so negative values
 /// pack tightly); field widths start minimal and widen as larger codes
 /// appear mid-stream (dictionary growth), re-packing the already-routed
-/// groups from their stored codes. Once the packed widths exceed 64 bits
-/// the router switches permanently to the wide tier (composite hash +
-/// stored-code compare). The Route path performs no GroupKey
-/// materialization, per-row code-vector writes, or per-key heap allocation
-/// — this replaces the flat GroupKeyInterner in the streaming CVOPT
-/// sampler's per-row stratum routing, and routes the out-of-core scan's
-/// chunks. The router owns no storage: Bind points each grouping column at
-/// raw storage, and ids carry across rebinds, so routing a mapped table
-/// chunk by chunk in order yields the ids GroupIndex::Build assigns the
-/// materialized table.
+/// groups from their stored codes. While the packed keys span at most 2^16
+/// values, a key's id is one load from a table indexed by the key; wider
+/// keys probe a flat hash table. Once the packed widths exceed 64 bits the
+/// router switches permanently to the wide tier (composite hash +
+/// stored-code compare). Routing performs no GroupKey materialization or
+/// per-key heap allocation — this replaces the flat GroupKeyInterner in the
+/// streaming CVOPT sampler's per-row stratum routing. The router owns no
+/// storage: Bind points each grouping column at raw storage, and ids carry
+/// across rebinds, so routing a mapped table chunk by chunk in order yields
+/// the ids GroupIndex::Build assigns the materialized table. That router is
+/// the file's group directory (MappedTable::GroupDirectory), which the
+/// out-of-core scan then only reads through FindBatch.
 class StreamGroupRouter {
  public:
+  /// One grouping column's storage: `ints` for an int64 column, `codes`
+  /// for a string column's dictionary codes (the other is not read).
+  struct ColumnRef {
+    const int64_t* ints = nullptr;
+    const int32_t* codes = nullptr;
+  };
+  static constexpr uint32_t kNotFound = UINT32_MAX;
+
   /// Router over grouping columns of the given types (int64 or string; an
   /// empty list routes every row to group 0). Bind supplies each column's
   /// storage before rows are routed.
@@ -227,21 +246,22 @@ class StreamGroupRouter {
                              size_t expected_groups = 0);
 
   /// Grouping column j reads `ints` (an int64 column) or `codes` (a string
-  /// column's dictionary codes) until the next Bind; the other pointer is
-  /// not read. Route(r) reads element r, so the storage must hold every
-  /// row routed and outlive those Route calls — a caller whose table grows
-  /// rebinds after each append.
+  /// column's dictionary codes) until the next Bind. Route(r) reads element
+  /// r, so the storage must hold every row routed and outlive those Route
+  /// calls — a caller whose table grows rebinds after each append.
   void Bind(size_t j, const int64_t* ints, const int32_t* codes);
 
   /// Dense id of the row's group, assigning the next id on first sight
   /// (`Route(r) == num_groups()-before` detects a new group).
   uint32_t Route(uint32_t row);
 
-  /// Batched Route: writes out[i] = Route(rows[i]) for i in [0, n), with
-  /// identical id assignment and tier transitions to the per-row loop (the
-  /// batch pipelines key packing + hashing + slot prefetch on the packed
-  /// tier and degrades to per-row Route on widening or the wide tier).
-  void RouteBatch(const uint32_t* rows, size_t n, uint32_t* out);
+  /// Read-only batched lookup: for i in [0, n), out[rows[i]] = the id of
+  /// row rows[i]'s group, reading grouping column j from cols[j] (not from
+  /// the bound storage), or kNotFound for a key the router never routed.
+  /// Returns false if any key was not found. Assigns no id, so any number
+  /// of threads may look up at once while nothing routes.
+  bool FindBatch(const ColumnRef* cols, const uint32_t* rows, size_t n,
+                 uint32_t* out) const;
 
   size_t num_groups() const { return groups_; }
   size_t arity() const { return plans_.size(); }
@@ -255,8 +275,6 @@ class StreamGroupRouter {
 
  private:
   struct ColPlan {
-    const int64_t* ints = nullptr;   // bound storage (int64 columns)
-    const int32_t* codes = nullptr;  // bound storage (string columns)
     bool is_string = false;  // dictionary codes vs raw int64 values
     int bits = 1;            // current packed field width
     int shift = 0;
@@ -271,29 +289,33 @@ class StreamGroupRouter {
   // agree byte for byte, so both go through this helper.
   static uint64_t PackRaw(int64_t raw, bool is_string);
 
-  uint64_t PackedCode(const ColPlan& p, uint32_t row) const;
-  int64_t RawCode(const ColPlan& p, uint32_t row) const;
+  int64_t RawCode(const ColumnRef* cols, size_t j, uint32_t row) const {
+    return plans_[j].is_string ? cols[j].codes[row] : cols[j].ints[row];
+  }
   uint64_t PackGroup(size_t g) const;
-  uint64_t WideHashRow(uint32_t row) const;
   uint64_t WideHashGroup(size_t g) const;
-  bool GroupEqualsRow(size_t g, uint32_t row) const;
   // The one slot-placement rule (packed keys position by HashMix64, wide
   // hashes by themselves; masked linear probe to an empty slot) — shared by
-  // growth and rebuild so relocated slots stay findable by Route's probes.
+  // insertion, growth and rebuild so every slot stays findable by Find.
   void PlaceSlot(std::vector<Slot>& slots, size_t mask, Slot s) const;
-  uint32_t Insert(size_t idx, uint64_t key, uint32_t row);
+  uint32_t Find(const ColumnRef* cols, uint32_t row) const;
+  uint32_t Add(uint32_t row);
   void Widen(size_t col, uint64_t code);
-  void Rebuild();
+  // Field offsets from the widths, then every known group re-placed.
+  void Relayout();
   void GrowSlots();
-  uint32_t RouteWide(uint32_t row);
 
   std::vector<ColPlan> plans_;
+  std::vector<ColumnRef> bound_;  // Bind's storage, one per column
   int total_bits_ = 0;
   bool wide_ = false;
   std::vector<Slot> slots_;  // power-of-two size
   size_t mask_ = 0;
   std::vector<int64_t> codes_;  // group g's raw codes at [g*arity, (g+1)*arity)
   size_t groups_ = 0;
+  // Id (or kNotFound) by packed key while total_bits_ <= kDirectRouteBits.
+  static constexpr int kDirectRouteBits = 16;
+  std::vector<uint32_t> direct_;
 };
 
 /// Assigns dense ids to GroupKeys via a flat open-addressing table (hash +

@@ -85,12 +85,15 @@ std::shared_ptr<const GroupIndex> QueryContext::FindGroupIndex(
 
 void QueryContext::RememberGroupIndex(
     const Table& table, std::vector<size_t> cols,
-    std::shared_ptr<const GroupIndex> index) const {
+    std::shared_ptr<const GroupIndex> index,
+    MemoryReservation reservation) const {
   std::lock_guard<std::mutex> lock(memo_mu_);
   memo_table_id_ = table.id();
   memo_table_ = &table;
   memo_cols_ = std::move(cols);
-  memo_index_.swap(index);  // the previous index is freed outside the lock
+  // The previous index and its reservation are freed outside the lock.
+  memo_index_.swap(index);
+  std::swap(memo_reservation_, reservation);
 }
 
 const QueryContext* CurrentQueryContext() { return tls_query_context; }

@@ -230,12 +230,15 @@ class QueryContext {
   /// sample build of its approximate twin), and share one build through
   /// it. Keyed by the table's id and the grouping column indices, and by
   /// the table's address too: an index reads its table through a pointer,
-  /// and a moved table keeps its id. The index is freed with the context
-  /// or by the next remember. Thread-safe. Find returns null on a miss.
+  /// and a moved table keeps its id. The slot holds the index's row->group
+  /// reservation beside it, so the budget counts the index while the slot
+  /// does; both are freed with the context or by the next remember.
+  /// Thread-safe. Find returns null on a miss.
   std::shared_ptr<const GroupIndex> FindGroupIndex(
       const Table& table, const std::vector<size_t>& cols) const;
   void RememberGroupIndex(const Table& table, std::vector<size_t> cols,
-                          std::shared_ptr<const GroupIndex> index) const;
+                          std::shared_ptr<const GroupIndex> index,
+                          MemoryReservation reservation) const;
 
  private:
   std::atomic<bool> cancelled_{false};
@@ -250,6 +253,8 @@ class QueryContext {
   mutable const Table* memo_table_ = nullptr;
   mutable std::vector<size_t> memo_cols_;
   mutable std::shared_ptr<const GroupIndex> memo_index_;
+  // Declared after budget_, so it is released before budget_ is destroyed.
+  mutable MemoryReservation memo_reservation_;
 };
 
 /// The context governing the current thread's work, nullptr when ungoverned.

@@ -52,10 +52,10 @@ void StreamingCvoptBuilder::Offer(uint32_t row) {
 }
 
 void StreamingCvoptBuilder::OfferRange(size_t lo, size_t hi) {
-  // Blockwise pipeline: vector-kernel filter -> batched stratum routing ->
-  // in-order admission. The router assigns new stratum ids in routing
-  // order, which is admission order, so the `stratum == strata_.size()`
-  // first-sight check in Admit holds exactly as in the per-row loop.
+  // Blockwise pipeline: vector-kernel filter -> stratum routing and
+  // in-order admission, row by row. The router assigns new stratum ids in
+  // routing order, which is admission order, so the
+  // `stratum == strata_.size()` first-sight check in Admit holds.
   //
   // Blocks sit on the absolute storage-chunk grid whenever the filter can
   // zone-prune, so each chunk is classified by exactly one SelectRange call
@@ -69,7 +69,6 @@ void StreamingCvoptBuilder::OfferRange(size_t lo, size_t hi) {
     if (cr > 1) blk = cr >= kBlock ? cr : kBlock / cr * cr;
   }
   std::vector<uint32_t> rows;
-  std::vector<uint32_t> strata;
   BindRouter();
   for (size_t b = lo; b < hi;) {
     const size_t e = std::min(hi, (b / blk + 1) * blk);
@@ -79,13 +78,7 @@ void StreamingCvoptBuilder::OfferRange(size_t lo, size_t hi) {
       rows.resize(e - b);
       std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(b));
     }
-    if (rows.empty()) {
-      b = e;
-      continue;
-    }
-    strata.resize(rows.size());
-    router_.RouteBatch(rows.data(), rows.size(), strata.data());
-    for (size_t i = 0; i < rows.size(); ++i) Admit(rows[i], strata[i]);
+    for (uint32_t r : rows) Admit(r, router_.Route(r));
     b = e;
   }
 }

@@ -55,9 +55,8 @@ class StreamingCvoptBuilder {
 
   /// Offers the contiguous row range [lo, hi) in order — equivalent to
   /// calling Offer on each row, but filters blockwise through the
-  /// predicate's vector kernels and routes strata through the router's
-  /// batched probe. Bit-identical to the per-row loop: routing order,
-  /// stratum id assignment, and every RNG draw are unchanged.
+  /// predicate's vector kernels. Bit-identical to the per-row loop: routing
+  /// order, stratum id assignment, and every RNG draw are unchanged.
   void OfferRange(size_t lo, size_t hi);
 
   /// Rows currently held across all reservoirs, with HT weights n_c / s_c
@@ -79,7 +78,7 @@ class StreamingCvoptBuilder {
   };
 
   // Everything Offer does after routing (stats, reservoir step, replan
-  // cadence) — shared by the per-row and batched paths.
+  // cadence) — shared by Offer and OfferRange.
   void Admit(uint32_t row, uint32_t stratum);
   void Replan();
   // Points the router at the grouping columns' current storage: the

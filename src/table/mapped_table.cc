@@ -10,11 +10,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <list>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 
-#include "src/expr/compiled_predicate.h"
-#include "src/expr/predicate.h"
 #include "src/util/env.h"
 #include "src/util/failpoint.h"
 #include "src/util/string_util.h"
@@ -203,6 +202,11 @@ Status DecodeZoneRecord(MapReader* r, ZoneMap* z) {
 
 }  // namespace
 
+struct MappedTable::GroupDirectories {
+  std::mutex mu;
+  std::map<std::vector<size_t>, GroupDirectoryPtr> by_cols;
+};
+
 ChunkCacheStats GetChunkCacheStats() { return ChunkCache::Global().Stats(); }
 
 void ResetChunkCacheStats() { ChunkCache::Global().ResetStats(); }
@@ -248,6 +252,7 @@ Result<MappedTable> MappedTable::Open(const std::string& path) {
   t.map_size_ = size;
   t.fd_ = fd;
   t.uid_ = NextMappedUid();
+  t.dirs_ = std::make_unique<GroupDirectories>();
   // From here on, any validation failure destroys `t`, which unmaps.
 
   CVOPT_FAILPOINT("mapped.open");
@@ -353,7 +358,8 @@ MappedTable::MappedTable(MappedTable&& other) noexcept
       base_(other.base_),
       map_size_(other.map_size_),
       fd_(other.fd_),
-      uid_(other.uid_) {
+      uid_(other.uid_),
+      dirs_(std::move(other.dirs_)) {
   other.base_ = nullptr;
   other.map_size_ = 0;
   other.fd_ = -1;
@@ -372,6 +378,7 @@ MappedTable& MappedTable::operator=(MappedTable&& other) noexcept {
     map_size_ = other.map_size_;
     fd_ = other.fd_;
     uid_ = other.uid_;
+    dirs_ = std::move(other.dirs_);
     other.base_ = nullptr;
     other.map_size_ = 0;
     other.fd_ = -1;
@@ -393,6 +400,7 @@ void MappedTable::Reset() noexcept {
     ::close(fd_);
     fd_ = -1;
   }
+  dirs_.reset();
 }
 
 size_t MappedTable::ChunkRowCount(size_t chunk) const {
@@ -498,28 +506,6 @@ Result<Table> MappedTable::Materialize() const {
   return Table(Schema(std::move(fields)), std::move(columns));
 }
 
-namespace {
-
-// Appends row `r` of decoded chunk data to the output column, re-interning
-// strings through the file dictionary so output dictionaries stay dense.
-void AppendDecodedRow(const DecodedChunk& data,
-                      const std::vector<std::string>& dict, size_t r,
-                      Column* out) {
-  switch (data.type) {
-    case DataType::kInt64:
-      out->AppendInt(data.ints[r]);
-      break;
-    case DataType::kDouble:
-      out->AppendDouble(data.doubles[r]);
-      break;
-    case DataType::kString:
-      out->AppendString(dict[static_cast<size_t>(data.codes[r])]);
-      break;
-  }
-}
-
-}  // namespace
-
 Table MappedTable::Prototype() const {
   std::vector<Column> cols;
   cols.reserve(num_columns());
@@ -531,83 +517,19 @@ Table MappedTable::Prototype() const {
   return Table(schema_, std::move(cols));
 }
 
-Result<Table> MappedTable::Materialize(const Predicate& where) const {
-  // Compile once against the prototype: validates the predicate and
-  // yields the zone classifier consulted before any decode.
-  const Table proto = Prototype();
-  CVOPT_ASSIGN_OR_RETURN(CompiledPredicate proto_where,
-                         CompiledPredicate::Compile(proto, where));
-
-  const bool zones_on = ZoneMapPruningEnabled();
-  std::vector<Column> out_cols;
-  out_cols.reserve(num_columns());
-  for (size_t c = 0; c < num_columns(); ++c) {
-    out_cols.emplace_back(schema_.field(c).type);
+Result<MappedTable::GroupDirectoryPtr> MappedTable::GroupDirectory(
+    const std::vector<size_t>& cols,
+    const std::function<Result<GroupDirectoryPtr>()>& build) const {
+  {
+    std::lock_guard<std::mutex> l(dirs_->mu);
+    auto it = dirs_->by_cols.find(cols);
+    if (it != dirs_->by_cols.end()) return it->second;
   }
-
-  std::vector<std::shared_ptr<const DecodedChunk>> data(num_columns());
-  for (size_t k = 0; k < num_chunks(); ++k) {
-    ChunkVerdict verdict = ChunkVerdict::kResidual;
-    if (zones_on) {
-      verdict = proto_where.ClassifyZones([&](uint32_t col) -> const ZoneMap& {
-        return zones_.zone(col, k);
-      });
-      RecordZoneVerdict(verdict);
-    }
-    if (verdict == ChunkVerdict::kSkip) continue;  // never decoded
-
-    const size_t n = ChunkRowCount(k);
-    for (size_t c = 0; c < num_columns(); ++c) {
-      CVOPT_ASSIGN_OR_RETURN(data[c], GetChunk(c, k));
-    }
-    std::vector<uint8_t> smask;
-    if (verdict != ChunkVerdict::kTakeAll) {
-      // Residual chunk: evaluate the kernels over the decoded storage.
-      smask.assign(n, 0);
-      const auto span_of = [&](uint32_t c) {
-        const DecodedChunk& d = *data[c];
-        return CompiledPredicate::ColumnSpan{d.ints.data(), d.doubles.data(),
-                                             d.codes.data()};
-      };
-      proto_where.Rebind(span_of, n).EvalMaskRange(0, n, smask.data());
-    }
-    for (size_t r = 0; r < n; ++r) {
-      if (!smask.empty() && smask[r] == 0) continue;
-      for (size_t c = 0; c < num_columns(); ++c) {
-        AppendDecodedRow(*data[c], dicts_[c], r, &out_cols[c]);
-      }
-    }
-  }
-  return Table(schema_, std::move(out_cols));
-}
-
-Result<Table> MappedTable::TakeRows(const std::vector<uint32_t>& rows) const {
-  for (uint32_t r : rows) {
-    if (r >= num_rows_) {
-      return Status::InvalidArgument("TakeRows index out of range");
-    }
-  }
-  std::vector<Column> out_cols;
-  out_cols.reserve(num_columns());
-  for (size_t c = 0; c < num_columns(); ++c) {
-    Column out(schema_.field(c).type);
-    out.Reserve(rows.size());
-    // One column at a time, holding a single decoded chunk: row lists from
-    // samplers are near-sorted, so the chunk handle caches the common
-    // consecutive-hit case and the LRU cache absorbs the rest.
-    std::shared_ptr<const DecodedChunk> data;
-    size_t loaded = SIZE_MAX;
-    for (uint32_t r : rows) {
-      const size_t k = r / zones_.chunk_rows;
-      if (k != loaded) {
-        CVOPT_ASSIGN_OR_RETURN(data, GetChunk(c, k));
-        loaded = k;
-      }
-      AppendDecodedRow(*data, dicts_[c], r - k * zones_.chunk_rows, &out);
-    }
-    out_cols.push_back(std::move(out));
-  }
-  return Table(schema_, std::move(out_cols));
+  // Built outside the lock: a build decodes chunks and may be cancelled,
+  // and must not stall other groupings of the same file.
+  CVOPT_ASSIGN_OR_RETURN(GroupDirectoryPtr built, build());
+  std::lock_guard<std::mutex> l(dirs_->mu);
+  return dirs_->by_cols.emplace(cols, std::move(built)).first->second;
 }
 
 }  // namespace cvopt

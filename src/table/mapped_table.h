@@ -17,6 +17,7 @@
 #define CVOPT_TABLE_MAPPED_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,7 +29,7 @@
 
 namespace cvopt {
 
-class Predicate;
+class StreamGroupRouter;  // the exec layer's dense-id router
 
 /// One decoded storage chunk of one column; exactly one vector is populated,
 /// matching `type`.
@@ -101,30 +102,25 @@ class MappedTable {
   /// the destination column.
   Result<Table> Materialize() const;
 
-  /// Predicate-pushdown materialization: returns the in-memory Table of
-  /// exactly the rows matching `where`, in ascending row order. Each
-  /// chunk's zone maps are classified first — a chunk the predicate
-  /// provably rejects is never decoded (no column of it touches the chunk
-  /// cache), a provably-accepted chunk skips predicate evaluation, and
-  /// only residual chunks pay for a full decode + kernel pass. This is the
-  /// population scan behind sampling a filtered mapped table: working
-  /// memory is one chunk's columns plus the survivors, not the file.
-  /// String columns are re-interned into dense output dictionaries.
-  Result<Table> Materialize(const Predicate& where) const;
-
-  /// Copies the given rows into a standalone in-memory Table, decoding
-  /// only the storage chunks the rows actually touch (through the chunk
-  /// cache — consecutive hits to one chunk decode it once). The row set
-  /// may be in any order and may repeat; output row r is `rows[r]`, the
-  /// same contract as Table::TakeRows. Strings are re-interned into dense
-  /// output dictionaries. This is how a stratified sample drawn against a
-  /// mapped base materializes its rows without materializing the base.
-  Result<Table> TakeRows(const std::vector<uint32_t>& rows) const;
+  /// The file's group directory for the ordered grouping columns `cols`: a
+  /// router that has routed every row of the file in order, so it holds
+  /// each distinct key under its full-file first-seen id. The first call
+  /// for `cols` runs `build`; a successful result is kept with the table
+  /// until it is closed and returned to later calls, a failed one is not
+  /// kept.
+  /// Thread-safe. Concurrent first calls may each build; every caller gets
+  /// the first directory published.
+  using GroupDirectoryPtr = std::shared_ptr<const StreamGroupRouter>;
+  Result<GroupDirectoryPtr> GroupDirectory(
+      const std::vector<size_t>& cols,
+      const std::function<Result<GroupDirectoryPtr>()>& build) const;
 
  private:
+  struct GroupDirectories;  // mutex-guarded map: columns -> directory
+
   MappedTable() = default;
 
-  void Reset() noexcept;  // unmap, close, invalidate cached chunks
+  void Reset() noexcept;  // unmap, close, invalidate cached chunks, directories
 
   Schema schema_;
   size_t num_rows_ = 0;
@@ -138,6 +134,7 @@ class MappedTable {
   size_t map_size_ = 0;
   int fd_ = -1;
   uint64_t uid_ = 0;  // process-unique id keying the chunk cache
+  std::unique_ptr<GroupDirectories> dirs_;  // null when moved-from
 };
 
 }  // namespace cvopt

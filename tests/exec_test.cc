@@ -280,6 +280,28 @@ TEST(SharedGroupIndexTest, PoolWorkersShareTheContextMemo) {
   EXPECT_EQ(after->row_groups(), want.row_groups());
 }
 
+TEST(SharedGroupIndexTest, MemoKeepsTheIndexCharged) {
+  // The memo's index stays charged to the request's budget (and its
+  // parent's) until the slot is replaced or the context ends.
+  Table t = MakeSkewedTable(40, 30);
+  Table small = MakeSkewedTable(4, 10);
+  MemoryBudget server(uint64_t{1} << 40);
+  {
+    QueryContext ctx;
+    ctx.set_memory_limit(uint64_t{1} << 30, &server);
+    ScopedQueryContext scope(&ctx);
+    QuerySpec q;
+    q.group_by = {"g"};
+    q.aggregates = {AggSpec::Avg("v")};
+    ASSERT_OK(ExecuteExact(t, q).status());
+    EXPECT_GE(ctx.budget().used(), 4 * t.num_rows());
+    EXPECT_GE(server.used(), 4 * t.num_rows());
+    ASSERT_OK(ExecuteExact(small, q).status());
+    EXPECT_EQ(ctx.budget().used(), 4 * small.num_rows());
+  }
+  EXPECT_EQ(server.used(), 0u);
+}
+
 TEST(QueryResultTest, DuplicateGroupRejected) {
   QueryResult r({"COUNT(*)"}, {"g"});
   ASSERT_OK(r.AddGroup(GroupKey{{1}}, "1", {2.0}));

@@ -410,14 +410,13 @@ TEST_P(GroupBuildSimdParityFuzz, BuildsBitIdenticalScalarVsVector) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupBuildSimdParityFuzz, testing::Range(0, 4));
 
-// RouteBatch must be observationally identical to per-row Route — same ids
-// in the same order, same group count and keys — including mid-stream field
-// widening (values that outgrow their packed field) and the wide-tier
-// fallback (keys that cannot pack at all), at batch boundaries that leave
-// ragged tails, with the vector backend both off and on.
-class RouterBatchParityFuzz : public testing::TestWithParam<int> {};
+// The streaming router must assign GroupIndex::Build's ids and keys
+// through mid-stream field widening (values that outgrow their packed
+// field) and the wide-tier fallback (keys that cannot pack at all), and
+// FindBatch must then re-find every row's id without assigning any.
+class RouterFuzz : public testing::TestWithParam<int> {};
 
-TEST_P(RouterBatchParityFuzz, RouteBatchMatchesPerRowRoute) {
+TEST_P(RouterFuzz, RouteMatchesGroupIndexAndFindBatchReFinds) {
   Rng rng(7700 + GetParam());
   const size_t n = 700 + rng.Uniform(300);
   std::vector<int64_t> small(n), wide(n);
@@ -434,38 +433,32 @@ TEST_P(RouterBatchParityFuzz, RouteBatchMatchesPerRowRoute) {
   Table t = MakeTypedTable(small, wide, strs);
   const std::vector<std::vector<std::string>> attr_sets = {
       {"s"}, {"i", "w"}, {"s", "i", "w"}, {"w", "w"}, {}};
-  for (const int simd_mode : {0, 1}) {
-    simd::SetEnabledForTesting(simd_mode);
-    for (const auto& attrs : attr_sets) {
-      ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
-                           GroupIndex::Resolve(t, attrs));
-      StreamGroupRouter serial = RouterOverTable(t, cols);
-      StreamGroupRouter batched = RouterOverTable(t, cols);
-      std::vector<uint32_t> want(n), got(n);
-      for (size_t r = 0; r < n; ++r) {
-        want[r] = serial.Route(static_cast<uint32_t>(r));
-      }
-      // Uneven blocks exercise full 8-row batches and ragged tails.
-      std::vector<uint32_t> ids(n);
-      std::iota(ids.begin(), ids.end(), 0u);
-      size_t lo = 0;
-      while (lo < n) {
-        const size_t len = std::min<size_t>(n - lo, 1 + rng.Uniform(37));
-        batched.RouteBatch(ids.data() + lo, len, got.data() + lo);
-        lo += len;
-      }
-      EXPECT_EQ(got, want);
-      ASSERT_EQ(batched.num_groups(), serial.num_groups());
-      EXPECT_EQ(batched.packed(), serial.packed());
-      for (size_t g = 0; g < serial.num_groups(); ++g) {
-        ASSERT_EQ(batched.KeyOf(g), serial.KeyOf(g)) << "group " << g;
-      }
+  for (const auto& attrs : attr_sets) {
+    ASSERT_OK_AND_ASSIGN(GroupIndex gi, GroupIndex::Build(t, attrs));
+    ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
+                         GroupIndex::Resolve(t, attrs));
+    StreamGroupRouter router = RouterOverTable(t, cols);
+    for (size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(router.Route(static_cast<uint32_t>(r)), gi.group_of(r))
+          << "row " << r;
     }
+    ASSERT_EQ(router.num_groups(), gi.num_groups());
+    for (size_t g = 0; g < gi.num_groups(); ++g) {
+      ASSERT_EQ(router.KeyOf(g), gi.KeyOf(g)) << "group " << g;
+    }
+    std::vector<StreamGroupRouter::ColumnRef> refs;
+    for (size_t c : cols) {
+      refs.push_back({t.column(c).ints().data(), t.column(c).codes().data()});
+    }
+    std::vector<uint32_t> ids(n), got(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    ASSERT_TRUE(router.FindBatch(refs.data(), ids.data(), n, got.data()));
+    EXPECT_EQ(got, gi.row_groups());
+    EXPECT_EQ(router.num_groups(), gi.num_groups());
   }
-  simd::SetEnabledForTesting(1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RouterBatchParityFuzz, testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(Seeds, RouterFuzz, testing::Range(0, 4));
 
 TEST(GroupKeyInternerTest, AssignsDenseFirstSeenIds) {
   GroupKeyInterner interner;

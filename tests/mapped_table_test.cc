@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <thread>
 
 #include "src/exec/chunked_scan.h"
 #include "src/exec/group_by_executor.h"
@@ -15,6 +16,7 @@
 #include "src/table/mapped_table.h"
 #include "src/table/table_builder.h"
 #include "src/table/table_io.h"
+#include "src/util/failpoint.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -331,7 +333,10 @@ TEST(MappedTableTest, OutOfCoreGroupByParallelMatchesSerialTinyCache) {
 
 // The scan decodes only the columns a query reads. The table is fresh and
 // the cache holds all of it, so every decode is exactly one miss: GROUP BY
-// city, SUM(v) decodes two of the four columns of every chunk.
+// city, SUM(v) decodes two of the four columns of every chunk (the city
+// column once, for the grouping's directory; the scan then hits it). A
+// second query over the same grouping whose WHERE clause refutes 29 of
+// the 32 chunks looks up no column of a refuted chunk.
 TEST(MappedTableTest, OutOfCoreGroupByDecodesOnlyReadColumns) {
   ScopedChunkRows cs(256);
   Table t = MakeDataset(8'192);
@@ -346,90 +351,156 @@ TEST(MappedTableTest, OutOfCoreGroupByDecodesOnlyReadColumns) {
   ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteGroupByMapped(mt, q));
   EXPECT_EQ(GetChunkCacheStats().misses, 2u * mt.num_chunks());
   EXPECT_EQ(r.num_groups(), 6u);
-  std::remove(path.c_str());
-}
 
-// Predicate-pushdown materialization: chunks the zone maps refute are
-// never decoded (the clustered `t` column refutes 29 of 32 chunks for this
-// range), and the surviving rows equal filter-then-take on the full table.
-TEST(MappedTableTest, PushdownMaterializeSkipsRefutedChunks) {
-  ScopedChunkRows cs(256);
-  Table t = MakeDataset(8'192);  // t = 0..8191 clustered; 32 chunks x 4 cols
-  const std::string path = TempPath("push.cvtb");
-  ASSERT_OK(WriteTableFile(t, path));
-  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
-  const PredicatePtr where =
+  // Rows 1000..1499 live in chunks 3..5: three columns (t, city, v) of
+  // three chunks are read, and only `t` was never decoded before.
+  q.where =
       Predicate::Between("t", Value(int64_t{1'000}), Value(int64_t{1'499}));
-
   ResetChunkCacheStats();
-  ASSERT_OK_AND_ASSIGN(Table filtered, mt.Materialize(*where));
-  // Rows 1000..1499 live in chunks 3..5; only those decode — and every
-  // decode is a cache miss (fresh table), so misses count decoded chunks.
+  ResetZoneSkipStats();
+  ASSERT_OK_AND_ASSIGN(QueryResult filtered, ExecuteGroupByMapped(mt, q));
   const ChunkCacheStats stats = GetChunkCacheStats();
-  EXPECT_EQ(stats.misses, 3u * 4u);
-  EXPECT_EQ(filtered.num_rows(), 500u);
-
-  // Equality against the unpruned path: materialize fully, filter, take.
-  ASSERT_OK_AND_ASSIGN(Table full, mt.Materialize());
-  ASSERT_OK_AND_ASSIGN(CompiledPredicate cp,
-                       CompiledPredicate::Compile(full, *where));
-  ExpectTablesEqual(filtered, full.TakeRows(cp.Select()));
+  EXPECT_EQ(GetZoneSkipStats().skipped, 29u);
+  EXPECT_EQ(stats.hits + stats.misses, 3u * 3u);
+  EXPECT_EQ(stats.misses, 3u);
+  ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  ExpectResultsIdentical(exact, filtered, "refuting");
   std::remove(path.c_str());
 }
 
-TEST(MappedTableTest, PushdownMaterializeHandlesResidualAndTakeAll) {
-  ScopedChunkRows cs(256);
-  Table t = MakeDataset(4'096);
-  const std::string path = TempPath("push2.cvtb");
+// A warm directory: a refuting query's second run decodes nothing of the
+// chunks the zone maps refute. The 1-byte cache makes every chunk lookup
+// a miss, so the misses count decodes: exactly the projected columns of
+// the chunks the zone maps did not skip. Cold and warm answers equal
+// ExecuteExact at every chunk geometry.
+TEST(MappedTableTest, WarmScanDecodesNoRefutedChunk) {
+  for (size_t chunk_rows : {size_t{256}, size_t{1000}, size_t{4096}}) {
+    ScopedChunkRows cs(chunk_rows);
+    Table t = MakeDataset(20'000);
+    const std::string path = TempPath("warm.cvtb");
+    ASSERT_OK(WriteTableFile(t, path));
+    ScopedCacheBudget budget(1);
+    ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+    ScopedExecThreads serial(1);
+    for (const auto& q : MakeQueries()) {
+      if (q.name != "all-aggs-range" && q.name != "narrow-where") continue;
+      const std::string what = q.name + " chunk=" + std::to_string(chunk_rows);
+      ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+      ASSERT_OK_AND_ASSIGN(QueryResult cold, ExecuteGroupByMapped(mt, q));
+      ResetChunkCacheStats();
+      ResetZoneSkipStats();
+      ASSERT_OK_AND_ASSIGN(QueryResult warm, ExecuteGroupByMapped(mt, q));
+      const ZoneSkipStats z = GetZoneSkipStats();
+      const ChunkCacheStats stats = GetChunkCacheStats();
+      EXPECT_GT(z.skipped, 0u) << what;
+      // t, city, v, plus n for the range query's SUM(n).
+      const uint64_t cols = q.name == "all-aggs-range" ? 4 : 3;
+      EXPECT_EQ(stats.misses, (z.chunks - z.skipped) * cols) << what;
+      EXPECT_EQ(stats.hits, 0u) << what;
+      ExpectResultsIdentical(exact, cold, what + " cold");
+      ExpectResultsIdentical(exact, warm, what + " warm");
+    }
+    std::remove(path.c_str());
+  }
+}
+
+Result<MappedTable::GroupDirectoryPtr> RefuseBuild() {
+  return Status::Internal("no directory");
+}
+
+// A directory is keyed by the ordered grouping columns: (city, n) and
+// (n, city) hold the same keys under different ids and codes, and each
+// answers its own query exactly.
+TEST(MappedTableTest, GroupDirectoryPerColumnOrder) {
+  ScopedChunkRows cs(1000);
+  Table t = MakeDataset(10'000);
+  const std::string path = TempPath("order.cvtb");
   ASSERT_OK(WriteTableFile(t, path));
   ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
-  ASSERT_OK_AND_ASSIGN(Table full, mt.Materialize());
-  // Unclustered string predicate: zone maps refute nothing, every chunk is
-  // residual, the kernel does the filtering.
-  const PredicatePtr by_city =
-      Predicate::Compare("city", CompareOp::kEq, Value("oslo"));
-  ASSERT_OK_AND_ASSIGN(Table oslo, mt.Materialize(*by_city));
-  {
-    ASSERT_OK_AND_ASSIGN(CompiledPredicate cp,
-                         CompiledPredicate::Compile(full, *by_city));
-    ExpectTablesEqual(oslo, full.TakeRows(cp.Select()));
+  ScopedExecThreads serial(1);
+  for (const std::vector<std::string>& by :
+       {std::vector<std::string>{"city", "n"},
+        std::vector<std::string>{"n", "city"}}) {
+    QuerySpec q;
+    q.group_by = by;
+    q.aggregates = {AggSpec::Avg("v"), AggSpec::Count()};
+    ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+    ASSERT_OK_AND_ASSIGN(QueryResult mapped, ExecuteGroupByMapped(mt, q));
+    ExpectResultsIdentical(exact, mapped, by[0] + "," + by[1]);
   }
-  // Always-true range: every chunk is provably accepted (no kernel pass)
-  // and the result is the whole table.
-  const PredicatePtr all =
-      Predicate::Compare("t", CompareOp::kGe, Value(int64_t{0}));
-  ASSERT_OK_AND_ASSIGN(Table everything, mt.Materialize(*all));
-  ExpectTablesEqual(everything, full);
-  // Invalid predicates surface as a Status, not a crash.
-  const PredicatePtr bad =
-      Predicate::Compare("nope", CompareOp::kEq, Value(int64_t{1}));
-  EXPECT_FALSE(mt.Materialize(*bad).ok());
+  // Both directories are published; a lookup builds neither again.
+  ASSERT_OK_AND_ASSIGN(MappedTable::GroupDirectoryPtr city_n,
+                       mt.GroupDirectory({1, 3}, RefuseBuild));
+  ASSERT_OK_AND_ASSIGN(MappedTable::GroupDirectoryPtr n_city,
+                       mt.GroupDirectory({3, 1}, RefuseBuild));
+  ASSERT_NE(city_n, n_city);
+  ASSERT_EQ(city_n->num_groups(), n_city->num_groups());
+  const GroupKey a = city_n->KeyOf(0);
+  const GroupKey b = n_city->KeyOf(0);
+  EXPECT_EQ(a.codes[0], b.codes[1]);
+  EXPECT_EQ(a.codes[1], b.codes[0]);
+  EXPECT_FALSE(mt.GroupDirectory({1}, RefuseBuild).ok());  // never built
   std::remove(path.c_str());
 }
 
-// TakeRows against the mapped file decodes only the chunks the row list
-// touches — how a stratified sample of a mapped base materializes without
-// paying for the base.
-TEST(MappedTableTest, TakeRowsDecodesOnlyTouchedChunks) {
+// A directory build stopped by a fault publishes nothing: the next lookup
+// still finds none, and the next query builds it and answers exactly.
+TEST(MappedTableTest, AbortedDirectoryBuildPublishesNothing) {
   ScopedChunkRows cs(256);
   Table t = MakeDataset(8'192);
-  const std::string path = TempPath("take.cvtb");
+  const std::string path = TempPath("abort.cvtb");
   ASSERT_OK(WriteTableFile(t, path));
+  ScopedCacheBudget budget(1);  // every directory chunk decodes
   ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
-  // Interleaved rows from chunks 20 and 0, out of order and repeating.
-  std::vector<uint32_t> rows;
-  for (uint32_t i = 0; i < 10; ++i) {
-    rows.push_back(5'120 + i);  // chunk 20
-    rows.push_back(9 - i);      // chunk 0
+  ScopedExecThreads serial(1);
+  const QuerySpec q = MakeQueries()[2];  // narrow-where, GROUP BY city
+  ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  for (const char* spec :
+       {"exec.mapped.chunk:cancel@2", "exec.mapped.chunk:error@31",
+        "mapped.chunk_decode:error@5"}) {
+    ASSERT_OK(failpoint::SetForTesting(spec));
+    EXPECT_FALSE(ExecuteGroupByMapped(mt, q).ok()) << spec;
+    failpoint::ClearForTesting();
+    EXPECT_FALSE(mt.GroupDirectory({1}, RefuseBuild).ok()) << spec;
   }
-  rows.push_back(rows[0]);
-  ResetChunkCacheStats();
-  ASSERT_OK_AND_ASSIGN(Table sub, mt.TakeRows(rows));
-  // Two chunks touched across 4 columns; re-touches are cache hits.
-  const ChunkCacheStats stats = GetChunkCacheStats();
-  EXPECT_EQ(stats.misses, 2u * 4u);
-  ExpectTablesEqual(sub, t.TakeRows(rows));
-  EXPECT_FALSE(mt.TakeRows({8'192}).ok());  // out of range
+  ASSERT_OK_AND_ASSIGN(QueryResult mapped, ExecuteGroupByMapped(mt, q));
+  ExpectResultsIdentical(exact, mapped, "after aborts");
+  EXPECT_TRUE(mt.GroupDirectory({1}, RefuseBuild).ok());
+  std::remove(path.c_str());
+}
+
+// Two threads scanning one cold grouping at once may both build; both get
+// the exact answer.
+TEST(MappedTableTest, RacingColdScansAgree) {
+  ScopedChunkRows cs(512);
+  Table t = MakeDataset(20'000);
+  const std::string path = TempPath("race.cvtb");
+  ASSERT_OK(WriteTableFile(t, path));
+  const std::vector<QuerySpec> qs = MakeQueries();
+  std::vector<QueryResult> exact;
+  {
+    ScopedExecThreads serial(1);
+    for (const auto& q : qs) {
+      ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteExact(t, q));
+      exact.push_back(std::move(r));
+    }
+  }
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+    for (size_t i = 0; i < qs.size(); ++i) {
+      std::vector<Result<QueryResult>> got(2, Status::Internal("unrun"));
+      std::vector<std::thread> racers;
+      for (size_t k = 0; k < got.size(); ++k) {
+        racers.emplace_back(
+            [&, k] { got[k] = ExecuteGroupByMapped(mt, qs[i]); });
+      }
+      for (std::thread& th : racers) th.join();
+      for (const auto& r : got) {
+        ASSERT_OK(r.status());
+        ExpectResultsIdentical(exact[i], *r, qs[i].name + " race");
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -421,8 +421,8 @@ TEST_P(ParallelExecTest, ExecutorsBitIdenticalSimdOnVsOff) {
 }
 
 TEST_P(ParallelExecTest, StreamingBuilderBitIdenticalSimdOnVsOff) {
-  // The streaming builder's batched offer path (blockwise filter kernels +
-  // RouteBatch) must reproduce the per-row Offer loop exactly: same rows,
+  // The streaming builder's range offer path (blockwise filter kernels)
+  // must reproduce the per-row Offer loop exactly: same rows,
   // same weights, same RNG consumption — with the vector backend off and
   // on.
   const Table& t = TestTable();

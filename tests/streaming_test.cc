@@ -238,6 +238,70 @@ TEST(StreamGroupRouterTest, MoreColumnsThanPackableBitsStartsWide) {
   EXPECT_EQ(router.num_groups(), 3u);
 }
 
+// FindBatch over a router that routed only the first half of the table:
+// every row whose group appeared there gets that group's id, the others
+// kNotFound, and routing assigns nothing new.
+void ExpectFindMatchesHalfRoute(const Table& t,
+                                const std::vector<std::string>& attrs) {
+  ASSERT_OK_AND_ASSIGN(GroupIndex gi, GroupIndex::Build(t, attrs));
+  ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols, GroupIndex::Resolve(t, attrs));
+  StreamGroupRouter router = RouterOverTable(t, cols);
+  const uint32_t half = static_cast<uint32_t>(t.num_rows() / 2);
+  for (uint32_t r = 0; r < half; ++r) router.Route(r);
+  const size_t seen = router.num_groups();
+  std::vector<StreamGroupRouter::ColumnRef> refs;
+  for (size_t c : cols) {
+    refs.push_back({t.column(c).ints().data(), t.column(c).codes().data()});
+  }
+  // Rows in descending order, so out[] is written by row, not by position.
+  std::vector<uint32_t> rows(t.num_rows());
+  for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = rows.size() - 1 - i;
+  std::vector<uint32_t> out(t.num_rows(), 12345);
+  const bool all = router.FindBatch(refs.data(), rows.data(), rows.size(),
+                                    out.data());
+  bool expect_all = true;
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    const uint32_t want = gi.group_of(r) < seen ? gi.group_of(r)
+                                                : StreamGroupRouter::kNotFound;
+    expect_all &= want != StreamGroupRouter::kNotFound;
+    ASSERT_EQ(out[r], want) << "row " << r;
+  }
+  EXPECT_EQ(all, expect_all);
+  EXPECT_EQ(router.num_groups(), seen);
+}
+
+TEST(StreamGroupRouterTest, FindBatchMatchesRouteOnEveryTier) {
+  OpenAqOptions opts;
+  opts.num_rows = 20000;
+  Table openaq = GenerateOpenAq(opts);
+  // Direct table (few packed bits), then the probed packed tier.
+  ExpectFindMatchesHalfRoute(openaq, {"country"});
+  ExpectFindMatchesHalfRoute(
+      openaq, {"country", "parameter", "unit", "year", "month", "hour"});
+  ExpectFindMatchesHalfRoute(openaq, {});
+  {
+    // Unseen keys wider than the direct table's fields.
+    TableBuilder b(Schema({{"k", DataType::kInt64}}));
+    for (int64_t v : {0, 1, 2, 3, 1, 0, 100, -50, 2, 3, 64, 1}) {
+      ASSERT_OK(b.AppendRow({Value(v)}));
+    }
+    ExpectFindMatchesHalfRoute(std::move(b).Finish(), {"k"});
+  }
+  // The wide tier: three ~2^40-spread int columns.
+  Schema schema({{"a", DataType::kInt64},
+                 {"b", DataType::kInt64},
+                 {"c", DataType::kInt64}});
+  TableBuilder b(schema);
+  Rng gen(7);
+  const int64_t kSpread = int64_t{1} << 40;
+  for (int i = 0; i < 4000; ++i) {
+    const int64_t base = static_cast<int64_t>(gen.Next64() % 500);
+    ASSERT_OK(b.AppendRow({Value(base * kSpread), Value(-base * kSpread),
+                           Value(base % 7)}));
+  }
+  ExpectFindMatchesHalfRoute(std::move(b).Finish(), {"a", "b", "c"});
+}
+
 TEST(StreamGroupRouterTest, EmptyColumnListRoutesEverythingToGroupZero) {
   Table t = MakeSkewedTable(3, 10);
   StreamGroupRouter router = RouterOverTable(t, {});

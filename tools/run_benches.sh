@@ -166,9 +166,12 @@ doc["description"] = (
     "chunked scan vs the resident BM_InMemoryGroupByBaseline, and "
     "BM_OutOfCoreGroupByParallel/<threads> is the same one-pass scan "
     "across the thread ladder (waves of parallel per-chunk decode of the "
-    "read columns, then chunk-order group routing and accumulation through "
-    "the shared core) — bit-identical to the one-thread answer at every "
-    "fan-out. "
+    "read columns and group-id lookups in the file's group directory, "
+    "then chunk-order accumulation through the shared core) — "
+    "bit-identical to the one-thread answer at every fan-out. Both run "
+    "with the grouping's group directory already built (the first "
+    "iteration builds it), so their 1%-selective query decodes no column "
+    "of the 99% of chunks the zone maps refute. "
     "BM_AdaptiveGroupByHugeG is the packed-tier radix build at huge "
     "cardinality: a 3M-row two-int-key table with ~2.7M distinct groups "
     "(24 packed key bits), partitioned and hash-probed per partition; "
