@@ -132,38 +132,6 @@ Result<QueryResult> EmitMappedResult(const QuerySpec& query,
   return result;
 }
 
-// Builds the file's group directory for `gcols`: one serial route over
-// every chunk's GROUP BY columns, in chunk order, so its ids are the
-// full-file first-seen ids ExecuteExact assigns the materialized table.
-// A cancelled or failed build returns its Status and publishes nothing.
-Result<MappedTable::GroupDirectoryPtr> BuildGroupDirectory(
-    const MappedTable& mt, const std::vector<size_t>& gcols) {
-  std::vector<DataType> gtypes;
-  for (size_t c : gcols) gtypes.push_back(mt.schema().field(c).type);
-  auto dir = std::make_shared<StreamGroupRouter>(gtypes);
-  std::vector<uint32_t> positions(mt.chunk_rows()), gids(mt.chunk_rows());
-  std::iota(positions.begin(), positions.end(), 0u);
-  std::vector<StreamGroupRouter::ColumnRef> refs(gcols.size());
-  std::vector<std::shared_ptr<const DecodedChunk>> held(gcols.size());
-  for (size_t k = 0; k < mt.num_chunks(); ++k) {
-    CVOPT_RETURN_NOT_OK(CheckQueryAborted());
-    CVOPT_FAILPOINT("exec.mapped.chunk");
-    for (size_t i = 0; i < gcols.size(); ++i) {
-      CVOPT_ASSIGN_OR_RETURN(held[i], mt.GetChunk(gcols[i], k));
-      refs[i] = {held[i]->ints.data(), held[i]->codes.data()};
-      dir->Bind(i, refs[i].ints, refs[i].codes);
-    }
-    // Known keys resolve read-only; the rest route in row order, which
-    // assigns new ids exactly as routing every row would.
-    const uint32_t n = static_cast<uint32_t>(mt.ChunkRowCount(k));
-    if (dir->FindBatch(refs.data(), positions.data(), n, gids.data())) continue;
-    for (uint32_t r = 0; r < n; ++r) {
-      if (gids[r] == StreamGroupRouter::kNotFound) dir->Route(r);
-    }
-  }
-  return MappedTable::GroupDirectoryPtr(std::move(dir));
-}
-
 ChunkVerdict ClassifyChunk(const MappedTable& mt, const MappedScanPlan& plan,
                            bool zones_on, size_t k) {
   if (plan.where == nullptr || !zones_on) return ChunkVerdict::kResidual;
@@ -196,17 +164,20 @@ bool Selects(const MappedScanPlan& plan, const WaveChunk& wc) {
 // Decodes chunk k's projection, evaluates its WHERE selection and COUNT_IF
 // masks with the prototype plans rebound to the decoded storage, points
 // each aggregate's value stream at its column or mask, and looks up each
-// surviving row's group id in the read-only directory. A chunk the zone
-// maps refute is never decoded; a provably accepted one skips WHERE.
+// surviving row's group id in the kept directory `dir`, which a refuted
+// chunk never decodes; without one, a refuted chunk decodes only its
+// GROUP BY columns for routing. A provably accepted chunk skips WHERE.
 Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
-                       const StreamGroupRouter& dir, const uint32_t* positions,
+                       const StreamGroupRouter* dir, const uint32_t* positions,
                        size_t k, WaveChunk* wc) {
-  if (wc->verdict == ChunkVerdict::kSkip) return Status::OK();
+  const bool skip = wc->verdict == ChunkVerdict::kSkip;
+  if (skip && dir != nullptr) return Status::OK();
   const size_t n = wc->rows;
   wc->cols.resize(mt.num_columns());
-  for (size_t c : plan.decode_cols) {
+  for (size_t c : skip ? plan.gcols : plan.decode_cols) {
     CVOPT_ASSIGN_OR_RETURN(wc->cols[c], mt.GetChunk(c, k));
   }
+  if (skip) return Status::OK();
   const auto span_of = [&](uint32_t c) {
     const DecodedChunk& d = *wc->cols[c];
     return CompiledPredicate::ColumnSpan{d.ints.data(), d.doubles.data(),
@@ -236,42 +207,46 @@ Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
     }
   }
 
+  if (dir == nullptr) return Status::OK();
   std::vector<StreamGroupRouter::ColumnRef> keys(plan.gcols.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     const DecodedChunk& d = *wc->cols[plan.gcols[i]];
     keys[i] = {d.ints.data(), d.codes.data()};
   }
   wc->gids.resize(n);
-  if (!dir.FindBatch(keys.data(), selects ? wc->sel.data() : positions,
+  if (!dir->FindBatch(keys.data(), selects ? wc->sel.data() : positions,
                      selects ? wc->sel.size() : n, wc->gids.data())) {
-    // The directory was built from this file, so the file changed under
-    // the mapping; a key is never added outside a build.
+    // The file changed under the mapping; a lookup never adds a key.
     return Status::Internal("group key missing from the file's directory");
   }
   return Status::OK();
 }
 
-// The scan (see chunked_scan.h): the grouping's directory first (built by
-// the grouping's first scan, then shared through the table), then per
-// wave: (a) decode, evaluate and look up group ids, one chunk per worker
-// (the chunk cache is mutex-guarded, so concurrent GetChunk calls are
-// safe and the LRU stays honored); and (b) accumulate each chunk, in
-// chunk order.
+// The scan (see chunked_scan.h), per wave: (a) decode, evaluate and look
+// up group ids in a kept directory, one chunk per worker (the chunk cache
+// is mutex-guarded, so concurrent GetChunk calls are safe and the LRU
+// stays honored); (b) when building the directory, route in chunk order,
+// zone-refuted chunks included, and grow the accumulators; (c) accumulate
+// each chunk, in chunk order.
 Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
                                const MappedScanPlan& plan) {
-  CVOPT_ASSIGN_OR_RETURN(
-      MappedTable::GroupDirectoryPtr dir,
-      mt.GroupDirectory(plan.gcols,
-                        [&] { return BuildGroupDirectory(mt, plan.gcols); }));
-  const size_t G = dir->num_groups();
+  const std::shared_ptr<const StreamGroupRouter> kept =
+      mt.FindGroupDirectory(plan.gcols);
+  std::shared_ptr<StreamGroupRouter> building;
+  if (kept == nullptr) {
+    std::vector<DataType> gtypes;
+    for (size_t c : plan.gcols) gtypes.push_back(mt.schema().field(c).type);
+    building = std::make_shared<StreamGroupRouter>(gtypes);
+  }
+  const StreamGroupRouter& dir = kept != nullptr ? *kept : *building;
   const size_t num_chunks = mt.num_chunks();
   const size_t threads = std::max<size_t>(1, ResolveThreads());
 
-  // The decode wave and the accumulators are the scan's working set, and
-  // each is charged to the ambient budget only if the budget grants it. A
-  // refused wave shrinks to one chunk; whatever is refused runs
-  // unreserved: the streaming path must keep answering under budgets that
-  // already refused materialization.
+  // The decode wave, the directory and the accumulators are the scan's
+  // working set, and each is charged to the ambient budget only if the
+  // budget grants it. A refused wave shrinks to one chunk; whatever is
+  // refused runs unreserved: the streaming path must keep answering under
+  // budgets that already refused materialization.
   QueryContext* ctx = const_cast<QueryContext*>(CurrentQueryContext());
   size_t wave_cap = threads == 1 ? 1 : 2 * threads;
   // gid + selection entry + COUNT_IF masks, then the decoded columns.
@@ -281,10 +256,7 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
                      ? sizeof(int32_t)
                      : sizeof(int64_t);
   }
-  const size_t group_bytes =
-      sizeof(uint64_t) +
-      plan.bindings.size() * sizeof(double) * (plan.any_var ? 2 : 1);
-  MemoryReservation wave_res, acc_res;
+  MemoryReservation wave_res;
   if (ctx != nullptr) {
     Result<MemoryReservation> res = ctx->TryReserve(
         std::min(wave_cap, num_chunks) * mt.chunk_rows() * row_width,
@@ -294,11 +266,23 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
     } else {
       wave_cap = 1;
     }
-    res = ctx->TryReserve(G * group_bytes, "mapped scan accumulators");
-    if (res.ok()) acc_res = std::move(res).value();
   }
+  const size_t group_bytes =
+      sizeof(uint64_t) +
+      plan.bindings.size() * sizeof(double) * (plan.any_var ? 2 : 1);
   GroupedAccumulators acc;
-  acc.Grow(query.aggregates, G, /*weighted=*/false);
+  MemoryReservation state_res;  // the directory and the accumulators
+  // Sizes the accumulators to the directory's groups and charges both.
+  const auto grow = [&] {
+    acc.Grow(query.aggregates, dir.num_groups(), /*weighted=*/false);
+    if (ctx == nullptr) return;
+    state_res = MemoryReservation();
+    Result<MemoryReservation> res =
+        ctx->TryReserve(dir.byte_size() + acc.num_groups * group_bytes,
+                        "mapped scan group directory and accumulators");
+    if (res.ok()) state_res = std::move(res).value();
+  };
+  grow();
   std::vector<uint32_t> positions(mt.chunk_rows());
   std::iota(positions.begin(), positions.end(), 0u);
 
@@ -315,27 +299,43 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
       wave[i].verdict = ClassifyChunk(mt, plan, zones_on, w0 + i);
     }
 
-    // (a) Decode, masks and ids, one chunk per morsel. Failures park in
-    // per-chunk Status slots (workers cannot early-return across the pool)
-    // and surface in chunk order.
+    // (a) Decode, masks and looked-up ids, one chunk per morsel. Failures
+    // park in per-chunk Status slots (workers cannot early-return across
+    // the pool) and surface in chunk order.
     ParallelForChunks(wn, wn, [&](size_t i, size_t, size_t) {
-      wave[i].status =
-          DecodeWaveChunk(mt, plan, *dir, positions.data(), w0 + i, &wave[i]);
+      wave[i].status = DecodeWaveChunk(mt, plan, kept.get(), positions.data(),
+                                       w0 + i, &wave[i]);
     });
     for (const WaveChunk& wc : wave) CVOPT_RETURN_NOT_OK(wc.status);
 
-    // (b) Accumulate chunk by chunk: the WHERE survivors are the selection,
+    // (b) Building: route in chunk order, so ids are full-file first-seen.
+    if (building != nullptr) {
+      for (WaveChunk& wc : wave) {
+        for (size_t i = 0; i < plan.gcols.size(); ++i) {
+          const DecodedChunk& d = *wc.cols[plan.gcols[i]];
+          building->Bind(i, d.ints.data(), d.codes.data());
+        }
+        wc.gids.resize(wc.rows);
+        for (uint32_t r = 0; r < wc.rows; ++r) wc.gids[r] = building->Route(r);
+      }
+      grow();
+    }
+
+    // (c) Accumulate chunk by chunk: the WHERE survivors are the selection,
     // the decoded columns and COUNT_IF masks the value streams.
     for (const WaveChunk& wc : wave) {
       if (wc.verdict == ChunkVerdict::kSkip) continue;
       GroupedPass pass;
-      pass.num_groups = G;
+      pass.num_groups = acc.num_groups;
       pass.row_groups = &wc.gids;
       if (Selects(plan, wc)) pass.sel = &wc.sel;
       AccumulateSources(pass, query.aggregates, wc.values, &acc);
     }
   }
-  return EmitMappedResult(query, plan, *dir, &acc);
+  if (building != nullptr) {
+    mt.KeepGroupDirectory(plan.gcols, building, building->byte_size());
+  }
+  return EmitMappedResult(query, plan, dir, &acc);
 }
 
 }  // namespace

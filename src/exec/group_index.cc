@@ -970,18 +970,14 @@ void GroupIndex::AppendLabel(size_t g, std::string* out) const {
   }
 }
 
-StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types,
-                                     size_t expected_groups)
-    : bound_(types.size()) {
+StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types)
+    : bound_(types.size()), slots_(64), mask_(63) {
   for (DataType type : types) {
     CVOPT_CHECK(type != DataType::kDouble, "cannot route by a double column");
     ColPlan p;
     p.is_string = type == DataType::kString;
     plans_.push_back(p);
   }
-  slots_.assign(NextPow2(std::max<size_t>(64, 2 * expected_groups)), Slot{});
-  mask_ = slots_.size() - 1;
-  codes_.reserve(plans_.size() * expected_groups);
   // Minimal initial widths: every column starts at one bit and widens as
   // codes appear, so the packed layout always reflects only what the
   // stream has shown so far (no pre-scan). More columns than packable bits
@@ -1068,7 +1064,7 @@ void StreamGroupRouter::Relayout() {
   }
   // While packed keys span at most 2^16 values, ids are also kept in a
   // table indexed by the packed key: one load per row, no probe.
-  direct_.clear();
+  direct_ = {};
   if (plans_.empty() || wide_ || total_bits_ > kDirectRouteBits) return;
   direct_.assign(size_t{1} << total_bits_, kNotFound);
   for (size_t g = 0; g < groups_; ++g) {
@@ -1143,29 +1139,10 @@ uint32_t StreamGroupRouter::Route(uint32_t row) {
 bool StreamGroupRouter::FindBatch(const ColumnRef* cols, const uint32_t* rows,
                                   size_t n, uint32_t* out) const {
   bool found = true;
-  if (direct_.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t id = Find(cols, rows[i]);
-      found &= id != kNotFound;
-      out[rows[i]] = id;
-    }
-    return found;
-  }
-  // Find's direct-table case with the tier checks hoisted out of the loop
-  // (fields are at most 16 bits wide here).
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t row = rows[i];
-    uint64_t key = 0;
-    uint64_t overflow = 0;
-    for (size_t j = 0; j < plans_.size(); ++j) {
-      const ColPlan& p = plans_[j];
-      const uint64_t code = PackRaw(RawCode(cols, j, row), p.is_string);
-      overflow |= code >> p.bits;
-      key |= code << p.shift;
-    }
-    const uint32_t id = overflow == 0 ? direct_[key] : kNotFound;
+    const uint32_t id = Find(cols, rows[i]);
     found &= id != kNotFound;
-    out[row] = id;
+    out[rows[i]] = id;
   }
   return found;
 }

@@ -222,13 +222,11 @@ class GroupIndex {
 /// keys probe a flat hash table. Once the packed widths exceed 64 bits the
 /// router switches permanently to the wide tier (composite hash +
 /// stored-code compare). Routing performs no GroupKey materialization or
-/// per-key heap allocation — this replaces the flat GroupKeyInterner in the
-/// streaming CVOPT sampler's per-row stratum routing. The router owns no
-/// storage: Bind points each grouping column at raw storage, and ids carry
-/// across rebinds, so routing a mapped table chunk by chunk in order yields
-/// the ids GroupIndex::Build assigns the materialized table. That router is
-/// the file's group directory (MappedTable::GroupDirectory), which the
-/// out-of-core scan then only reads through FindBatch.
+/// per-key heap allocation. The router owns no storage: Bind points each
+/// grouping column at raw storage, and ids carry across rebinds, so routing
+/// a mapped table chunk by chunk in order yields the ids GroupIndex::Build
+/// assigns the materialized table: the file's group directory, which later
+/// out-of-core scans read through FindBatch.
 class StreamGroupRouter {
  public:
   /// One grouping column's storage: `ints` for an int64 column, `codes`
@@ -242,8 +240,7 @@ class StreamGroupRouter {
   /// Router over grouping columns of the given types (int64 or string; an
   /// empty list routes every row to group 0). Bind supplies each column's
   /// storage before rows are routed.
-  explicit StreamGroupRouter(const std::vector<DataType>& types,
-                             size_t expected_groups = 0);
+  explicit StreamGroupRouter(const std::vector<DataType>& types);
 
   /// Grouping column j reads `ints` (an int64 column) or `codes` (a string
   /// column's dictionary codes) until the next Bind. Route(r) reads element
@@ -264,6 +261,12 @@ class StreamGroupRouter {
                  uint32_t* out) const;
 
   size_t num_groups() const { return groups_; }
+  /// Bytes held by the slot and direct tables and the stored keys.
+  size_t byte_size() const {
+    return slots_.capacity() * sizeof(Slot) +
+           direct_.capacity() * sizeof(uint32_t) +
+           codes_.capacity() * sizeof(int64_t);
+  }
   size_t arity() const { return plans_.size(); }
   /// False once the router has fallen back to the wide (hash + compare)
   /// tier; true while keys still bit-pack into one word.

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <list>
-#include <map>
 #include <mutex>
 #include <unordered_map>
 
@@ -203,8 +202,14 @@ Status DecodeZoneRecord(MapReader* r, ZoneMap* z) {
 }  // namespace
 
 struct MappedTable::GroupDirectories {
+  struct Kept {
+    std::vector<size_t> cols;
+    std::shared_ptr<const StreamGroupRouter> dir;
+    size_t bytes = 0;
+  };
   std::mutex mu;
-  std::map<std::vector<size_t>, GroupDirectoryPtr> by_cols;
+  std::list<Kept> lru;  // most recently used first
+  size_t bytes = 0;     // sum of the kept entries' bytes
 };
 
 ChunkCacheStats GetChunkCacheStats() { return ChunkCache::Global().Stats(); }
@@ -506,6 +511,28 @@ Result<Table> MappedTable::Materialize() const {
   return Table(Schema(std::move(fields)), std::move(columns));
 }
 
+namespace {
+
+// Appends row `r` of decoded chunk data to the output column, re-interning
+// strings through the file dictionary so output dictionaries stay dense.
+void AppendDecodedRow(const DecodedChunk& data,
+                      const std::vector<std::string>& dict, size_t r,
+                      Column* out) {
+  switch (data.type) {
+    case DataType::kInt64:
+      out->AppendInt(data.ints[r]);
+      break;
+    case DataType::kDouble:
+      out->AppendDouble(data.doubles[r]);
+      break;
+    case DataType::kString:
+      out->AppendString(dict[static_cast<size_t>(data.codes[r])]);
+      break;
+  }
+}
+
+}  // namespace
+
 Table MappedTable::Prototype() const {
   std::vector<Column> cols;
   cols.reserve(num_columns());
@@ -517,19 +544,69 @@ Table MappedTable::Prototype() const {
   return Table(schema_, std::move(cols));
 }
 
-Result<MappedTable::GroupDirectoryPtr> MappedTable::GroupDirectory(
-    const std::vector<size_t>& cols,
-    const std::function<Result<GroupDirectoryPtr>()>& build) const {
-  {
-    std::lock_guard<std::mutex> l(dirs_->mu);
-    auto it = dirs_->by_cols.find(cols);
-    if (it != dirs_->by_cols.end()) return it->second;
+Result<Table> MappedTable::TakeRows(const std::vector<uint32_t>& rows) const {
+  for (uint32_t r : rows) {
+    if (r >= num_rows_) {
+      return Status::InvalidArgument("TakeRows index out of range");
+    }
   }
-  // Built outside the lock: a build decodes chunks and may be cancelled,
-  // and must not stall other groupings of the same file.
-  CVOPT_ASSIGN_OR_RETURN(GroupDirectoryPtr built, build());
+  std::vector<Column> out_cols;
+  out_cols.reserve(num_columns());
+  for (size_t c = 0; c < num_columns(); ++c) {
+    Column out(schema_.field(c).type);
+    out.Reserve(rows.size());
+    // One column at a time, holding a single decoded chunk: row lists from
+    // samplers are near-sorted, so the chunk handle caches the common
+    // consecutive-hit case and the LRU cache absorbs the rest.
+    std::shared_ptr<const DecodedChunk> data;
+    size_t loaded = SIZE_MAX;
+    for (uint32_t r : rows) {
+      const size_t k = r / zones_.chunk_rows;
+      if (k != loaded) {
+        CVOPT_ASSIGN_OR_RETURN(data, GetChunk(c, k));
+        loaded = k;
+      }
+      AppendDecodedRow(*data, dicts_[c], r - k * zones_.chunk_rows, &out);
+    }
+    out_cols.push_back(std::move(out));
+  }
+  return Table(schema_, std::move(out_cols));
+}
+
+std::shared_ptr<const StreamGroupRouter> MappedTable::FindGroupDirectory(
+    const std::vector<size_t>& cols) const {
   std::lock_guard<std::mutex> l(dirs_->mu);
-  return dirs_->by_cols.emplace(cols, std::move(built)).first->second;
+  std::list<GroupDirectories::Kept>& lru = dirs_->lru;
+  for (auto it = lru.begin(); it != lru.end(); ++it) {
+    if (it->cols != cols) continue;
+    lru.splice(lru.begin(), lru, it);
+    return it->dir;
+  }
+  return nullptr;
+}
+
+void MappedTable::KeepGroupDirectory(
+    const std::vector<size_t>& cols,
+    std::shared_ptr<const StreamGroupRouter> dir, size_t bytes) const {
+  const size_t bound =
+      std::min<size_t>(num_rows_ * sizeof(uint32_t), size_t{64} << 20);
+  std::lock_guard<std::mutex> l(dirs_->mu);
+  std::list<GroupDirectories::Kept>& lru = dirs_->lru;
+  if (bytes > bound ||
+      std::any_of(lru.begin(), lru.end(),
+                  [&](const auto& kept) { return kept.cols == cols; })) {
+    return;
+  }
+  for (; dirs_->bytes + bytes > bound; lru.pop_back()) {
+    dirs_->bytes -= lru.back().bytes;
+  }
+  dirs_->bytes += bytes;
+  lru.push_front({cols, std::move(dir), bytes});
+}
+
+size_t MappedTable::group_directory_bytes() const {
+  std::lock_guard<std::mutex> l(dirs_->mu);
+  return dirs_->bytes;
 }
 
 }  // namespace cvopt

@@ -17,7 +17,6 @@
 #define CVOPT_TABLE_MAPPED_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,21 +101,32 @@ class MappedTable {
   /// the destination column.
   Result<Table> Materialize() const;
 
-  /// The file's group directory for the ordered grouping columns `cols`: a
-  /// router that has routed every row of the file in order, so it holds
-  /// each distinct key under its full-file first-seen id. The first call
-  /// for `cols` runs `build`; a successful result is kept with the table
-  /// until it is closed and returned to later calls, a failed one is not
-  /// kept.
-  /// Thread-safe. Concurrent first calls may each build; every caller gets
-  /// the first directory published.
-  using GroupDirectoryPtr = std::shared_ptr<const StreamGroupRouter>;
-  Result<GroupDirectoryPtr> GroupDirectory(
-      const std::vector<size_t>& cols,
-      const std::function<Result<GroupDirectoryPtr>()>& build) const;
+  /// Copies the given rows into a standalone in-memory Table, decoding
+  /// only the storage chunks the rows actually touch (through the chunk
+  /// cache — consecutive hits to one chunk decode it once). The row set
+  /// may be in any order and may repeat; output row r is `rows[r]`, the
+  /// same contract as Table::TakeRows. Strings are re-interned into dense
+  /// output dictionaries. This is how a stratified sample drawn against a
+  /// mapped base materializes its rows without materializing the base.
+  Result<Table> TakeRows(const std::vector<uint32_t>& rows) const;
+
+  /// Group directories (thread-safe): per ordered grouping column list, a
+  /// router that has routed every row of the file in order, i.e. each
+  /// distinct key under its full-file first-seen id. Find returns the kept
+  /// one (marking it most recently used) or null. Keep offers a complete
+  /// one of `bytes`; the table keeps directories, least recently used
+  /// dropped first, while they fit 4 B per row (the row->group mapping a
+  /// materialized grouping costs), at most 64 MiB.
+  std::shared_ptr<const StreamGroupRouter> FindGroupDirectory(
+      const std::vector<size_t>& cols) const;
+  void KeepGroupDirectory(const std::vector<size_t>& cols,
+                          std::shared_ptr<const StreamGroupRouter> dir,
+                          size_t bytes) const;
+  /// Bytes of the group directories kept with the table.
+  size_t group_directory_bytes() const;
 
  private:
-  struct GroupDirectories;  // mutex-guarded map: columns -> directory
+  struct GroupDirectories;  // mutex-guarded LRU list of directories
 
   MappedTable() = default;
 

@@ -11,6 +11,8 @@
 
 #include "src/exec/chunked_scan.h"
 #include "src/exec/group_by_executor.h"
+#include "src/exec/group_index.h"
+#include "src/exec/query_context.h"
 #include "src/expr/compiled_predicate.h"
 #include "src/expr/plan_cache.h"
 #include "src/table/mapped_table.h"
@@ -404,16 +406,12 @@ TEST(MappedTableTest, WarmScanDecodesNoRefutedChunk) {
   }
 }
 
-Result<MappedTable::GroupDirectoryPtr> RefuseBuild() {
-  return Status::Internal("no directory");
-}
-
 // A directory is keyed by the ordered grouping columns: (city, n) and
 // (n, city) hold the same keys under different ids and codes, and each
 // answers its own query exactly.
 TEST(MappedTableTest, GroupDirectoryPerColumnOrder) {
   ScopedChunkRows cs(1000);
-  Table t = MakeDataset(10'000);
+  Table t = MakeDataset(20'000);
   const std::string path = TempPath("order.cvtb");
   ASSERT_OK(WriteTableFile(t, path));
   ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
@@ -428,18 +426,20 @@ TEST(MappedTableTest, GroupDirectoryPerColumnOrder) {
     ASSERT_OK_AND_ASSIGN(QueryResult mapped, ExecuteGroupByMapped(mt, q));
     ExpectResultsIdentical(exact, mapped, by[0] + "," + by[1]);
   }
-  // Both directories are published; a lookup builds neither again.
-  ASSERT_OK_AND_ASSIGN(MappedTable::GroupDirectoryPtr city_n,
-                       mt.GroupDirectory({1, 3}, RefuseBuild));
-  ASSERT_OK_AND_ASSIGN(MappedTable::GroupDirectoryPtr n_city,
-                       mt.GroupDirectory({3, 1}, RefuseBuild));
+  // Both directories are kept.
+  const auto city_n = mt.FindGroupDirectory({1, 3});
+  const auto n_city = mt.FindGroupDirectory({3, 1});
+  ASSERT_NE(city_n, nullptr);
+  ASSERT_NE(n_city, nullptr);
   ASSERT_NE(city_n, n_city);
   ASSERT_EQ(city_n->num_groups(), n_city->num_groups());
+  EXPECT_EQ(mt.group_directory_bytes(),
+            city_n->byte_size() + n_city->byte_size());
   const GroupKey a = city_n->KeyOf(0);
   const GroupKey b = n_city->KeyOf(0);
   EXPECT_EQ(a.codes[0], b.codes[1]);
   EXPECT_EQ(a.codes[1], b.codes[0]);
-  EXPECT_FALSE(mt.GroupDirectory({1}, RefuseBuild).ok());  // never built
+  EXPECT_EQ(mt.FindGroupDirectory({1}), nullptr);  // never built
   std::remove(path.c_str());
 }
 
@@ -461,11 +461,105 @@ TEST(MappedTableTest, AbortedDirectoryBuildPublishesNothing) {
     ASSERT_OK(failpoint::SetForTesting(spec));
     EXPECT_FALSE(ExecuteGroupByMapped(mt, q).ok()) << spec;
     failpoint::ClearForTesting();
-    EXPECT_FALSE(mt.GroupDirectory({1}, RefuseBuild).ok()) << spec;
+    EXPECT_EQ(mt.FindGroupDirectory({1}), nullptr) << spec;
   }
   ASSERT_OK_AND_ASSIGN(QueryResult mapped, ExecuteGroupByMapped(mt, q));
   ExpectResultsIdentical(exact, mapped, "after aborts");
-  EXPECT_TRUE(mt.GroupDirectory({1}, RefuseBuild).ok());
+  EXPECT_NE(mt.FindGroupDirectory({1}), nullptr);
+  std::remove(path.c_str());
+}
+
+// The directory is part of a budgeted scan's working set: a cold scan of
+// a grouping with one group per row charges at least the directory's
+// bytes on top of its accumulators. A directory that large exceeds the
+// table's bound (4 B per row), so it serves the scan and is not kept.
+TEST(MappedTableTest, BudgetedScanChargesItsDirectory) {
+  ScopedChunkRows cs(256);
+  Table t = MakeDataset(8'192);
+  const std::string path = TempPath("charge.cvtb");
+  ASSERT_OK(WriteTableFile(t, path));
+  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+  QuerySpec q;
+  q.group_by = {"t"};
+  q.aggregates = {AggSpec::Count()};
+  // The directory the scan builds: every row routed in file order.
+  StreamGroupRouter expected({DataType::kInt64});
+  expected.Bind(0, t.column(0).ints().data(), nullptr);
+  for (uint32_t r = 0; r < t.num_rows(); ++r) expected.Route(r);
+  ASSERT_EQ(expected.num_groups(), t.num_rows());
+  for (int pass = 0; pass < 2; ++pass) {
+    QueryContext ctx;
+    ctx.set_memory_limit(uint64_t{1} << 30);
+    ScopedQueryContext scope(&ctx);
+    ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteGroupByMapped(mt, q));
+    EXPECT_EQ(r.num_groups(), t.num_rows());
+    const uint64_t acc_bytes =
+        t.num_rows() * (sizeof(uint64_t) + sizeof(double));
+    EXPECT_GE(ctx.budget().peak(), expected.byte_size() + acc_bytes)
+        << "pass " << pass;
+    EXPECT_EQ(ctx.budget().used(), 0u);
+    EXPECT_EQ(mt.group_directory_bytes(), 0u) << "pass " << pass;
+  }
+  std::remove(path.c_str());
+}
+
+// The kept directories of one table stay within its bound of 4 B per row:
+// a new directory drops the least recently used ones until it fits, one
+// larger than the whole bound drops nothing, and every answer stays exact.
+TEST(MappedTableTest, KeptDirectoriesStayWithinTheTableBound) {
+  ScopedChunkRows cs(1000);
+  Schema schema({{"id", DataType::kInt64},
+                 {"a", DataType::kInt64},
+                 {"b", DataType::kInt64},
+                 {"c", DataType::kInt64},
+                 {"v", DataType::kDouble}});
+  TableBuilder tb(schema);
+  for (int64_t i = 0; i < 40'000; ++i) {
+    ASSERT_OK(tb.AppendRow({Value(i), Value(i % 64), Value(i % 16),
+                            Value(i % 2'500), Value(0.5 * i)}));
+  }
+  const Table t = std::move(tb).Finish();
+  const std::string path = TempPath("bound.cvtb");
+  ASSERT_OK(WriteTableFile(t, path));
+  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+  ScopedExecThreads serial(1);
+  const size_t bound = t.num_rows() * sizeof(uint32_t);
+  const auto scan = [&](const std::vector<std::string>& by) {
+    QuerySpec q;
+    q.group_by = by;
+    q.aggregates = {AggSpec::Sum("v")};
+    ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+    ASSERT_OK_AND_ASSIGN(QueryResult mapped, ExecuteGroupByMapped(mt, q));
+    ExpectResultsIdentical(exact, mapped, by[0]);
+    EXPECT_LE(mt.group_directory_bytes(), bound) << by[0];
+  };
+  const auto bytes_of = [&](const std::vector<size_t>& cols) -> size_t {
+    const auto dir = mt.FindGroupDirectory(cols);
+    return dir == nullptr ? 0 : dir->byte_size();
+  };
+  scan({"a"});
+  scan({"b"});
+  scan({"a", "b"});
+  scan({"b", "a"});
+  const size_t a = bytes_of({1});
+  const size_t b = bytes_of({2});
+  const size_t ab = bytes_of({1, 2});
+  const size_t ba = bytes_of({2, 1});
+  ASSERT_TRUE(a > 0 && b > 0 && ab > 0 && ba > 0);
+  EXPECT_EQ(mt.group_directory_bytes(), a + b + ab + ba);
+  bytes_of({1});  // (a) is again the most recently used
+  // One group per row never fits, and drops nothing.
+  scan({"id"});
+  EXPECT_EQ(bytes_of({0}), 0u);
+  EXPECT_EQ(mt.group_directory_bytes(), a + b + ab + ba);
+  // (c) does not fit beside the other four: the least recently used, (b),
+  // goes first; (a) and (c) stay.
+  scan({"c"});
+  const size_t c = bytes_of({3});
+  ASSERT_GT(c, 0u);
+  ASSERT_GT(a + b + ab + ba + c, bound);
+  EXPECT_EQ(bytes_of({2}), 0u);
+  EXPECT_EQ(bytes_of({1}), a);
   std::remove(path.c_str());
 }
 
@@ -501,6 +595,29 @@ TEST(MappedTableTest, RacingColdScansAgree) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+TEST(MappedTableTest, TakeRowsDecodesOnlyTouchedChunks) {
+  ScopedChunkRows cs(256);
+  Table t = MakeDataset(8'192);
+  const std::string path = TempPath("take.cvtb");
+  ASSERT_OK(WriteTableFile(t, path));
+  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+  // Interleaved rows from chunks 20 and 0, out of order and repeating.
+  std::vector<uint32_t> rows;
+  for (uint32_t i = 0; i < 10; ++i) {
+    rows.push_back(5'120 + i);  // chunk 20
+    rows.push_back(9 - i);      // chunk 0
+  }
+  rows.push_back(rows[0]);
+  ResetChunkCacheStats();
+  ASSERT_OK_AND_ASSIGN(Table sub, mt.TakeRows(rows));
+  // Two chunks touched across 4 columns; re-touches are cache hits.
+  const ChunkCacheStats stats = GetChunkCacheStats();
+  EXPECT_EQ(stats.misses, 2u * 4u);
+  ExpectTablesEqual(sub, t.TakeRows(rows));
+  EXPECT_FALSE(mt.TakeRows({8'192}).ok());  // out of range
   std::remove(path.c_str());
 }
 
