@@ -1,7 +1,8 @@
 // Micro-benchmarks for the chunked storage layer: zone-map chunk skipping
 // against the flat-scan baseline (the skip rate is reported as a counter),
-// and the out-of-core group-by over an mmap-backed v2 file against the
-// in-memory executor on the same data.
+// and the out-of-core group-by over an mmap-backed v2 file (selective and
+// full-scan, across the thread ladder) against the in-memory executor on
+// the same data.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -110,15 +111,11 @@ const MappedFixture& BenchFile() {
   return *fx;
 }
 
-// Streams the mmap-backed file through the group-by; the working set is the
-// chunk cache budget, not the table. The first iteration builds the
-// grouping's group directory; later ones decode nothing of the chunks the
-// zone maps refute. One thread, like its in-memory baseline below: both
-// report the calling thread's CPU time, which is then all of the work.
-void BM_OutOfCoreGroupBy(benchmark::State& state) {
-  ScopedThreads threads(1);
+// Runs `q` over the bench file at `threads` threads and reports the chunk
+// cache's hit rate.
+void RunOutOfCore(benchmark::State& state, const QuerySpec& q, int threads) {
+  ScopedThreads scope(threads);
   const MappedFixture& fx = BenchFile();
-  const QuerySpec q = StorageBenchQuery();
   ResetChunkCacheStats();
   for (auto _ : state) {
     auto result = ExecuteGroupByMapped(fx.mapped, q);
@@ -129,6 +126,15 @@ void BM_OutOfCoreGroupBy(benchmark::State& state) {
   state.counters["cache_hit_rate"] =
       lookups == 0.0 ? 0.0 : static_cast<double>(stats.hits) / lookups;
   state.SetItemsProcessed(state.iterations() * fx.mapped.num_rows());
+}
+
+// Streams the mmap-backed file through the group-by; the working set is the
+// chunk cache budget, not the table. The first iteration builds the
+// grouping's group directory; later ones decode nothing of the chunks the
+// zone maps refute. One thread, like its in-memory baseline below: both
+// report the calling thread's CPU time, which is then all of the work.
+void BM_OutOfCoreGroupBy(benchmark::State& state) {
+  RunOutOfCore(state, StorageBenchQuery(), 1);
 }
 BENCHMARK(BM_OutOfCoreGroupBy);
 
@@ -137,21 +143,21 @@ BENCHMARK(BM_OutOfCoreGroupBy);
 // chunk order through the shared accumulation core while the chunk cache
 // stays bounded; the answer is bit-identical at every fan-out.
 void BM_OutOfCoreGroupByParallel(benchmark::State& state) {
-  const MappedFixture& fx = BenchFile();
-  ScopedThreads threads(static_cast<int>(state.range(0)));
-  const QuerySpec q = StorageBenchQuery();
-  ResetChunkCacheStats();
-  for (auto _ : state) {
-    auto result = ExecuteGroupByMapped(fx.mapped, q);
-    benchmark::DoNotOptimize(result);
-  }
-  const ChunkCacheStats stats = GetChunkCacheStats();
-  const double lookups = static_cast<double>(stats.hits + stats.misses);
-  state.counters["cache_hit_rate"] =
-      lookups == 0.0 ? 0.0 : static_cast<double>(stats.hits) / lookups;
-  state.SetItemsProcessed(state.iterations() * fx.mapped.num_rows());
+  RunOutOfCore(state, StorageBenchQuery(), static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_OutOfCoreGroupByParallel)->Apply(ThreadArgs)->UseRealTime();
+
+// The same ladder with no WHERE clause: the 1%-selective query above
+// decodes ~5 of the file's 489 chunks, so its ladder measures pool
+// hand-off; this one decodes and looks up every chunk.
+void BM_OutOfCoreGroupByFullScanParallel(benchmark::State& state) {
+  QuerySpec q = StorageBenchQuery();
+  q.where = nullptr;
+  RunOutOfCore(state, q, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_OutOfCoreGroupByFullScanParallel)
+    ->Apply(ThreadArgs)
+    ->UseRealTime();
 
 // The same query on the resident table: the in-memory reference point for
 // the out-of-core path's overhead.

@@ -76,9 +76,10 @@ constexpr size_t kRadixMinRows = size_t{1} << 16;  // below this, merge is cheap
 constexpr uint64_t kRadixMinDomain = 4096;  // packed-domain floor for radix
 constexpr size_t kRadixMaxPartitions = 256;  // partition ids fit one byte
 constexpr size_t kRadixSampleMax = 4096;     // cardinality-probe size
-// Direct-tier remaps below this many entries are cheap to replicate per
-// chunk; above it, key-range partitioning splits one remap across workers.
-constexpr uint64_t kDirectRadixEntries = uint64_t{1} << 14;
+// Direct-tier remaps below this many entries (1 MiB) are cheap to
+// replicate per chunk; above it, key-range partitioning splits one remap
+// across workers.
+constexpr uint64_t kDirectRadixEntries = uint64_t{1} << 18;
 
 std::atomic<int> g_radix_mode{-1};           // -1 auto, 0 force off, 1 force on
 std::atomic<size_t> g_radix_partitions{0};   // 0 = derive from thread count
@@ -98,22 +99,21 @@ size_t RadixPartitionCount(size_t threads) {
 // Shared radix-partitioned build core. `part_of(row)` maps a row's grouping
 // key to a partition in [0, P) — a pure function of the key, so a group's
 // rows all land in one partition. `run_partition(p, pos, cnt, local_out,
-// firsts, sizes)` discovers partition p's groups over its position list
+// firsts, sizes)` discovers partition p's groups over its row list
 // `pos[0..cnt)` (ascending), assigning partition-local ids in first-seen
-// order into local_out and appending each new group's first position /
+// order into local_out and appending each new group's first row /
 // occurrence count — with whatever tier-specific probing it likes, against
 // a table nothing else touches.
 //
-// The core then renumbers local ids to global first-seen-position order:
-// a group's first position is unique, so ranking all first positions in
+// The core then renumbers local ids to global first-seen-row order:
+// a group's first row is unique, so ranking all first rows in
 // ascending order reproduces exactly the serial id assignment — for every
 // thread count and partition count, the dense ids are bit-identical to the
 // single-chunk serial build. The partition artifact (row lists, local ids,
 // local->global map) is returned for downstream passes to consume.
-template <class RowAt, class PartOf, class RunPartition>
+template <class PartOf, class RunPartition>
 std::shared_ptr<const GroupPartitions> RadixBuild(size_t n, size_t chunks,
-                                                  size_t P, RowAt row_at,
-                                                  PartOf part_of,
+                                                  size_t P, PartOf part_of,
                                                   RunPartition run_partition,
                                                   BuildOutput* out) {
   auto gp = std::make_shared<GroupPartitions>();
@@ -121,20 +121,20 @@ std::shared_ptr<const GroupPartitions> RadixBuild(size_t n, size_t chunks,
   gp->part_rows.resize(n);
   gp->part_local.resize(n);
 
-  // Pass 1: partition id per position (hash evaluated once, cached in a
+  // Pass 1: partition id per row (hash evaluated once, cached in a
   // byte) + per-chunk histograms.
   std::vector<uint8_t> pp(n);
   std::vector<size_t> hist(chunks * P, 0);
   ParallelForChunks(n, chunks, [&](size_t c, size_t lo, size_t hi) {
     size_t* h = hist.data() + c * P;
     for (size_t i = lo; i < hi; ++i) {
-      const uint8_t p = static_cast<uint8_t>(part_of(row_at(i)));
+      const uint8_t p = static_cast<uint8_t>(part_of(i));
       pp[i] = p;
       h[p]++;
     }
   });
   // Cursor sweep: partition-major bases; visiting chunks in order within a
-  // partition makes the scatter stable, so each partition's position list
+  // partition makes the scatter stable, so each partition's row list
   // is ascending — the property that lets every consumer reproduce the
   // serial per-group sequences.
   size_t at = 0;
@@ -147,7 +147,7 @@ std::shared_ptr<const GroupPartitions> RadixBuild(size_t n, size_t chunks,
     }
   }
   gp->part_base[P] = at;
-  // Pass 2: stable scatter of positions into their partitions.
+  // Pass 2: stable scatter of rows into their partitions.
   ParallelForChunks(n, chunks, [&](size_t c, size_t lo, size_t hi) {
     size_t* cur = hist.data() + c * P;
     for (size_t i = lo; i < hi; ++i) {
@@ -158,7 +158,7 @@ std::shared_ptr<const GroupPartitions> RadixBuild(size_t n, size_t chunks,
   // Pass 3: partition-owned group discovery, no cross-worker merge. The
   // capped pool workers claim partitions dynamically (hash skew makes them
   // uneven; P of ~4x the thread count rebalances).
-  std::vector<std::vector<uint32_t>> firsts(P);  // local id -> first position
+  std::vector<std::vector<uint32_t>> firsts(P);  // local id -> first row
   std::vector<std::vector<uint64_t>> lsizes(P);  // local id -> count
   ParallelForChunks(P, P, [&](size_t p, size_t, size_t) {
     run_partition(p, gp->part_rows.data() + gp->part_base[p],
@@ -175,9 +175,9 @@ std::shared_ptr<const GroupPartitions> RadixBuild(size_t n, size_t chunks,
   gp->local_to_global.assign(G, 0);
 
   // Pass 4: renumber to global first-seen order. Mark every group's first
-  // position with its concatenated local index + 1, then rank the marks by
+  // row with its concatenated local index + 1, then rank the marks by
   // a chunked count + prefix + assign — O(n), parallel, and independent of
-  // the chunking (ranks follow ascending position regardless of where the
+  // the chunking (ranks follow ascending row regardless of where the
   // chunk boundaries fall).
   std::vector<uint32_t> mark(n, 0);
   ParallelForChunks(P, P, [&](size_t p, size_t, size_t) {
@@ -212,13 +212,13 @@ std::shared_ptr<const GroupPartitions> RadixBuild(size_t n, size_t chunks,
     const size_t base = gp->group_base[p];
     for (size_t l = 0; l < firsts[p].size(); ++l) {
       const uint32_t g = l2g[base + l];
-      out->rep_rows[g] = static_cast<uint32_t>(row_at(firsts[p][l]));
+      out->rep_rows[g] = firsts[p][l];
       out->sizes[g] = lsizes[p][l];
     }
   });
 
   // Pass 5: rewrite local ids to global ids. Partitions own disjoint
-  // position sets, so the scattered writes never contend.
+  // row sets, so the scattered writes never contend.
   uint32_t* rg = out->row_groups.data();
   ParallelForChunks(P, P, [&](size_t p, size_t, size_t) {
     const size_t base = gp->group_base[p];
@@ -230,7 +230,7 @@ std::shared_ptr<const GroupPartitions> RadixBuild(size_t n, size_t chunks,
 }
 
 // Per-chunk group discovery output: groups in first-seen order within the
-// chunk's position range. Keys are not stored — the merge phase recomputes
+// chunk's row range. Keys are not stored — the merge phase recomputes
 // the packed key / hash from each group's representative row.
 struct LocalGroups {
   std::vector<uint32_t> rep_rows;  // local id -> representative table row
@@ -244,7 +244,7 @@ struct LocalGroups {
 // rep_rows/sizes for new groups and returns the global id), accumulating
 // per-group sizes, then rewrites row_groups from local to global ids over
 // the same chunk boundaries. Interning in chunk order is what makes the
-// global ids land in serial first-seen-position order. With one chunk the
+// global ids land in serial first-seen-row order. With one chunk the
 // local output IS the global output — the exact serial path, no remap.
 template <class Intern>
 void MergeChunks(size_t n, size_t chunks, std::vector<LocalGroups>* locals,
@@ -342,7 +342,7 @@ struct FlatGroupTable {
 // block's keys, mix all eight (one SIMD call when a backend is active,
 // scalar HashMix64 otherwise — identical bits either way, see simd.h),
 // prefetch each key's home slot, then run `probe(i, key, hash)` in
-// position order. The probes stay scalar and sequential, so ids and table
+// row order. The probes stay scalar and sequential, so ids and table
 // state evolve exactly as in the one-row-at-a-time loop; the batch only
 // overlaps the cache-miss latency of the eight home-slot reads.
 template <class PackAt, class Probe>
@@ -404,21 +404,23 @@ void WithPackedKey(const std::vector<ColAccess>& acc, Pack pack, Body&& body) {
 }
 
 // Strided-sample distinct-group probe: builds a small local table over
-// min(n, kRadixSampleMax) evenly-strided positions and reports high
-// cardinality when at least half the probes are distinct, meaning
-// chunk-local tables would mostly re-discover the same groups and the
-// radix build pays off. A pure function of the data — never of the thread
-// count — and the ids are bit-identical whichever way the decision goes,
-// so the probe only steers performance.
-template <class RowAt, class KeyFn, class EqFn>
-bool RadixSampleHighCardinality(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq) {
+// min(n, kRadixSampleMax) evenly-strided rows and reports high cardinality
+// when at least 7/8 of the probes are distinct, meaning chunk-local tables
+// would mostly re-discover the same groups and the radix build pays off.
+// (At 4 threads over 2M rows an exact AVG over a 10k-group key, which
+// samples 0.82 distinct, runs 2.5-5x faster by chunk merge; over 160k
+// groups, 0.99 distinct, radix ties or wins.) A pure function of the
+// data — never of the thread count — and the ids are bit-identical
+// whichever way the decision goes, so the probe only steers performance.
+template <class KeyFn, class EqFn>
+bool RadixSampleHighCardinality(size_t n, KeyFn key_fn, EqFn eq) {
   const size_t sample = std::min(n, kRadixSampleMax);
   const size_t stride = n / sample;
   FlatGroupTable t(sample);
   std::vector<uint32_t> reps;  // representative rows of sampled groups
   reps.reserve(sample);
   for (size_t i = 0; i < sample; ++i) {
-    const size_t r = row_at(i * stride);
+    const size_t r = i * stride;
     t.FindOrInsert(
         key_fn(r),
         [&](uint32_t cand) { return eq(r, static_cast<size_t>(reps[cand])); },
@@ -428,18 +430,17 @@ bool RadixSampleHighCardinality(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq) {
                                 reps.size());
         });
   }
-  return reps.size() * 2 >= sample;
+  return reps.size() * 8 >= sample * 7;
 }
 
-// Core build, shared by Build (row_at = identity) and BuildForRows (row_at =
-// sample row lookup). `n` is the number of mapped positions.
+// Core build over every row of `table`.
 //
 // Parallel shape (morsel-driven, static chunking through the shared pool):
 //   1. each chunk discovers its groups locally, assigning chunk-local ids in
 //      first-seen order and writing them into row_groups;
 //   2. a serial merge walks the chunks in order and interns each local
 //      group into the global table, so global ids land in exactly the
-//      serial first-seen-position order (a key's earliest chunk is merged
+//      serial first-seen-row order (a key's earliest chunk is merged
 //      first, and within a chunk local ids are first-seen ordered) — the
 //      output is bit-identical to the single-chunk build for every thread
 //      count;
@@ -447,17 +448,13 @@ bool RadixSampleHighCardinality(size_t n, RowAt row_at, KeyFn key_fn, EqFn eq) {
 //      ids to global ids.
 // With one chunk (threads == 1 or a small input) step 1 runs inline over
 // the whole range and steps 2–3 collapse to moves: the exact serial path.
-//
-// `zones` is the table's zone-map index on a full-table build (row_at is
-// the identity), null on a subset build.
-template <class RowAt>
-BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
-                      size_t n, RowAt row_at, const ZoneMapIndex* zones) {
+BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols) {
+  const size_t n = table.num_rows();
   BuildOutput out;
   out.row_groups.assign(n, 0);
 
   if (cols.empty()) {
-    // Single group covering every position (even zero of them), matching
+    // Single group covering every row (even zero of them), matching
     // the empty-attribute stratification.
     out.rep_rows.push_back(0);
     out.sizes.push_back(n);
@@ -468,10 +465,9 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
   const size_t chunks = ParallelChunkCount(n, ResolveThreads());
 
   // Column access plans and code domains: dictionary size for strings, the
-  // observed [min, max] for ints. A full-table build reads the int range
-  // off the table's zone maps (each chunk's exact [min, max]); a subset
-  // build scans its positions, chunked through the pool (min/max merge
-  // associatively, so the result is identical to the serial scan).
+  // observed [min, max] for ints, read off the table's zone maps (each
+  // chunk's exact [min, max]).
+  const ZoneMapIndex& zones = *table.zone_index();
   std::vector<ColAccess> acc(cols.size());
   int total_bits = 0;
   uint64_t domain_product = 1;
@@ -484,29 +480,12 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
       a.domain = std::max<uint64_t>(1, col.dictionary().size());
     } else {
       a.ints = col.ints().data();
-      std::vector<int64_t> chunk_lo, chunk_hi;
-      if (zones != nullptr) {
-        for (const ZoneMap& z : zones->columns[cols[j]]) {
-          chunk_lo.push_back(z.imin);
-          chunk_hi.push_back(z.imax);
-        }
-      } else {
-        chunk_lo.resize(chunks);
-        chunk_hi.resize(chunks);
-        ParallelForChunks(n, chunks, [&](size_t c, size_t lo, size_t hi) {
-          int64_t vlo = a.ints[row_at(lo)];
-          int64_t vhi = vlo;
-          for (size_t i = lo + 1; i < hi; ++i) {
-            const int64_t v = a.ints[row_at(i)];
-            vlo = std::min(vlo, v);
-            vhi = std::max(vhi, v);
-          }
-          chunk_lo[c] = vlo;
-          chunk_hi[c] = vhi;
-        });
+      int64_t lo = std::numeric_limits<int64_t>::max();
+      int64_t hi = std::numeric_limits<int64_t>::min();
+      for (const ZoneMap& z : zones.columns[cols[j]]) {
+        lo = std::min(lo, z.imin);
+        hi = std::max(hi, z.imax);
       }
-      const int64_t lo = *std::min_element(chunk_lo.begin(), chunk_lo.end());
-      const int64_t hi = *std::max_element(chunk_hi.begin(), chunk_hi.end());
       a.base = static_cast<uint64_t>(lo);
       const uint64_t spread =
           static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
@@ -547,7 +526,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
 
   // The direct tier must also be worth its remap: bounded bits alone would
   // let a 1k-row sample over a ~4M-spread int column allocate and clear a
-  // 16 MiB array to map 1k positions, so require the remap to stay within a
+  // 16 MiB array to map 1k rows, so require the remap to stay within a
   // small multiple of the mapped row count (the flat-hash tier below is
   // already bounded by min(n, domain product)).
   const bool direct_worthwhile =
@@ -568,7 +547,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
     if (radix_mode == 1 ||
         (radix_auto_ok && remap_entries >= kDirectRadixEntries &&
          RadixSampleHighCardinality(
-             n, row_at, pack, [](size_t, size_t) { return true; }))) {
+             n, pack, [](size_t, size_t) { return true; }))) {
       // Direct-tier radix: partition by the HIGH bits of the packed key, so
       // each partition owns a contiguous key range and a remap slice of
       // remap_entries / P entries — the per-partition remaps tile the one
@@ -579,13 +558,13 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
       const uint64_t slice_mask = (uint64_t{1} << slice_bits) - 1;
       out.tier = GroupIndex::Tier::kDirect;
       out.partitions = RadixBuild(
-          n, chunks, P, row_at,
+          n, chunks, P,
           [&](size_t r) { return pack(r) >> slice_bits; },
           [&](size_t, const uint32_t* pos, size_t cnt, uint32_t* local_out,
               std::vector<uint32_t>* lf, std::vector<uint64_t>* ls) {
             std::vector<uint32_t> remap(size_t{1} << slice_bits, kEmptyId);
             for (size_t k = 0; k < cnt; ++k) {
-              const size_t r = row_at(pos[k]);
+              const size_t r = pos[k];
               const uint64_t key = pack(r) & slice_mask;
               uint32_t id = remap[key];
               if (id == kEmptyId) {
@@ -620,13 +599,12 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
       std::vector<uint32_t> remap(size_t{1} << total_bits, kEmptyId);
       WithPackedKey(acc, pack, [&](auto key_of) {
         for (size_t i = lo; i < hi; ++i) {
-          const size_t r = row_at(i);
-          const uint64_t key = key_of(r);
+          const uint64_t key = key_of(i);
           uint32_t id = remap[key];
           if (id == kEmptyId) {
             id = static_cast<uint32_t>(lg.rep_rows.size());
             remap[key] = id;
-            lg.rep_rows.push_back(static_cast<uint32_t>(r));
+            lg.rep_rows.push_back(static_cast<uint32_t>(i));
             lg.sizes.push_back(0);
           }
           rg[i] = id;
@@ -662,7 +640,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
     const bool probe_high_card =
         radix_mode != 1 && radix_auto_ok &&
         domain_product >= kRadixMinDomain &&
-        RadixSampleHighCardinality(n, row_at, pack,
+        RadixSampleHighCardinality(n, pack,
                                    [](size_t, size_t) { return true; });
     if (radix_mode == 1 || probe_high_card) {
       // Packed-tier radix: partition by the top bits of the mixed packed
@@ -671,7 +649,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
       const int shift = 64 - Log2(P);
       out.tier = GroupIndex::Tier::kPacked;
       out.partitions = RadixBuild(
-          n, chunks, P, row_at,
+          n, chunks, P,
           [&](size_t r) {
             return P == 1 ? uint64_t{0} : HashMix64(pack(r)) >> shift;
           },
@@ -679,7 +657,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
               std::vector<uint32_t>* lf, std::vector<uint64_t>* ls) {
             FlatGroupTable t(std::min<uint64_t>(expected, cnt));
             BatchedPackedProbe(
-                0, cnt, t, [&](size_t k) { return pack(row_at(pos[k])); },
+                0, cnt, t, [&](size_t k) { return pack(pos[k]); },
                 [&](size_t k, uint64_t key, uint64_t hash) {
                   const uint32_t id = t.FindOrInsertHashed(
                       hash, key, [](uint32_t) { return true; },
@@ -702,14 +680,14 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
       LocalGroups& lg = locals[c];
       FlatGroupTable t(std::min<uint64_t>(expected, hi - lo));
       BatchedPackedProbe(
-          lo, hi, t, [&](size_t i) { return pack(row_at(i)); },
+          lo, hi, t, [&](size_t i) { return pack(i); },
           [&](size_t i, uint64_t key, uint64_t hash) {
             const uint32_t id = t.FindOrInsertHashed(
                 hash, key, [](uint32_t) { return true; },
                 [&] {
                   const uint32_t fresh =
                       static_cast<uint32_t>(lg.rep_rows.size());
-                  lg.rep_rows.push_back(static_cast<uint32_t>(row_at(i)));
+                  lg.rep_rows.push_back(static_cast<uint32_t>(i));
                   lg.sizes.push_back(0);
                   return std::make_pair(fresh, lg.rep_rows.size());
                 });
@@ -740,7 +718,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
   // verify candidates against each group's representative row.
   if (radix_mode == 1 ||
       (radix_auto_ok &&
-       RadixSampleHighCardinality(n, row_at, wide_hash, rows_equal))) {
+       RadixSampleHighCardinality(n, wide_hash, rows_equal))) {
     // Wide-tier radix: partition by the top bits of the mixed composite
     // hash; the local probe verifies candidates against the partition's
     // own representative rows.
@@ -748,7 +726,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
     const int shift = 64 - Log2(P);
     out.tier = GroupIndex::Tier::kWide;
     out.partitions = RadixBuild(
-        n, chunks, P, row_at,
+        n, chunks, P,
         [&](size_t r) {
           return P == 1 ? uint64_t{0} : HashMix64(wide_hash(r)) >> shift;
         },
@@ -756,11 +734,11 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
             std::vector<uint32_t>* lf, std::vector<uint64_t>* ls) {
           FlatGroupTable t(std::min<uint64_t>(expected, cnt));
           for (size_t k = 0; k < cnt; ++k) {
-            const size_t r = row_at(pos[k]);
+            const size_t r = pos[k];
             const uint32_t id = t.FindOrInsert(
                 wide_hash(r),
                 [&](uint32_t cand) {
-                  return rows_equal(r, row_at((*lf)[cand]));
+                  return rows_equal(r, (*lf)[cand]);
                 },
                 [&] {
                   const uint32_t fresh = static_cast<uint32_t>(lf->size());
@@ -780,13 +758,12 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols,
     LocalGroups& lg = locals[c];
     FlatGroupTable t(std::min<uint64_t>(expected, hi - lo));
     for (size_t i = lo; i < hi; ++i) {
-      const size_t r = row_at(i);
       const uint32_t id = t.FindOrInsert(
-          wide_hash(r),
-          [&](uint32_t cand) { return rows_equal(r, lg.rep_rows[cand]); },
+          wide_hash(i),
+          [&](uint32_t cand) { return rows_equal(i, lg.rep_rows[cand]); },
           [&] {
             const uint32_t fresh = static_cast<uint32_t>(lg.rep_rows.size());
-            lg.rep_rows.push_back(static_cast<uint32_t>(r));
+            lg.rep_rows.push_back(static_cast<uint32_t>(i));
             lg.sizes.push_back(0);
             return std::make_pair(fresh, lg.rep_rows.size());
           });
@@ -856,33 +833,7 @@ Result<GroupIndex> GroupIndex::BuildCharged(
   CVOPT_FAILPOINT("exec.group_index.alloc");
   *mapping = ReserveMemoryOrThrow(
       table.num_rows() * sizeof(uint32_t), "GroupIndex row->group mapping");
-  BuildOutput built = BuildImpl(table, out.cols_, table.num_rows(),
-                                [](size_t i) { return i; }, table.zone_index());
-  out.tier_ = built.tier;
-  out.row_groups_ = std::move(built.row_groups);
-  out.rep_rows_ = std::move(built.rep_rows);
-  out.sizes_ = std::move(built.sizes);
-  out.partitions_ = std::move(built.partitions);
-  return out;
- });
-}
-
-Result<GroupIndex> GroupIndex::BuildForRows(const Table& table,
-                                            const std::vector<std::string>& attrs,
-                                            const std::vector<uint32_t>& rows) {
- return GovernedSection([&]() -> Result<GroupIndex> {
-  CVOPT_ASSIGN_OR_RETURN(std::vector<size_t> cols, Resolve(table, attrs));
-  GroupIndex out;
-  out.table_ = &table;
-  out.cols_ = std::move(cols);
-  CVOPT_FAILPOINT("exec.group_index.alloc");
-  MemoryReservation res = ReserveMemoryOrThrow(
-      rows.size() * sizeof(uint32_t), "GroupIndex row->group mapping");
-  const uint32_t* r = rows.data();
-  BuildOutput built =
-      BuildImpl(table, out.cols_, rows.size(),
-                [r](size_t i) { return static_cast<size_t>(r[i]); },
-                /*zones=*/nullptr);
+  BuildOutput built = BuildImpl(table, out.cols_);
   out.tier_ = built.tier;
   out.row_groups_ = std::move(built.row_groups);
   out.rep_rows_ = std::move(built.rep_rows);

@@ -1,10 +1,10 @@
 // GroupIndex: the shared vectorized group-id pipeline. It maps every row of
-// a Table (or a caller-chosen subset of rows, e.g. a filter's survivors) to
-// a dense uint32 group id — one id per distinct combination of the grouping
-// attributes, assigned in first-seen row order. The exact executor, the
-// approximate executor, stratification, and workload deduction all consume
-// the row->group mapping and accumulate into flat arrays indexed by group id
-// instead of probing a node-based unordered_map<GroupKey, ...> per row.
+// a Table to a dense uint32 group id — one id per distinct combination of
+// the grouping attributes, assigned in first-seen row order. The exact
+// executor, the approximate executor, stratification, and workload
+// deduction all consume the row->group mapping and accumulate into flat
+// arrays indexed by group id instead of probing a node-based
+// unordered_map<GroupKey, ...> per row.
 #ifndef CVOPT_EXEC_GROUP_INDEX_H_
 #define CVOPT_EXEC_GROUP_INDEX_H_
 
@@ -29,14 +29,14 @@ class MemoryReservation;
 /// Rows are hash-partitioned by their grouping key, so a partition owns its
 /// groups outright: every row of a group lands in the same partition, and
 /// the global dense ids owned by distinct partitions are disjoint. Within a
-/// partition the row list is in ascending position order, which is what
+/// partition the row list is in ascending row order, which is what
 /// lets consumers reproduce the serial pass bit for bit (per-group value
 /// sequences are exactly the serial ascending-row sequences). Local ids
 /// follow first-seen order within the partition only, so consumers must
 /// map locals through local_to_global (which IS in global first-seen
 /// order) before touching shared state; all of them do.
 struct GroupPartitions {
-  /// Mapped positions, partition-major: partition p's positions are
+  /// Table rows, partition-major: partition p's rows are
   /// part_rows[part_base[p] .. part_base[p+1]), ascending within p.
   std::vector<uint32_t> part_rows;
   /// Partition-local group id of each part_rows entry (aligned).
@@ -133,16 +133,8 @@ class GroupIndex {
   static Result<std::shared_ptr<const GroupIndex>> BuildShared(
       const Table& table, const std::vector<std::string>& attrs);
 
-  /// Builds over a subset of rows (e.g. the rows passing a filter):
-  /// group_of(i) is the group of table row rows[i]. Ids are dense over the
-  /// groups that occur in `rows`, in first-seen position order.
-  static Result<GroupIndex> BuildForRows(const Table& table,
-                                         const std::vector<std::string>& attrs,
-                                         const std::vector<uint32_t>& rows);
-
   size_t num_groups() const { return rep_rows_.size(); }
-  /// Number of mapped positions (table rows for Build, subset positions for
-  /// BuildForRows).
+  /// Number of mapped table rows.
   size_t num_rows() const { return row_groups_.size(); }
 
   const std::vector<uint32_t>& row_groups() const { return row_groups_; }
@@ -203,7 +195,7 @@ class GroupIndex {
   const Table* table_ = nullptr;
   std::vector<size_t> cols_;
   Tier tier_ = Tier::kDirect;
-  std::vector<uint32_t> row_groups_;  // position -> group id
+  std::vector<uint32_t> row_groups_;  // table row -> group id
   std::vector<uint32_t> rep_rows_;    // group id -> representative table row
   std::vector<uint64_t> sizes_;       // group id -> occurrence count
   std::shared_ptr<const GroupPartitions> partitions_;  // radix builds only

@@ -164,7 +164,7 @@ std::vector<uint32_t> ParallelSelect(const CompiledPredicate& cp);
 
 /// Parallel byte-mask evaluation over every table row: out[r] = 1 iff row
 /// r matches. Chunks write disjoint output ranges — identical to
-/// cp.EvalMask() for every thread count.
+/// cp.EvalMaskRange(0, n) for every thread count.
 void ParallelEvalMask(const CompiledPredicate& cp, uint8_t* out);
 
 }  // namespace cvopt

@@ -201,9 +201,9 @@ struct Vec<IntCmpK<Op>> {
                        size_t hi, uint32_t* out) {
     return o.select_cmp_i64[SimdOp<Op>::kIdx](k.v, k.lit, lo, hi, out);
   }
-  static size_t Refine(const simd::Ops& o, const IntCmpK<Op>& k,
-                       const uint32_t* rows, uint32_t* sel, size_t n) {
-    return o.refine_cmp_i64[SimdOp<Op>::kIdx](k.v, k.lit, rows, sel, n);
+  static size_t Refine(const simd::Ops& o, const IntCmpK<Op>& k, uint32_t* sel,
+                       size_t n) {
+    return o.refine_cmp_i64[SimdOp<Op>::kIdx](k.v, k.lit, sel, n);
   }
   static void Mask(const simd::Ops& o, const IntCmpK<Op>& k, size_t lo,
                    size_t hi, uint8_t* out) {
@@ -218,9 +218,9 @@ struct Vec<DblCmpK<Op>> {
                        size_t hi, uint32_t* out) {
     return o.select_cmp_f64[SimdOp<Op>::kIdx](k.v, k.lit, lo, hi, out);
   }
-  static size_t Refine(const simd::Ops& o, const DblCmpK<Op>& k,
-                       const uint32_t* rows, uint32_t* sel, size_t n) {
-    return o.refine_cmp_f64[SimdOp<Op>::kIdx](k.v, k.lit, rows, sel, n);
+  static size_t Refine(const simd::Ops& o, const DblCmpK<Op>& k, uint32_t* sel,
+                       size_t n) {
+    return o.refine_cmp_f64[SimdOp<Op>::kIdx](k.v, k.lit, sel, n);
   }
   static void Mask(const simd::Ops& o, const DblCmpK<Op>& k, size_t lo,
                    size_t hi, uint8_t* out) {
@@ -235,9 +235,9 @@ struct Vec<DblNeK> {
                        size_t hi, uint32_t* out) {
     return o.select_cmp_f64[simd::kNe](k.v, k.lit, lo, hi, out);
   }
-  static size_t Refine(const simd::Ops& o, const DblNeK& k,
-                       const uint32_t* rows, uint32_t* sel, size_t n) {
-    return o.refine_cmp_f64[simd::kNe](k.v, k.lit, rows, sel, n);
+  static size_t Refine(const simd::Ops& o, const DblNeK& k, uint32_t* sel,
+                       size_t n) {
+    return o.refine_cmp_f64[simd::kNe](k.v, k.lit, sel, n);
   }
   static void Mask(const simd::Ops& o, const DblNeK& k, size_t lo, size_t hi,
                    uint8_t* out) {
@@ -252,9 +252,9 @@ struct Vec<IntBetweenK> {
                        size_t hi, uint32_t* out) {
     return o.select_between_i64(k.v, k.lo, k.span, lo, hi, out);
   }
-  static size_t Refine(const simd::Ops& o, const IntBetweenK& k,
-                       const uint32_t* rows, uint32_t* sel, size_t n) {
-    return o.refine_between_i64(k.v, k.lo, k.span, rows, sel, n);
+  static size_t Refine(const simd::Ops& o, const IntBetweenK& k, uint32_t* sel,
+                       size_t n) {
+    return o.refine_between_i64(k.v, k.lo, k.span, sel, n);
   }
   static void Mask(const simd::Ops& o, const IntBetweenK& k, size_t lo,
                    size_t hi, uint8_t* out) {
@@ -269,9 +269,9 @@ struct Vec<DblBetweenK> {
                        size_t hi, uint32_t* out) {
     return o.select_between_f64(k.v, k.lo, k.hi, lo, hi, out);
   }
-  static size_t Refine(const simd::Ops& o, const DblBetweenK& k,
-                       const uint32_t* rows, uint32_t* sel, size_t n) {
-    return o.refine_between_f64(k.v, k.lo, k.hi, rows, sel, n);
+  static size_t Refine(const simd::Ops& o, const DblBetweenK& k, uint32_t* sel,
+                       size_t n) {
+    return o.refine_between_f64(k.v, k.lo, k.hi, sel, n);
   }
   static void Mask(const simd::Ops& o, const DblBetweenK& k, size_t lo,
                    size_t hi, uint8_t* out) {
@@ -286,9 +286,9 @@ struct Vec<IntInBitsetK> {
                        size_t hi, uint32_t* out) {
     return o.select_in_bitset_i64(k.v, k.base, k.span, k.bits, lo, hi, out);
   }
-  static size_t Refine(const simd::Ops& o, const IntInBitsetK& k,
-                       const uint32_t* rows, uint32_t* sel, size_t n) {
-    return o.refine_in_bitset_i64(k.v, k.base, k.span, k.bits, rows, sel, n);
+  static size_t Refine(const simd::Ops& o, const IntInBitsetK& k, uint32_t* sel,
+                       size_t n) {
+    return o.refine_in_bitset_i64(k.v, k.base, k.span, k.bits, sel, n);
   }
   static void Mask(const simd::Ops& o, const IntInBitsetK& k, size_t lo,
                    size_t hi, uint8_t* out) {
@@ -345,70 +345,25 @@ void OrLoop(const K& k, const uint32_t* rows, size_t base, size_t n,
 // In-place selection refinement; branch-free compaction keeps throughput
 // flat across selectivities.
 template <class K>
-void RefineLoop(const K& k, const uint32_t* rows,
-                std::vector<uint32_t>* sel) {
+void RefineLoop(const K& k, std::vector<uint32_t>* sel) {
   uint32_t* s = sel->data();
   const size_t n = sel->size();
   if constexpr (Vec<K>::kOk) {
     if (const simd::Ops* ops = simd::ActiveOps()) {
-      sel->resize(Vec<K>::Refine(*ops, k, rows, s, n));
+      sel->resize(Vec<K>::Refine(*ops, k, s, n));
       return;
     }
   }
   size_t w = 0;
-  if (rows != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = s[i];
-      s[w] = p;
-      w += k.Test(rows[p]) ? 1 : 0;
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = s[i];
-      s[w] = p;
-      w += k.Test(p) ? 1 : 0;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = s[i];
+    s[w] = r;
+    w += k.Test(r) ? 1 : 0;
   }
   sel->resize(w);
 }
 
-template <class K>
-void SelectLoop(const K& k, const uint32_t* rows, size_t n,
-                std::vector<uint32_t>* out) {
-  out->resize(n);
-  uint32_t* o = out->data();
-  if constexpr (Vec<K>::kOk) {
-    if (const simd::Ops* ops = simd::ActiveOps()) {
-      size_t vw;
-      if (rows == nullptr) {
-        // Positions are rows: a dense scan emits them directly.
-        vw = Vec<K>::Select(*ops, k, 0, n, o);
-      } else {
-        // Seed the identity positions, then gather-refine through `rows`.
-        std::iota(out->begin(), out->end(), 0u);
-        vw = Vec<K>::Refine(*ops, k, rows, o, n);
-      }
-      out->resize(vw);
-      return;
-    }
-  }
-  size_t w = 0;
-  if (rows != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      o[w] = static_cast<uint32_t>(i);
-      w += k.Test(rows[i]) ? 1 : 0;
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      o[w] = static_cast<uint32_t>(i);
-      w += k.Test(i) ? 1 : 0;
-    }
-  }
-  out->resize(w);
-}
-
-// Seeds a selection of table rows (not positions) from the range [lo, hi) —
-// the morsel-local variant of SelectLoop.
+// Seeds a selection of the matching table rows in [lo, hi).
 template <class K>
 void SelectRangeLoop(const K& k, size_t lo, size_t hi,
                      std::vector<uint32_t>* out) {
@@ -574,34 +529,25 @@ void CompiledPredicate::OrIntoNode(uint32_t node, const uint32_t* rows,
   for (size_t i = 0; i < n; ++i) inout[i] |= scratch[i];
 }
 
-void CompiledPredicate::RefineNode(uint32_t node, const uint32_t* rows,
+void CompiledPredicate::RefineNode(uint32_t node,
                                    std::vector<uint32_t>* sel) const {
   const Node& nd = nodes_[node];
   if (nd.kind == NodeKind::kConst) {
     if (!nd.value) sel->clear();
     return;
   }
-  if (VisitSimple(node, [&](auto k) { RefineLoop(k, rows, sel); })) return;
+  if (VisitSimple(node, [&](auto k) { RefineLoop(k, sel); })) return;
   if (nd.kind == NodeKind::kAnd) {
     for (uint32_t c = 0; c < nd.child_count; ++c) {
-      RefineNode(child_ids_[nd.child_begin + c], rows, sel);
+      RefineNode(child_ids_[nd.child_begin + c], sel);
     }
     return;
   }
-  // OR / NOT subtree: mask evaluation over the surviving candidates only.
+  // OR / NOT subtree: mask evaluation over the surviving rows only.
   const size_t m = sel->size();
   if (m == 0) return;
-  std::vector<uint32_t> gathered;
-  const uint32_t* eval_rows;
-  if (rows == nullptr) {
-    eval_rows = sel->data();  // positions already are table rows
-  } else {
-    gathered.resize(m);
-    for (size_t i = 0; i < m; ++i) gathered[i] = rows[(*sel)[i]];
-    eval_rows = gathered.data();
-  }
   std::vector<uint8_t> mask(m);
-  EvalMaskNode(node, eval_rows, 0, m, mask.data());
+  EvalMaskNode(node, sel->data(), 0, m, mask.data());
   uint32_t* s = sel->data();
   size_t w = 0;
   for (size_t i = 0; i < m; ++i) {
@@ -609,39 +555,6 @@ void CompiledPredicate::RefineNode(uint32_t node, const uint32_t* rows,
     w += mask[i];
   }
   sel->resize(w);
-}
-
-void CompiledPredicate::SeedSelect(uint32_t node, const uint32_t* rows,
-                                   size_t n,
-                                   std::vector<uint32_t>* out) const {
-  const Node& nd = nodes_[node];
-  if (nd.kind == NodeKind::kConst) {
-    out->clear();
-    if (nd.value) {
-      out->resize(n);
-      std::iota(out->begin(), out->end(), 0u);
-    }
-    return;
-  }
-  if (VisitSimple(node, [&](auto k) { SelectLoop(k, rows, n, out); })) return;
-  if (nd.kind == NodeKind::kAnd) {
-    SeedSelect(child_ids_[nd.child_begin], rows, n, out);
-    for (uint32_t c = 1; c < nd.child_count; ++c) {
-      RefineNode(child_ids_[nd.child_begin + c], rows, out);
-    }
-    return;
-  }
-  // OR / NOT root: one mask pass over all candidates, then compact.
-  std::vector<uint8_t> mask(n);
-  EvalMaskNode(node, rows, 0, n, mask.data());
-  out->resize(n);
-  uint32_t* o = out->data();
-  size_t w = 0;
-  for (size_t i = 0; i < n; ++i) {
-    o[w] = static_cast<uint32_t>(i);
-    w += mask[i];
-  }
-  out->resize(w);
 }
 
 void CompiledPredicate::SeedSelectRange(uint32_t node, size_t lo, size_t hi,
@@ -661,16 +574,14 @@ void CompiledPredicate::SeedSelectRange(uint32_t node, size_t lo, size_t hi,
   if (nd.kind == NodeKind::kAnd) {
     SeedSelectRange(child_ids_[nd.child_begin], lo, hi, out);
     for (uint32_t c = 1; c < nd.child_count; ++c) {
-      // The seeded selection holds table rows, which is exactly what
-      // RefineNode consumes with a null row mapping.
-      RefineNode(child_ids_[nd.child_begin + c], nullptr, out);
+      RefineNode(child_ids_[nd.child_begin + c], out);
     }
     return;
   }
   // OR / NOT root: seed every row of the range, refine by mask.
   out->resize(hi - lo);
   std::iota(out->begin(), out->end(), static_cast<uint32_t>(lo));
-  RefineNode(node, nullptr, out);
+  RefineNode(node, out);
 }
 
 bool CompiledPredicate::TestNode(uint32_t node, size_t row) const {
@@ -906,8 +817,7 @@ CompiledPredicate CompiledPredicate::Rebind(const SpanOfColumn& span_of,
 // ------------------------------------------------------------- public API
 
 std::vector<uint32_t> CompiledPredicate::Select() const {
-  if (zone_chunk_rows() != 0) return SelectRange(0, n_);
-  return SelectPositions(nullptr, n_);
+  return SelectRange(0, n_);
 }
 
 std::vector<uint32_t> CompiledPredicate::SelectRange(size_t lo,
@@ -960,23 +870,6 @@ void CompiledPredicate::EvalMaskRange(size_t lo, size_t hi,
       EvalMaskNode(root_, nullptr, clo, chi - clo, out + (clo - lo));
     }
   }
-}
-
-std::vector<uint32_t> CompiledPredicate::SelectPositions(
-    const uint32_t* base_rows, size_t n) const {
-  std::vector<uint32_t> out;
-  SeedSelect(root_, base_rows, n, &out);
-  return out;
-}
-
-void CompiledPredicate::Refine(const uint32_t* base_rows,
-                               std::vector<uint32_t>* sel) const {
-  RefineNode(root_, base_rows, sel);
-}
-
-void CompiledPredicate::EvalMask(const uint32_t* base_rows, size_t n,
-                                 uint8_t* out) const {
-  EvalMaskNode(root_, base_rows, 0, n, out);
 }
 
 bool CompiledPredicate::MatchesRow(size_t row) const {

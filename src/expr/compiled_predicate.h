@@ -55,7 +55,7 @@ enum class ChunkVerdict : uint8_t {
 };
 
 /// Process-wide zone-skip observability (benches, tests). `chunks` counts
-/// every chunk classified by a Select/EvalMask driver; `skipped` and
+/// every chunk classified by a SelectRange/EvalMaskRange driver; `skipped` and
 /// `take_all` the chunks resolved without running kernels.
 struct ZoneSkipStats {
   uint64_t chunks = 0;
@@ -92,21 +92,7 @@ class CompiledPredicate {
   std::vector<uint32_t> SelectRange(size_t lo, size_t hi) const;
 
   /// Byte mask over table rows [lo, hi): out[i] = 1 iff row lo + i matches.
-  /// EvalMaskRange(0, n, out) == EvalMask(nullptr, n, out).
   void EvalMaskRange(size_t lo, size_t hi, uint8_t* out) const;
-
-  /// Selection of positions p in [0, n) such that base_rows[p] matches.
-  /// With base_rows == nullptr, positions are table rows (== Select()).
-  std::vector<uint32_t> SelectPositions(const uint32_t* base_rows,
-                                        size_t n) const;
-
-  /// Refines an existing selection in place, keeping matching entries in
-  /// order. Entries are positions into base_rows (table rows if nullptr).
-  void Refine(const uint32_t* base_rows, std::vector<uint32_t>* sel) const;
-
-  /// Byte mask aligned with positions [0, n): out[p] = 1 iff the row at
-  /// position p (base_rows[p], or p itself if base_rows == nullptr) matches.
-  void EvalMask(const uint32_t* base_rows, size_t n, uint8_t* out) const;
 
   /// Allocation-free scalar evaluation of one table row.
   bool MatchesRow(size_t row) const;
@@ -211,20 +197,16 @@ class CompiledPredicate {
   Result<uint32_t> CompileBetween(const Table& table, const Predicate& pred);
   Result<uint32_t> CompileIn(const Table& table, const Predicate& pred);
 
-  // Evaluation over the flat plan. `rows` maps positions to table rows;
-  // with rows == nullptr, position i is table row base + i (base lets the
-  // morsel scheduler evaluate a row range with no gathered row vector).
-  // Selection vectors hold positions.
+  // Evaluation over the flat plan. Masks cover n table rows: rows[i] when
+  // `rows` is given (the survivors an OR/NOT subtree under AND refines),
+  // else base + i. Selection vectors hold table rows.
   void EvalMaskNode(uint32_t node, const uint32_t* rows, size_t base,
                     size_t n, uint8_t* out) const;
   void AndIntoNode(uint32_t node, const uint32_t* rows, size_t base, size_t n,
                    uint8_t* inout) const;
   void OrIntoNode(uint32_t node, const uint32_t* rows, size_t base, size_t n,
                   uint8_t* inout) const;
-  void RefineNode(uint32_t node, const uint32_t* rows,
-                  std::vector<uint32_t>* sel) const;
-  void SeedSelect(uint32_t node, const uint32_t* rows, size_t n,
-                  std::vector<uint32_t>* out) const;
+  void RefineNode(uint32_t node, std::vector<uint32_t>* sel) const;
   void SeedSelectRange(uint32_t node, size_t lo, size_t hi,
                        std::vector<uint32_t>* out) const;
   bool TestNode(uint32_t node, size_t row) const;

@@ -85,26 +85,11 @@ PredicatePtr Predicate::True() {
 // Thin compatibility shim: compile to the vectorized kernel plan and emit a
 // byte mask. Callers that evaluate repeatedly or want selection vectors
 // should use CompiledPredicate directly.
-Status Predicate::EvalInto(const Table& table, const std::vector<uint32_t>* rows,
-                           std::vector<uint8_t>* mask) const {
+Result<std::vector<uint8_t>> Predicate::Evaluate(const Table& table) const {
   CVOPT_ASSIGN_OR_RETURN(CompiledPredicate cp,
                          CompiledPredicate::Compile(table, *this));
-  const size_t n = rows ? rows->size() : table.num_rows();
-  mask->resize(n);
-  cp.EvalMask(rows ? rows->data() : nullptr, n, mask->data());
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> Predicate::Evaluate(const Table& table) const {
-  std::vector<uint8_t> mask;
-  CVOPT_RETURN_NOT_OK(EvalInto(table, nullptr, &mask));
-  return mask;
-}
-
-Result<std::vector<uint8_t>> Predicate::EvaluateRows(
-    const Table& table, const std::vector<uint32_t>& rows) const {
-  std::vector<uint8_t> mask;
-  CVOPT_RETURN_NOT_OK(EvalInto(table, &rows, &mask));
+  std::vector<uint8_t> mask(table.num_rows());
+  cp.EvalMaskRange(0, mask.size(), mask.data());
   return mask;
 }
 

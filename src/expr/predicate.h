@@ -2,7 +2,7 @@
 // masks over a Table. Supports the predicate forms used by the paper's
 // workload: comparisons against literals, BETWEEN, IN, and AND/OR/NOT.
 //
-// Evaluation is vectorized: Evaluate/EvaluateRows compile the tree into
+// Evaluation is vectorized: Evaluate compiles the tree into
 // typed columnar kernels (see compiled_predicate.h) and run them over raw
 // column storage. Hot paths that evaluate the same predicate repeatedly
 // should compile once via CompiledPredicate and reuse the plan.
@@ -31,7 +31,7 @@ class Predicate;
 using PredicatePtr = std::shared_ptr<const Predicate>;
 
 /// Immutable predicate tree. Construct via the static factories; evaluate
-/// with Evaluate / EvaluateRows / Matches.
+/// with Evaluate / Matches.
 class Predicate {
  public:
   /// `column <op> literal`.
@@ -52,10 +52,6 @@ class Predicate {
 
   /// Evaluates over all rows: mask[i] == 1 iff row i satisfies the predicate.
   Result<std::vector<uint8_t>> Evaluate(const Table& table) const;
-
-  /// Evaluates over a subset of rows; output aligned with `rows`.
-  Result<std::vector<uint8_t>> EvaluateRows(
-      const Table& table, const std::vector<uint32_t>& rows) const;
 
   /// Scalar evaluation of a single row. Allocation-free; resolves columns
   /// by name per call, so per-row hot loops should prefer
@@ -81,10 +77,6 @@ class Predicate {
   enum class Kind { kTrue, kCompare, kBetween, kIn, kAnd, kOr, kNot };
 
   Predicate() = default;
-
-  // Compatibility shim over the compiled kernel engine.
-  Status EvalInto(const Table& table, const std::vector<uint32_t>* rows,
-                  std::vector<uint8_t>* mask) const;
 
   Kind kind_ = Kind::kTrue;
   std::string column_;

@@ -16,10 +16,6 @@ namespace simd {
 #define CVOPT_SIMD_HAVE_AVX2_TU 1
 const Ops* Avx2Ops();  // simd_avx2.cc
 #endif
-#if defined(CVOPT_SIMD_ENABLED) && defined(__aarch64__)
-#define CVOPT_SIMD_HAVE_NEON_TU 1
-const Ops* NeonOps();  // simd_neon.cc
-#endif
 
 namespace {
 
@@ -37,9 +33,6 @@ Backend Detect() {
   if (!ParseEnvSwitch("CVOPT_SIMD").value_or(true)) return {nullptr, "scalar"};
 #if defined(CVOPT_SIMD_HAVE_AVX2_TU)
   if (__builtin_cpu_supports("avx2")) return {Avx2Ops(), "avx2"};
-#elif defined(CVOPT_SIMD_HAVE_NEON_TU)
-  // NEON is architectural on aarch64; no runtime feature check needed.
-  return {NeonOps(), "neon"};
 #endif
   return {nullptr, "scalar"};
 }

@@ -1,17 +1,15 @@
 // Portable SIMD kernel layer.
 //
 // The engine's hottest inner loops — predicate compare/between/IN kernels
-// producing selection vectors, the in-place AND-refinement over an existing
-// selection vector, dense byte-mask evaluation, and the packed-u64 group
-// key hash mix — are exposed here as a table of function pointers
-// (`simd::Ops`). Backends:
+// producing selection vectors over a row range, the in-place
+// AND-refinement of a selection vector of row ids, dense byte-mask
+// evaluation over a row range, and the packed-u64 group key hash mix — are
+// exposed here as a table of function pointers (`simd::Ops`). Backends:
 //
 //   * AVX2 (x86-64): vector compare -> movemask -> compressed store, built
 //     in its own translation unit compiled with -mavx2 and selected at
 //     runtime only when the CPU reports AVX2 (safe to ship in a generic
 //     binary).
-//   * NEON (aarch64): 2-lane compare kernels for the dense paths; the
-//     gather-shaped refinement loops stay scalar inside the backend.
 //   * scalar: `ActiveOps()` returns nullptr and callers fall through to
 //     their existing scalar loops. This is the only path when the
 //     CVOPT_SIMD CMake option is OFF, when the CPU lacks the compiled
@@ -56,25 +54,19 @@ using SelectInBitsetI64Fn = size_t (*)(const int64_t* v, int64_t base,
                                        size_t lo, size_t hi, uint32_t* out);
 
 /// In-place refinement kernels: compact the selection vector `sel[0, n)`
-/// (entries are positions when `rows == nullptr`, else indices into
-/// `rows`) down to the entries whose row passes the kernel; returns the
-/// new size. Order-preserving, writes only to already-consumed slots.
+/// of row ids down to the rows that pass the kernel; returns the new size.
+/// Order-preserving, writes only to already-consumed slots.
 using RefineCmpI64Fn = size_t (*)(const int64_t* v, int64_t lit,
-                                  const uint32_t* rows, uint32_t* sel,
-                                  size_t n);
-using RefineCmpF64Fn = size_t (*)(const double* v, double lit,
-                                  const uint32_t* rows, uint32_t* sel,
+                                  uint32_t* sel, size_t n);
+using RefineCmpF64Fn = size_t (*)(const double* v, double lit, uint32_t* sel,
                                   size_t n);
 using RefineBetweenI64Fn = size_t (*)(const int64_t* v, int64_t vlo,
-                                      uint64_t span, const uint32_t* rows,
-                                      uint32_t* sel, size_t n);
+                                      uint64_t span, uint32_t* sel, size_t n);
 using RefineBetweenF64Fn = size_t (*)(const double* v, double vlo, double vhi,
-                                      const uint32_t* rows, uint32_t* sel,
-                                      size_t n);
+                                      uint32_t* sel, size_t n);
 using RefineInBitsetI64Fn = size_t (*)(const int64_t* v, int64_t base,
                                        uint64_t span, const uint64_t* bits,
-                                       const uint32_t* rows, uint32_t* sel,
-                                       size_t n);
+                                       uint32_t* sel, size_t n);
 
 /// Dense byte-mask kernels: out[i - lo] = 1 if row i matches else 0, for
 /// rows [lo, hi).
@@ -92,9 +84,6 @@ using MaskInBitsetI64Fn = void (*)(const int64_t* v, int64_t base,
 
 /// Eight HashMix64 finalizers at once; out[j] == HashMix64(in[j]) exactly.
 using HashMix64X8Fn = void (*)(const uint64_t* in, uint64_t* out);
-
-/// a[i] &= b[i] over n bytes (byte-mask intersection).
-using MaskAndFn = void (*)(uint8_t* a, const uint8_t* b, size_t n);
 
 /// One backend's kernel table. Every pointer is non-null in a published
 /// table.
@@ -118,7 +107,6 @@ struct Ops {
   MaskInBitsetI64Fn mask_in_bitset_i64;
 
   HashMix64X8Fn hash_mix64_x8;
-  MaskAndFn mask_and;
 };
 
 /// The active backend's kernel table, or nullptr when the scalar fallback
@@ -126,7 +114,7 @@ struct Ops {
 /// SetEnabledForTesting). Callers branch once per loop, not per element.
 const Ops* ActiveOps();
 
-/// "avx2", "neon", or "scalar" — reflects the table ActiveOps() returns
+/// "avx2" or "scalar" — reflects the table ActiveOps() returns
 /// right now (so it reads "scalar" while disabled for testing).
 const char* BackendName();
 

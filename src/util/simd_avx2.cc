@@ -52,6 +52,15 @@ inline __m128i Ctrl(int m) {
   return _mm_load_si128(reinterpret_cast<const __m128i*>(kLut.ctrl[m]));
 }
 
+// Gathers v[idx[0..3]]: the masked gather with a zero source and every
+// lane enabled loads the same lanes as _mm256_i32gather_pd, whose
+// undefined source GCC reports under -Wmaybe-uninitialized.
+inline __m256d GatherF64(const double* v, __m128i idx) {
+  return _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), v, idx,
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+}
+
 // ------------------------------------------------------------- kernels
 // Each kernel exposes: MaskAt(r) — 4-bit match mask for contiguous rows
 // [r, r+4); MaskG(idx) — same for 4 gathered row ids; Test(r) — scalar
@@ -115,9 +124,7 @@ struct CmpF64 {
     return _mm256_movemask_pd(_mm256_cmp_pd(x, vlit, kPred));
   }
   int MaskAt(size_t r) const { return Mask4(_mm256_loadu_pd(v + r)); }
-  int MaskG(__m128i idx) const {
-    return Mask4(_mm256_i32gather_pd(v, idx, 8));
-  }
+  int MaskG(__m128i idx) const { return Mask4(GatherF64(v, idx)); }
   bool Test(size_t r) const {
     const double x = v[r];
     if constexpr (OP == kEq) return x == lit;
@@ -178,9 +185,7 @@ struct BetweenF64 {
                                             _mm256_cmp_pd(x, vhi, _CMP_LE_OQ)));
   }
   int MaskAt(size_t r) const { return Mask4(_mm256_loadu_pd(v + r)); }
-  int MaskG(__m128i idx) const {
-    return Mask4(_mm256_i32gather_pd(v, idx, 8));
-  }
+  int MaskG(__m128i idx) const { return Mask4(GatherF64(v, idx)); }
   bool Test(size_t r) const {
     const double x = v[r];
     return x >= lo && x <= hi;  // NaN fails both — matches the OQ lanes
@@ -268,25 +273,21 @@ size_t SelectDense(const K& k, size_t lo, size_t hi, uint32_t* out) {
 // (slots w..w+3 are within [0, i+4), all loaded by this or earlier
 // iterations) and stays within the n-entry buffer (w + 4 <= i + 4 <= n).
 template <class K>
-size_t RefineSel(const K& k, const uint32_t* rows, uint32_t* sel, size_t n) {
+size_t RefineSel(const K& k, uint32_t* sel, size_t n) {
   size_t w = 0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m128i p =
+    const __m128i r =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    const __m128i ridx =
-        rows != nullptr
-            ? _mm_i32gather_epi32(reinterpret_cast<const int*>(rows), p, 4)
-            : p;
-    const int m = k.MaskG(ridx);
+    const int m = k.MaskG(r);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + w),
-                     _mm_shuffle_epi8(p, Ctrl(m)));
+                     _mm_shuffle_epi8(r, Ctrl(m)));
     w += kLut.count[m];
   }
   for (; i < n; ++i) {
-    const uint32_t p = sel[i];
-    sel[w] = p;
-    w += k.Test(rows != nullptr ? rows[p] : p) ? 1 : 0;
+    const uint32_t r = sel[i];
+    sel[w] = r;
+    w += k.Test(r) ? 1 : 0;
   }
   return w;
 }
@@ -333,27 +334,24 @@ size_t SelBitsetI64(const int64_t* v, int64_t base, uint64_t span,
 }
 
 template <int OP>
-size_t RefCmpI64(const int64_t* v, int64_t lit, const uint32_t* rows,
-                 uint32_t* sel, size_t n) {
-  return RefineSel(CmpI64<OP>(v, lit), rows, sel, n);
+size_t RefCmpI64(const int64_t* v, int64_t lit, uint32_t* sel, size_t n) {
+  return RefineSel(CmpI64<OP>(v, lit), sel, n);
 }
 template <int OP>
-size_t RefCmpF64(const double* v, double lit, const uint32_t* rows,
-                 uint32_t* sel, size_t n) {
-  return RefineSel(CmpF64<OP>(v, lit), rows, sel, n);
+size_t RefCmpF64(const double* v, double lit, uint32_t* sel, size_t n) {
+  return RefineSel(CmpF64<OP>(v, lit), sel, n);
 }
 size_t RefBetweenI64(const int64_t* v, int64_t vlo, uint64_t span,
-                     const uint32_t* rows, uint32_t* sel, size_t n) {
-  return RefineSel(BetweenI64(v, vlo, span), rows, sel, n);
+                     uint32_t* sel, size_t n) {
+  return RefineSel(BetweenI64(v, vlo, span), sel, n);
 }
-size_t RefBetweenF64(const double* v, double vlo, double vhi,
-                     const uint32_t* rows, uint32_t* sel, size_t n) {
-  return RefineSel(BetweenF64(v, vlo, vhi), rows, sel, n);
+size_t RefBetweenF64(const double* v, double vlo, double vhi, uint32_t* sel,
+                     size_t n) {
+  return RefineSel(BetweenF64(v, vlo, vhi), sel, n);
 }
 size_t RefBitsetI64(const int64_t* v, int64_t base, uint64_t span,
-                    const uint64_t* bits, const uint32_t* rows, uint32_t* sel,
-                    size_t n) {
-  return RefineSel(BitsetI64(v, base, span, bits), rows, sel, n);
+                    const uint64_t* bits, uint32_t* sel, size_t n) {
+  return RefineSel(BitsetI64(v, base, span, bits), sel, n);
 }
 
 template <int OP>
@@ -408,19 +406,6 @@ void HashMix64X8(const uint64_t* in, uint64_t* out) {
   }
 }
 
-void MaskAnd(uint8_t* a, const uint8_t* b, size_t n) {
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i bv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_and_si256(av, bv));
-  }
-  for (; i < n; ++i) a[i] &= b[i];
-}
-
 Ops MakeOps() {
   Ops o{};
   o.select_cmp_i64[kEq] = &SelCmpI64<kEq>;
@@ -472,7 +457,6 @@ Ops MakeOps() {
   o.mask_in_bitset_i64 = &MskBitsetI64;
 
   o.hash_mix64_x8 = &HashMix64X8;
-  o.mask_and = &MaskAnd;
   return o;
 }
 

@@ -176,8 +176,10 @@ TEST(ApproxExecutorTest, UnitWeightFullSampleBitIdenticalToExact) {
     Schema schema({{"g", DataType::kInt64}, {"v", DataType::kDouble}});
     TableBuilder b(schema);
     Rng rng(5);
+    // 60000 groups spread over a 2^19-entry direct remap: above the
+    // 2^18-entry floor of the direct tier's radix build.
     for (int64_t r = 0; r < 120000; ++r) {
-      Status st = b.AppendRow({Value(r % 60000),
+      Status st = b.AppendRow({Value(r % 60000 * 5),
                                Value(30.0 + 10.0 * rng.NextGaussian())});
       CVOPT_CHECK(st.ok(), "append failed");
     }

@@ -1,7 +1,8 @@
 // Unit tests for the shared dense group-id pipeline: all three build tiers
-// (direct remap, packed flat-hash, wide-key fallback), subset builds, the
-// Resolve validation helper, and the GroupKeyInterner — plus a differential
-// test against a naive unordered_map reference over randomized tables.
+// (direct remap, packed flat-hash, wide-key fallback), the radix build and
+// when it engages, the Resolve validation helper, and the GroupKeyInterner
+// — plus a differential test against a naive unordered_map reference over
+// randomized tables.
 #include "src/exec/group_index.h"
 
 #include <gtest/gtest.h>
@@ -24,15 +25,13 @@ struct ReferenceIndex {
   std::vector<uint64_t> sizes;
 };
 
-ReferenceIndex NaiveIndex(const Table& table, const std::vector<size_t>& cols,
-                          const std::vector<uint32_t>* rows) {
+ReferenceIndex NaiveIndex(const Table& table,
+                          const std::vector<size_t>& cols) {
   ReferenceIndex out;
   std::unordered_map<GroupKey, uint32_t, GroupKeyHash> index;
-  const size_t n = rows != nullptr ? rows->size() : table.num_rows();
   GroupKey key;
   key.codes.resize(cols.size());
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = rows != nullptr ? (*rows)[i] : i;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t j = 0; j < cols.size(); ++j) {
       key.codes[j] = table.column(cols[j]).GroupCode(r);
     }
@@ -140,7 +139,7 @@ TEST(GroupIndexTest, MultiColumnPackableIsPackedTier) {
                            {"a", "a", "b", "b", "a"});
   ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::Build(t, {"s", "w"}));
   EXPECT_EQ(gidx.tier(), GroupIndex::Tier::kPacked);
-  ExpectMatchesReference(gidx, NaiveIndex(t, {0, 2}, nullptr));
+  ExpectMatchesReference(gidx, NaiveIndex(t, {0, 2}));
 }
 
 TEST(GroupIndexTest, UnpackableKeysFallToWideTier) {
@@ -174,28 +173,9 @@ TEST(GroupIndexTest, ResolveRejectsDoubleColumns) {
   EXPECT_EQ(cols, (std::vector<size_t>{4, 1}));
 }
 
-TEST(GroupIndexTest, BuildForRowsMapsOnlyOccurringGroups) {
-  Table t = MakeStudentTable();  // majors: CS CS Math Math EE EE ME ME
-  const std::vector<uint32_t> rows = {6, 2, 7, 3};
-  ASSERT_OK_AND_ASSIGN(GroupIndex gidx,
-                       GroupIndex::BuildForRows(t, {"major"}, rows));
-  ASSERT_EQ(gidx.num_groups(), 2u);  // only ME and Math occur in the subset
-  EXPECT_EQ(gidx.row_groups(), (std::vector<uint32_t>{0, 1, 0, 1}));
-  EXPECT_EQ(gidx.Label(0), "ME");
-  EXPECT_EQ(gidx.Label(1), "Math");
-  EXPECT_EQ(gidx.sizes(), (std::vector<uint64_t>{2, 2}));
-}
-
-TEST(GroupIndexTest, BuildForRowsEmptySubset) {
-  Table t = MakeStudentTable();
-  ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::BuildForRows(t, {"major"}, {}));
-  EXPECT_EQ(gidx.num_groups(), 0u);
-  EXPECT_TRUE(gidx.row_groups().empty());
-}
-
 // Randomized differential: every tier must reproduce the naive map exactly
 // (ids, first-seen order, sizes, keys) on tables mixing strings, small ints,
-// and wide ints, over full builds and random subsets.
+// and wide ints.
 class GroupIndexFuzz : public testing::TestWithParam<int> {};
 
 TEST_P(GroupIndexFuzz, MatchesNaiveReference) {
@@ -222,15 +202,7 @@ TEST_P(GroupIndexFuzz, MatchesNaiveReference) {
   for (const auto& attrs : attr_sets) {
     ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::Build(t, attrs));
     ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols, GroupIndex::Resolve(t, attrs));
-    ExpectMatchesReference(gidx, NaiveIndex(t, cols, nullptr));
-
-    // Random subset build (with repeats).
-    std::vector<uint32_t> rows;
-    for (size_t i = 0; i < n / 2; ++i) {
-      rows.push_back(static_cast<uint32_t>(rng.Uniform(n)));
-    }
-    ASSERT_OK_AND_ASSIGN(GroupIndex sub, GroupIndex::BuildForRows(t, attrs, rows));
-    ExpectMatchesReference(sub, NaiveIndex(t, cols, &rows));
+    ExpectMatchesReference(gidx, NaiveIndex(t, cols));
   }
 }
 
@@ -239,7 +211,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GroupIndexFuzz, testing::Range(0, 5));
 // The radix-partitioned build must reproduce the naive reference exactly
 // (ids in first-seen order, sizes, keys) for every tier, partition count —
 // including the P=1 single-partition edge and P far above the group count
-// (empty partitions) — and thread count, over full and subset builds.
+// (empty partitions) — and thread count.
 class RadixBuildFuzz : public testing::TestWithParam<int> {};
 
 TEST_P(RadixBuildFuzz, ForcedRadixMatchesNaiveReference) {
@@ -260,10 +232,6 @@ TEST_P(RadixBuildFuzz, ForcedRadixMatchesNaiveReference) {
   // {"i","w"}), wide ({"w","w"}, {"w","w","s"}).
   const std::vector<std::vector<std::string>> attr_sets = {
       {"s"}, {"s", "i"}, {"s", "w"}, {"i", "w"}, {"w", "w"}, {"w", "w", "s"}};
-  std::vector<uint32_t> rows;
-  for (size_t i = 0; i < n / 2; ++i) {
-    rows.push_back(static_cast<uint32_t>(rng.Uniform(n)));
-  }
   for (const size_t partitions : {size_t{1}, size_t{2}, size_t{8}, size_t{64}}) {
     ScopedRadixOverride radix(/*mode=*/1, partitions);
     for (const int threads : {1, 2, 3, 8}) {
@@ -273,11 +241,7 @@ TEST_P(RadixBuildFuzz, ForcedRadixMatchesNaiveReference) {
         ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
                              GroupIndex::Resolve(t, attrs));
         ASSERT_NE(gidx.partitions(), nullptr);
-        ExpectMatchesReference(gidx, NaiveIndex(t, cols, nullptr));
-
-        ASSERT_OK_AND_ASSIGN(GroupIndex sub,
-                             GroupIndex::BuildForRows(t, attrs, rows));
-        ExpectMatchesReference(sub, NaiveIndex(t, cols, &rows));
+        ExpectMatchesReference(gidx, NaiveIndex(t, cols));
       }
     }
   }
@@ -286,8 +250,8 @@ TEST_P(RadixBuildFuzz, ForcedRadixMatchesNaiveReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RadixBuildFuzz, testing::Range(0, 3));
 
 TEST(RadixBuildTest, PartitionArtifactIsConsistent) {
-  // The artifact must tile the mapped positions exactly: every position in
-  // one partition, ascending within it, local ids consistent with the
+  // The artifact must tile the table rows exactly: every row in one
+  // partition, ascending within it, local ids consistent with the
   // global mapping, and partition-owned global id sets disjoint.
   Rng rng(515);
   const size_t n = 3000;
@@ -316,7 +280,7 @@ TEST(RadixBuildTest, PartitionArtifactIsConsistent) {
     }
     for (size_t k = gp->part_base[p]; k < gp->part_base[p + 1]; ++k) {
       const uint32_t pos = gp->part_rows[k];
-      EXPECT_EQ(seen_pos[pos]++, 0) << "position scattered twice";
+      EXPECT_EQ(seen_pos[pos]++, 0) << "row scattered twice";
       if (k > gp->part_base[p]) EXPECT_LT(gp->part_rows[k - 1], pos);
       // Local id agrees with the global row->group mapping.
       EXPECT_EQ(gp->local_to_global[gp->group_base[p] + gp->part_local[k]],
@@ -357,13 +321,46 @@ TEST(RadixBuildTest, AutoHeuristicEngagesOnHugeCardinality) {
   }
 }
 
+TEST(RadixBuildTest, AutoHeuristicStaysOffAtTenThousandGroups) {
+  // 10k groups over 2^17 rows sample ~0.82 distinct: at 4 threads the
+  // chunk-local tables then build 2-5x faster than the radix path, so
+  // neither the direct tier (a 2^14-entry remap) nor the packed tier (the
+  // same groups keyed over a 2^30 spread) may partition. A key distinct on
+  // every row with a 2^18-entry remap still does.
+  const size_t n = size_t{1} << 17;
+  const int64_t kGroups = 10000;
+  Schema schema({{"direct", DataType::kInt64},
+                 {"packed", DataType::kInt64},
+                 {"unique", DataType::kInt64}});
+  TableBuilder b(schema);
+  Rng rng(41);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t g = static_cast<int64_t>(rng.Uniform(kGroups));
+    ASSERT_OK(b.AppendRow({Value(g), Value(g * 104729),
+                           Value(static_cast<int64_t>(2 * i))}));
+  }
+  Table t = std::move(b).Finish();
+  ScopedExecThreads threads(4);
+  ASSERT_OK_AND_ASSIGN(GroupIndex direct, GroupIndex::Build(t, {"direct"}));
+  EXPECT_EQ(direct.tier(), GroupIndex::Tier::kDirect);
+  EXPECT_EQ(direct.partitions(), nullptr);
+  ASSERT_OK_AND_ASSIGN(GroupIndex packed, GroupIndex::Build(t, {"packed"}));
+  EXPECT_EQ(packed.tier(), GroupIndex::Tier::kPacked);
+  EXPECT_EQ(packed.partitions(), nullptr);
+  EXPECT_EQ(packed.row_groups(), direct.row_groups());
+  ASSERT_OK_AND_ASSIGN(GroupIndex unique, GroupIndex::Build(t, {"unique"}));
+  EXPECT_EQ(unique.tier(), GroupIndex::Tier::kDirect);
+  EXPECT_NE(unique.partitions(), nullptr);
+  EXPECT_EQ(unique.num_groups(), n);
+}
+
 // --------------------------------------------- SIMD-vs-scalar parity
 
 // The batched packed probe (8-lane hash mix + slot prefetch) must leave no
 // trace in the output: builds with the vector backend forced off and on
 // assign bit-identical first-seen ids, sizes, and keys across every tier,
-// the forced-radix path, and subset builds. On hosts without a vector
-// backend both passes are scalar.
+// and the forced-radix path. On hosts without a vector backend both passes
+// are scalar.
 class GroupBuildSimdParityFuzz : public testing::TestWithParam<int> {};
 
 TEST_P(GroupBuildSimdParityFuzz, BuildsBitIdenticalScalarVsVector) {
@@ -379,10 +376,6 @@ TEST_P(GroupBuildSimdParityFuzz, BuildsBitIdenticalScalarVsVector) {
     strs[r] = names[rng.Uniform(7)];
   }
   Table t = MakeTypedTable(small, wide, strs);
-  std::vector<uint32_t> rows;
-  for (size_t i = 0; i < n / 2; ++i) {
-    rows.push_back(static_cast<uint32_t>(rng.Uniform(n)));
-  }
   const std::vector<std::vector<std::string>> attr_sets = {
       {"s"}, {"s", "i"}, {"s", "w"}, {"i", "w"}, {"w", "w"}};
   for (const int radix_mode : {0, 1}) {
@@ -390,16 +383,10 @@ TEST_P(GroupBuildSimdParityFuzz, BuildsBitIdenticalScalarVsVector) {
     for (const auto& attrs : attr_sets) {
       simd::SetEnabledForTesting(0);
       ASSERT_OK_AND_ASSIGN(GroupIndex scalar, GroupIndex::Build(t, attrs));
-      ASSERT_OK_AND_ASSIGN(GroupIndex scalar_sub,
-                           GroupIndex::BuildForRows(t, attrs, rows));
       simd::SetEnabledForTesting(1);
       ASSERT_OK_AND_ASSIGN(GroupIndex vec, GroupIndex::Build(t, attrs));
-      ASSERT_OK_AND_ASSIGN(GroupIndex vec_sub,
-                           GroupIndex::BuildForRows(t, attrs, rows));
       EXPECT_EQ(vec.row_groups(), scalar.row_groups());
       EXPECT_EQ(vec.sizes(), scalar.sizes());
-      EXPECT_EQ(vec_sub.row_groups(), scalar_sub.row_groups());
-      EXPECT_EQ(vec_sub.sizes(), scalar_sub.sizes());
       for (size_t g = 0; g < vec.num_groups(); ++g) {
         ASSERT_EQ(vec.KeyOf(g), scalar.KeyOf(g)) << "group " << g;
       }

@@ -159,7 +159,7 @@ TEST_P(ParallelExecTest, ParallelSelectMatchesSelect) {
 
     // EvalMaskRange stitches to the full mask.
     std::vector<uint8_t> full(t.num_rows()), ranged(t.num_rows());
-    cp.EvalMask(nullptr, t.num_rows(), full.data());
+    cp.EvalMaskRange(0, t.num_rows(), full.data());
     ParallelEvalMask(cp, ranged.data());
     EXPECT_EQ(ranged, full) << p->ToString();
   }
@@ -167,32 +167,22 @@ TEST_P(ParallelExecTest, ParallelSelectMatchesSelect) {
 
 TEST_P(ParallelExecTest, GroupIndexBitIdenticalAcrossThreads) {
   const Table& t = TestTable();
-  // Exercises every tier: single string column (direct), six packed
-  // columns (packed), and BuildForRows over a row subset.
+  // Exercises the direct tier (a single string column) and the packed
+  // tier (six columns).
   const std::vector<std::vector<std::string>> attr_sets = {
       {"country"},
       {"country", "parameter", "unit", "year", "month", "hour"},
   };
-  std::vector<uint32_t> subset;
-  for (uint32_t r = 0; r < t.num_rows(); r += 3) subset.push_back(r);
   for (const auto& attrs : attr_sets) {
     GroupIndex serial_full = [&] {
       ScopedExecThreads one(1);
       return std::move(GroupIndex::Build(t, attrs)).ValueOrDie();
     }();
-    GroupIndex serial_rows = [&] {
-      ScopedExecThreads one(1);
-      return std::move(GroupIndex::BuildForRows(t, attrs, subset)).ValueOrDie();
-    }();
     ScopedExecThreads threads(GetParam());
     ASSERT_OK_AND_ASSIGN(GroupIndex par_full, GroupIndex::Build(t, attrs));
-    ASSERT_OK_AND_ASSIGN(GroupIndex par_rows,
-                         GroupIndex::BuildForRows(t, attrs, subset));
     EXPECT_EQ(par_full.tier(), serial_full.tier());
     EXPECT_EQ(par_full.row_groups(), serial_full.row_groups());
     EXPECT_EQ(par_full.sizes(), serial_full.sizes());
-    EXPECT_EQ(par_rows.row_groups(), serial_rows.row_groups());
-    EXPECT_EQ(par_rows.sizes(), serial_rows.sizes());
     for (size_t g = 0; g < serial_full.num_groups(); ++g) {
       EXPECT_EQ(par_full.KeyOf(g).codes, serial_full.KeyOf(g).codes);
     }

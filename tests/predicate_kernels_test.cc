@@ -1,6 +1,7 @@
 // Differential tests for the compiled predicate engine: random predicate
-// trees evaluated by the vectorized kernel plan (every entry point: masks,
-// selection vectors, refinement, scalar) against an independent naive
+// trees evaluated by the vectorized kernel plan (every entry point: masks
+// and selection vectors over the table and over row ranges, scalar)
+// against an independent naive
 // row-at-a-time reference evaluator, across all predicate kinds, column
 // types, NaN values/literals, missing dictionary literals, and int64
 // magnitudes where double rounding would lie. Plus executor parity: a
@@ -11,7 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <numeric>
+#include <utility>
 
 #include "src/exec/group_by_executor.h"
 #include "src/expr/compiled_predicate.h"
@@ -252,6 +253,13 @@ RefPred RandomRefPred(Rng* rng, int depth) {
   return p;
 }
 
+// A random row range [lo, hi) within [0, n], empty ranges included.
+std::pair<size_t, size_t> RandomRange(Rng* rng, size_t n) {
+  size_t lo = rng->Uniform(n + 1), hi = rng->Uniform(n + 1);
+  if (lo > hi) std::swap(lo, hi);
+  return {lo, hi};
+}
+
 class KernelFuzz : public testing::TestWithParam<int> {};
 
 TEST_P(KernelFuzz, AllEntryPointsMatchNaiveReference) {
@@ -270,7 +278,7 @@ TEST_P(KernelFuzz, AllEntryPointsMatchNaiveReference) {
 
     // Full-table mask.
     std::vector<uint8_t> mask(n);
-    cp.EvalMask(nullptr, n, mask.data());
+    cp.EvalMaskRange(0, n, mask.data());
     for (size_t r = 0; r < n; ++r) {
       ASSERT_EQ(mask[r], want[r]) << "row " << r << " of " << p->ToString();
     }
@@ -282,25 +290,21 @@ TEST_P(KernelFuzz, AllEntryPointsMatchNaiveReference) {
     }
     ASSERT_EQ(cp.Select(), want_sel) << p->ToString();
 
-    // Row-indirected mask + position selection over a random multiset.
-    std::vector<uint32_t> rows;
-    for (size_t j = 0; j < 97; ++j) {
-      rows.push_back(static_cast<uint32_t>(rng.Uniform(n)));
+    // Mask and selection over random unaligned row ranges (the morsel
+    // units; AND chains refine their seeded rows in place).
+    for (int k = 0; k < 4; ++k) {
+      const auto [lo, hi] = RandomRange(&rng, n);
+      std::vector<uint8_t> sub(hi - lo);
+      cp.EvalMaskRange(lo, hi, sub.data());
+      std::vector<uint32_t> want_range;
+      for (size_t r = lo; r < hi; ++r) {
+        ASSERT_EQ(sub[r - lo], want[r]) << "row " << r << " of "
+                                        << p->ToString();
+        if (want[r]) want_range.push_back(static_cast<uint32_t>(r));
+      }
+      ASSERT_EQ(cp.SelectRange(lo, hi), want_range)
+          << "[" << lo << ", " << hi << ") of " << p->ToString();
     }
-    std::vector<uint8_t> sub(rows.size());
-    cp.EvalMask(rows.data(), rows.size(), sub.data());
-    std::vector<uint32_t> want_pos;
-    for (size_t j = 0; j < rows.size(); ++j) {
-      ASSERT_EQ(sub[j], want[rows[j]]) << p->ToString();
-      if (sub[j]) want_pos.push_back(static_cast<uint32_t>(j));
-    }
-    ASSERT_EQ(cp.SelectPositions(rows.data(), rows.size()), want_pos);
-
-    // In-place refinement of an existing selection.
-    std::vector<uint32_t> refined(rows.size());
-    for (size_t j = 0; j < rows.size(); ++j) refined[j] = static_cast<uint32_t>(j);
-    cp.Refine(rows.data(), &refined);
-    ASSERT_EQ(refined, want_pos) << p->ToString();
 
     // Scalar paths: compiled MatchesRow and Predicate::Matches.
     for (size_t r = 0; r < n; r += 3) {
@@ -521,12 +525,8 @@ TEST_P(SimdScalarParityFuzz, EntryPointsBitIdentical) {
   for (const PredicatePtr& p : preds) {
     ASSERT_OK_AND_ASSIGN(CompiledPredicate cp,
                          CompiledPredicate::Compile(t, *p));
-    std::vector<uint32_t> rows;
-    for (size_t j = 0; j < 193; ++j) {
-      rows.push_back(static_cast<uint32_t>(rng.Uniform(n)));
-    }
-    std::vector<uint32_t> sel0(rows.size());
-    std::iota(sel0.begin(), sel0.end(), 0u);
+    std::vector<std::pair<size_t, size_t>> ranges;
+    for (int k = 0; k < 4; ++k) ranges.push_back(RandomRange(&rng, n));
 
     struct Capture {
       std::vector<std::vector<uint8_t>> masks;
@@ -541,13 +541,13 @@ TEST_P(SimdScalarParityFuzz, EntryPointsBitIdentical) {
         c.sels.push_back(cp.SelectRange(off, n - off));
       }
       c.sels.push_back(cp.Select());
-      std::vector<uint8_t> sub(rows.size());
-      cp.EvalMask(rows.data(), rows.size(), sub.data());
-      c.masks.push_back(std::move(sub));
-      c.sels.push_back(cp.SelectPositions(rows.data(), rows.size()));
-      std::vector<uint32_t> refined = sel0;
-      cp.Refine(rows.data(), &refined);
-      c.sels.push_back(std::move(refined));
+      // Random unaligned bounds on both ends.
+      for (const auto& [lo, hi] : ranges) {
+        std::vector<uint8_t> sub(hi - lo);
+        cp.EvalMaskRange(lo, hi, sub.data());
+        c.masks.push_back(std::move(sub));
+        c.sels.push_back(cp.SelectRange(lo, hi));
+      }
       return c;
     };
 

@@ -81,16 +81,6 @@ TEST_F(PredicateTest, BooleanCombinators) {
   EXPECT_EQ(CountMatches(Predicate::Not(Predicate::True())), 0u);
 }
 
-TEST_F(PredicateTest, EvaluateRowsSubset) {
-  auto p = Predicate::Compare("age", CompareOp::kGt, 24);
-  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> mask,
-                       p->EvaluateRows(table_, {0, 4, 7}));
-  ASSERT_EQ(mask.size(), 3u);
-  EXPECT_EQ(mask[0], 1);  // age 25
-  EXPECT_EQ(mask[1], 0);  // age 21
-  EXPECT_EQ(mask[2], 1);  // age 26
-}
-
 TEST_F(PredicateTest, MatchesSingleRow) {
   auto p = Predicate::Compare("major", CompareOp::kEq, "EE");
   ASSERT_OK_AND_ASSIGN(bool m4, p->Matches(table_, 4));

@@ -172,6 +172,10 @@ doc["description"] = (
     "with the grouping's group directory already built (the first "
     "iteration builds it), so their 1%-selective query decodes no column "
     "of the 99% of chunks the zone maps refute. "
+    "BM_OutOfCoreGroupByFullScanParallel/<threads> is the same ladder "
+    "with no WHERE clause, which decodes and looks up every chunk: the "
+    "selective ladder decodes ~5 of 489 chunks and so measures pool "
+    "hand-off, this one the scan's scaling. "
     "BM_AdaptiveGroupByHugeG is the packed-tier radix build at huge "
     "cardinality: a 3M-row two-int-key table with ~2.7M distinct groups "
     "(24 packed key bits), partitioned and hash-probed per partition; "
