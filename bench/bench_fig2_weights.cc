@@ -29,14 +29,15 @@ double PerAggregateError(const Table& table, const QuerySpec& weighted,
     QueryResult approx = std::move(ExecuteApprox(sample, eval)).ValueOrDie();
     double err = 0;
     size_t n = 0;
+    const std::vector<size_t> match =
+        std::move(MatchGroups(truth, approx)).ValueOrDie();
     for (size_t i = 0; i < truth.num_groups(); ++i) {
-      auto j = approx.Find(truth.key(i));
       const double tv = truth.value(i, agg);
       if (std::fabs(tv) < 1e-12) continue;
-      if (!j.has_value()) {
+      if (match[i] == kNoGroup) {
         err += 1.0;
       } else {
-        err += std::fabs(approx.value(*j, agg) - tv) / std::fabs(tv);
+        err += std::fabs(approx.value(match[i], agg) - tv) / std::fabs(tv);
       }
       n++;
     }

@@ -222,24 +222,29 @@ EvalStats EvaluateAq1(const Table& table, const Sampler& sampler, double rate,
   // whose change is below 15% of the 2017 base are excluded from the
   // relative-error aggregation. The paper's real data does not exhibit
   // near-zero changes at its reporting granularity.
-  QueryResult exact_diff(exact_diff_all.agg_labels(),
-                         exact_diff_all.group_attrs());
-  for (size_t i = 0; i < exact_diff_all.num_groups(); ++i) {
-    const auto base = exact17.Find(exact_diff_all.key(i));
-    if (!base.has_value()) continue;
-    bool significant = true;
-    for (size_t a = 0; a < exact_diff_all.num_aggregates(); ++a) {
-      const double change = std::fabs(exact_diff_all.value(i, a));
-      const double base_v = std::fabs(exact17.value(*base, a));
-      if (change < 0.15 * base_v || base_v == 0.0) significant = false;
-    }
-    if (significant) {
-      Status st = exact_diff.AddGroup(exact_diff_all.key(i),
-                                      exact_diff_all.label(i),
-                                      exact_diff_all.values(i));
-      CVOPT_CHECK(st.ok(), "filtered diff insert failed");
+  const QueryResult& all = exact_diff_all;
+  const std::vector<size_t> base =
+      std::move(MatchGroups(all, exact17)).ValueOrDie();
+  const size_t G = all.num_groups();
+  const size_t t = all.num_aggregates();
+  std::vector<uint64_t> significant(G, 0);
+  std::vector<double> finals(t * G);
+  for (size_t i = 0; i < G; ++i) {
+    significant[i] = base[i] != kNoGroup ? 1 : 0;
+    for (size_t a = 0; a < t; ++a) {
+      finals[a * G + i] = all.value(i, a);
+      if (base[i] == kNoGroup) continue;
+      const double change = std::fabs(all.value(i, a));
+      const double base_v = std::fabs(exact17.value(base[i], a));
+      if (change < 0.15 * base_v || base_v == 0.0) significant[i] = 0;
     }
   }
+  const QueryResult exact_diff =
+      std::move(QueryResult::Dense(all.agg_labels(), all.group_attrs(),
+                                   all.key_columns(),
+                                   {all.key_codes(0), all.key_codes(G)},
+                                   significant, finals))
+          .ValueOrDie();
 
   EvalStats stats;
   for (int rep = 0; rep < reps; ++rep) {

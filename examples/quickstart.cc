@@ -61,10 +61,12 @@ int main() {
   auto approx = engine.AnswerApprox("s", query);
   if (!exact.ok() || !approx.ok()) return 1;
   std::printf("\n%-12s %12s %12s\n", "major", "exact", "approx");
+  auto match = MatchGroups(*exact, *approx);
+  if (!match.ok()) return 1;
   for (size_t i = 0; i < exact->num_groups(); ++i) {
-    auto j = approx->Find(exact->key(i));
+    const size_t j = (*match)[i];
     std::printf("%-12s %12.4f %12.4f\n", exact->label(i).c_str(),
-                exact->value(i, 0), j ? approx->value(*j, 0) : 0.0);
+                exact->value(i, 0), j != kNoGroup ? approx->value(j, 0) : 0.0);
   }
 
   // 5. One-line error summary.

@@ -37,12 +37,14 @@ int main() {
   std::printf("\n%-8s", "group");
   for (const auto& l : exact->agg_labels()) std::printf(" %20s", l.c_str());
   std::printf("\n");
+  auto match = MatchGroups(*exact, *approx);
+  if (!match.ok()) return 1;
   for (size_t i = 0; i < exact->num_groups(); ++i) {
-    auto j = approx->Find(exact->key(i));
+    const size_t j = (*match)[i];
     std::printf("%-8s", exact->label(i).c_str());
     for (size_t a = 0; a < exact->num_aggregates(); ++a) {
       const double truth = exact->value(i, a);
-      const double est = j ? approx->value(*j, a) : 0.0;
+      const double est = j != kNoGroup ? approx->value(j, a) : 0.0;
       const double err = truth != 0 ? (est - truth) / truth * 100 : 0.0;
       std::printf(" %13.1f(%+.1f%%)", est, err);
     }

@@ -125,7 +125,9 @@ Result<Workload::AllocationInput> Workload::Deduce(const Table& table) const {
         auto dit = diagnostics.find(fkey);
         if (dit == diagnostics.end()) {
           diagnostics.emplace(
-              fkey, AggregationGroup{canon, gidx.Label(g), label, freq});
+              fkey, AggregationGroup{
+                        canon, gkey.Render(table, gidx.column_indices()),
+                        label, freq});
         } else {
           dit->second.frequency += freq;
         }

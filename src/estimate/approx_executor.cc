@@ -42,13 +42,10 @@ Result<QueryResult> ExecuteApprox(const StratifiedSample& sample,
       GroupedAccumulators acc,
       AccumulateGrouped(table, query, *gidx, use_sel ? &sel : nullptr,
                         &sample.weights()));
-  std::vector<double> finals = FinalizeGrouped(query.aggregates, &acc);
 
   // Groups emit in first-occurrence-over-sampled-rows order; under a WHERE
   // clause this may differ from the legacy first-surviving-row order.
-  QueryResult result(query.AggLabels(), query.group_by);
-  CVOPT_RETURN_NOT_OK(result.IngestDense(*gidx, acc.cnt, finals));
-  return result;
+  return GroupedResult(table, query, *gidx, &acc);
  });
 }
 

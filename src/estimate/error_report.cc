@@ -55,11 +55,12 @@ Result<ErrorReport> CompareResults(const QueryResult& exact,
         StrFormat("aggregate count mismatch: exact=%zu approx=%zu",
                   exact.num_aggregates(), approx.num_aggregates()));
   }
+  CVOPT_ASSIGN_OR_RETURN(std::vector<size_t> match,
+                         MatchGroups(exact, approx));
   ErrorReport report;
   const size_t t = exact.num_aggregates();
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    const auto j = approx.Find(exact.key(i));
-    if (!j.has_value()) {
+    if (match[i] == kNoGroup) {
       report.missing_groups++;
       for (size_t a = 0; a < t; ++a) {
         const double truth = exact.value(i, a);
@@ -77,7 +78,7 @@ Result<ErrorReport> CompareResults(const QueryResult& exact,
         report.skipped_zero_truth++;
         continue;
       }
-      const double est = approx.value(*j, a);
+      const double est = approx.value(match[i], a);
       report.errors.push_back(std::fabs(est - truth) / std::fabs(truth));
     }
   }

@@ -46,8 +46,8 @@ struct ErrorReport {
 };
 
 /// Compares the approximate result to the exact one. Per-aggregate errors:
-/// the two results must have the same aggregate count (labels are not
-/// checked so renamed joins still compare).
+/// the two results must have the same grouping attributes and aggregate
+/// count (aggregate labels are not checked so renamed joins still compare).
 Result<ErrorReport> CompareResults(const QueryResult& exact,
                                    const QueryResult& approx);
 

@@ -32,7 +32,7 @@ struct MappedAggBinding {
 // borrowed storage stays valid however the struct moves; the plans are
 // only classified against the file's zone maps and rebound to decoded
 // chunks, never evaluated against the prototype. The prototype's string
-// columns adopt the file's dictionaries, so it also renders the labels.
+// columns share the file's dictionaries, which the result keeps.
 struct MappedScanPlan {
   std::vector<size_t> gcols;
   std::vector<MappedAggBinding> bindings;
@@ -110,26 +110,17 @@ Result<MappedScanPlan> PrepareMappedScan(const MappedTable& mt,
   return plan;
 }
 
-// Finalizes through the shared core's rules, then emits groups in
-// directory order, omitting fully-filtered groups (IngestDense semantics).
+// Finalizes through the shared core's rules and emits the groups in
+// directory order, keyed by the directory's codes; fully-filtered groups
+// are absent.
 Result<QueryResult> EmitMappedResult(const QuerySpec& query,
                                      const MappedScanPlan& plan,
                                      const StreamGroupRouter& dir,
                                      GroupedAccumulators* acc) {
-  const size_t t = query.aggregates.size();
-  const size_t G = acc->num_groups;
   std::vector<double> finals = FinalizeGrouped(query.aggregates, acc);
-  QueryResult result(query.AggLabels(), query.group_by);
-  for (size_t g = 0; g < G; ++g) {
-    if (acc->cnt[g] == 0) continue;
-    std::vector<double> values(t);
-    for (size_t j = 0; j < t; ++j) values[j] = finals[j * G + g];
-    GroupKey key = dir.KeyOf(g);
-    std::string label = key.Render(*plan.proto, plan.gcols);
-    CVOPT_RETURN_NOT_OK(
-        result.AddGroup(std::move(key), std::move(label), std::move(values)));
-  }
-  return result;
+  return QueryResult::Dense(query.AggLabels(), query.group_by,
+                            KeyColumnsOf(*plan.proto, plan.gcols),
+                            dir.key_codes(), acc->cnt, finals);
 }
 
 ChunkVerdict ClassifyChunk(const MappedTable& mt, const MappedScanPlan& plan,

@@ -70,25 +70,17 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
   const size_t t = base.aggregates.size();
 
   // Flat key codes of every finest group (one gather, reused per subset).
-  std::vector<int64_t> codes;
-  codes.reserve(G * k);
-  for (size_t g = 0; g < G; ++g) gidx.AppendKeyCodes(g, &codes);
+  const std::vector<int64_t> codes = gidx.KeyCodes();
 
   const std::vector<std::string> agg_labels = base.AggLabels();
 
   // The finest grouping set (specs[0] — ExpandCube emits the full set
-  // first) IS the shared accumulation: finalize it directly and
-  // bulk-ingest through the GroupIndex — no projection, no copies. It
-  // runs before the fan-out below because MedianOf reorders acc's value
-  // buffers in place; the multisets stay intact for the coarser rollups,
-  // but the mutation must not race their reads.
+  // first) IS the shared accumulation: finalize it directly — no
+  // projection. It runs before the fan-out below because MedianOf reorders
+  // acc's value buffers in place; the multisets stay intact for the
+  // coarser rollups, but the mutation must not race their reads.
   std::vector<QueryResult> results(specs.size());
-  {
-    const std::vector<double> finals = FinalizeGrouped(base.aggregates, &acc);
-    QueryResult result(agg_labels, specs[0].group_by);
-    CVOPT_RETURN_NOT_OK(result.IngestDense(gidx, acc.cnt, finals));
-    results[0] = std::move(result);
-  }
+  CVOPT_ASSIGN_OR_RETURN(results[0], GroupedResult(table, base, gidx, &acc));
 
   // Coarser grouping sets fan out across the pool: each set only reads
   // the shared finest accumulation and rolls up into its own
@@ -150,23 +142,22 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
     const std::vector<double> finals =
         FinalizeGrouped(base.aggregates, &pacc);
 
-    // Emit in parent intern order, skipping parents with no surviving rows
-    // (SQL semantics, matching IngestDense's counts[g] > 0 rule).
-    QueryResult result(agg_labels, spec.group_by);
-    const std::vector<GroupKey>& parent_keys = interner.keys();
-    for (size_t p = 0; p < P; ++p) {
-      if (pacc.cnt[p] == 0) continue;
-      std::vector<double> values(t);
-      for (size_t j = 0; j < t; ++j) values[j] = finals[j * P + p];
-      Status s = result.AddGroup(parent_keys[p],
-                                 parent_keys[p].Render(table, parent_cols),
-                                 std::move(values));
-      if (!s.ok()) {
-        statuses[si] = std::move(s);
-        return;
-      }
+    // Emit in parent intern order; parents with no surviving rows are
+    // absent (SQL semantics).
+    std::vector<int64_t> parent_codes;
+    parent_codes.reserve(P * positions.size());
+    for (const GroupKey& key : interner.keys()) {
+      parent_codes.insert(parent_codes.end(), key.codes.begin(),
+                          key.codes.end());
     }
-    results[si] = std::move(result);
+    Result<QueryResult> result = QueryResult::Dense(
+        agg_labels, spec.group_by, KeyColumnsOf(table, parent_cols),
+        std::move(parent_codes), pacc.cnt, finals);
+    if (!result.ok()) {
+      statuses[si] = result.status();
+      return;
+    }
+    results[si] = std::move(result).value();
   });
   for (Status& s : statuses) {
     if (!s.ok()) return std::move(s);

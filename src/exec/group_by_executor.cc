@@ -182,7 +182,7 @@ void AccumulateSources(const GroupedPass& pass,
   // A WHERE selection rides the same slabs through a dense byte mask: a
   // group's surviving positions are still visited ascending, so masked
   // sums match the serial masked loop bit for bit, and fully-filtered
-  // groups keep count zero (IngestDense omits them).
+  // groups keep count zero (their results omit them).
   const GroupPartitions* parts = pass.parts;
   const uint32_t* prows = parts != nullptr ? parts->part_rows.data() : nullptr;
   const uint32_t* plocal =
@@ -455,6 +455,15 @@ std::vector<double> FinalizeGrouped(const std::vector<AggSpec>& aggs,
   });
 }
 
+Result<QueryResult> GroupedResult(const Table& table, const QuerySpec& query,
+                                  const GroupIndex& gidx,
+                                  GroupedAccumulators* acc) {
+  std::vector<double> finals = FinalizeGrouped(query.aggregates, acc);
+  return QueryResult::Dense(query.AggLabels(), query.group_by,
+                            KeyColumnsOf(table, gidx.column_indices()),
+                            gidx.KeyCodes(), acc->cnt, finals);
+}
+
 Result<QueryResult> ExecuteExact(const Table& table, const QuerySpec& query) {
  return GovernedSection([&]() -> Result<QueryResult> {
   if (query.aggregates.empty()) {
@@ -485,17 +494,10 @@ Result<QueryResult> ExecuteExact(const Table& table, const QuerySpec& query) {
       GroupedAccumulators acc,
       AccumulateGrouped(table, query, gidx, use_sel ? &sel : nullptr));
 
-  // Finalize into an aggregate-major finals array and bulk-ingest: the
-  // result is materialized flat, with batch-rendered labels and a lazy
-  // key -> index map instead of a per-group AddGroup insert loop.
-  std::vector<double> finals = FinalizeGrouped(query.aggregates, &acc);
-
   // Groups emit in first-occurrence-over-all-rows order (the GroupIndex is
   // built unmasked); under a WHERE clause this may differ from the legacy
   // first-surviving-row order. The group set and values are identical.
-  QueryResult result(query.AggLabels(), query.group_by);
-  CVOPT_RETURN_NOT_OK(result.IngestDense(gidx, acc.cnt, finals));
-  return result;
+  return GroupedResult(table, query, gidx, &acc);
  });
 }
 

@@ -132,6 +132,13 @@ void AccumulateSources(const GroupedPass& pass,
 std::vector<double> FinalizeGrouped(const std::vector<AggSpec>& aggs,
                                     GroupedAccumulators* acc);
 
+/// Finalizes `acc`, accumulated over the groups of `gidx` (an index over
+/// `table`), into the query's result through QueryResult::Dense: the one
+/// ending of the exact, approximate and cube executors.
+Result<QueryResult> GroupedResult(const Table& table, const QuerySpec& query,
+                                  const GroupIndex& gidx,
+                                  GroupedAccumulators* acc);
+
 }  // namespace cvopt
 
 #endif  // CVOPT_EXEC_GROUP_BY_EXECUTOR_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -17,9 +16,6 @@ namespace cvopt {
 namespace {
 
 constexpr uint32_t kEmptyId = std::numeric_limits<uint32_t>::max();
-// Seed of the wide-key composite hash. The offline kWide build, the
-// streaming router, and GroupKeyHash must agree so their buckets coincide.
-constexpr uint64_t kWideHashSeed = 0x2545F4914F6CDD1DULL;
 // Largest dense remap the direct tier may allocate: 2^22 4-byte slots
 // (16 MiB), far above any realistic grouping-key domain but bounded.
 constexpr int kDirectBits = 22;
@@ -509,7 +505,7 @@ BuildOutput BuildImpl(const Table& table, const std::vector<size_t>& cols) {
     return key;
   };
   auto wide_hash = [&acc](size_t r) {
-    uint64_t h = kWideHashSeed;
+    uint64_t h = kKeyHashSeed;
     for (const ColAccess& a : acc) {
       h = HashCombine(h, static_cast<uint64_t>(a.RawCode(r)));
     }
@@ -881,11 +877,16 @@ GroupKey GroupIndex::KeyOf(size_t g) const {
   return key;
 }
 
-void GroupIndex::AppendKeyCodes(size_t g, std::vector<int64_t>* out) const {
-  const uint32_t row = rep_rows_[g];
-  for (size_t c : cols_) {
-    out->push_back(table_->column(c).GroupCode(row));
+std::vector<int64_t> GroupIndex::KeyCodes() const {
+  const size_t k = cols_.size();
+  std::vector<int64_t> codes(num_groups() * k);
+  for (size_t j = 0; j < k; ++j) {
+    const Column& col = table_->column(cols_[j]);
+    for (size_t g = 0; g < num_groups(); ++g) {
+      codes[g * k + j] = col.GroupCode(rep_rows_[g]);
+    }
   }
+  return codes;
 }
 
 std::vector<GroupKey> GroupIndex::Keys() const {
@@ -893,32 +894,6 @@ std::vector<GroupKey> GroupIndex::Keys() const {
   keys.reserve(num_groups());
   for (size_t g = 0; g < num_groups(); ++g) keys.push_back(KeyOf(g));
   return keys;
-}
-
-std::string GroupIndex::Label(size_t g) const {
-  std::string out;
-  AppendLabel(g, &out);
-  return out;
-}
-
-void GroupIndex::AppendLabel(size_t g, std::string* out) const {
-  // Renders identically to GroupKey::Render ("v1|v2|...") but straight from
-  // the representative row, with no GroupKey or parts-vector allocation.
-  const uint32_t row = rep_rows_[g];
-  bool first = true;
-  for (size_t c : cols_) {
-    if (!first) out->push_back('|');
-    first = false;
-    const Column& col = table_->column(c);
-    if (col.type() == DataType::kString) {
-      out->append(col.GetString(row));
-    } else {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(col.GetInt(row)));
-      out->append(buf);
-    }
-  }
 }
 
 StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types)
@@ -960,12 +935,7 @@ uint64_t StreamGroupRouter::PackGroup(size_t g) const {
 }
 
 uint64_t StreamGroupRouter::WideHashGroup(size_t g) const {
-  const int64_t* raw = codes_.data() + g * plans_.size();
-  uint64_t h = kWideHashSeed;
-  for (size_t j = 0; j < plans_.size(); ++j) {
-    h = HashCombine(h, static_cast<uint64_t>(raw[j]));
-  }
-  return h;
+  return HashKeyCodes(codes_.data() + g * plans_.size(), plans_.size());
 }
 
 void StreamGroupRouter::PlaceSlot(std::vector<Slot>& slots, size_t mask,
@@ -1027,7 +997,7 @@ uint32_t StreamGroupRouter::Find(const ColumnRef* cols, uint32_t row) const {
   if (plans_.empty()) return groups_ > 0 ? 0 : kNotFound;
   const size_t arity = plans_.size();
   if (wide_) {
-    uint64_t h = kWideHashSeed;
+    uint64_t h = kKeyHashSeed;
     for (size_t j = 0; j < arity; ++j) {
       h = HashCombine(h, static_cast<uint64_t>(RawCode(cols, j, row)));
     }
@@ -1096,13 +1066,6 @@ bool StreamGroupRouter::FindBatch(const ColumnRef* cols, const uint32_t* rows,
     out[rows[i]] = id;
   }
   return found;
-}
-
-GroupKey StreamGroupRouter::KeyOf(size_t g) const {
-  GroupKey key;
-  key.codes.assign(codes_.begin() + g * plans_.size(),
-                   codes_.begin() + (g + 1) * plans_.size());
-  return key;
 }
 
 GroupKeyInterner::GroupKeyInterner(size_t expected_keys) {

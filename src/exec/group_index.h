@@ -155,18 +155,9 @@ class GroupIndex {
   GroupKey KeyOf(size_t g) const;
   std::vector<GroupKey> Keys() const;
 
-  /// Appends group g's key codes (one int64 per grouping column, matching
-  /// KeyOf(g).codes) to *out — the flat-key-store path of
-  /// QueryResult::IngestDense, no per-group GroupKey allocation.
-  void AppendKeyCodes(size_t g, std::vector<int64_t>* out) const;
-  size_t key_arity() const { return cols_.size(); }
-
-  /// Human-readable label of group g, e.g. "US|pm25".
-  std::string Label(size_t g) const;
-
-  /// Appends group g's label to *out without materializing a GroupKey —
-  /// the batch-rendering path of QueryResult::IngestDense.
-  void AppendLabel(size_t g, std::string* out) const;
+  /// Every group's key codes, flat: group g's KeyOf(g).codes at
+  /// [g * k, (g + 1) * k) (k grouping columns), with no per-group GroupKey.
+  std::vector<int64_t> KeyCodes() const;
 
   /// The radix-partition artifact, when the partitioned build ran (huge
   /// estimated group cardinality and a parallel chunking); null when the
@@ -264,9 +255,9 @@ class StreamGroupRouter {
   /// tier; true while keys still bit-pack into one word.
   bool packed() const { return !wide_; }
 
-  /// Materializes the composite key of group g (codes match
-  /// GroupIndex::KeyOf over the same columns).
-  GroupKey KeyOf(size_t g) const;
+  /// Every group's raw codes, flat: group g's at [g * arity(), (g + 1) *
+  /// arity()), matching GroupIndex::KeyCodes over the same columns.
+  const std::vector<int64_t>& key_codes() const { return codes_; }
 
  private:
   struct ColPlan {

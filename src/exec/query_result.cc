@@ -1,107 +1,58 @@
 #include "src/exec/query_result.h"
 
+#include <algorithm>
+
 #include "src/util/string_util.h"
 
 namespace cvopt {
 
-void QueryResult::EnsureKeys() const {
-  if (!keys_stale_) return;  // AddGroup keeps the shim current itself
-  keys_.clear();
-  keys_.reserve(num_groups());
-  for (size_t i = 0; i < num_groups(); ++i) {
-    GroupKey k;
-    k.codes.assign(key_codes_.begin() + key_offsets_[i],
-                   key_codes_.begin() + key_offsets_[i + 1]);
-    keys_.push_back(std::move(k));
+Result<QueryResult> QueryResult::Dense(std::vector<std::string> agg_labels,
+                                       std::vector<std::string> group_attrs,
+                                       std::vector<KeyColumn> key_columns,
+                                       std::vector<int64_t> codes,
+                                       const std::vector<uint64_t>& counts,
+                                       const std::vector<double>& finals) {
+  const size_t k = key_columns.size();
+  const size_t t = agg_labels.size();
+  const size_t G = counts.size();
+  if (group_attrs.size() != k || codes.size() != G * k ||
+      finals.size() != G * t) {
+    return Status::InvalidArgument(StrFormat(
+        "result of %zu groups: %zu group attributes, %zu key columns, %zu "
+        "codes, %zu finals for %zu aggregates",
+        G, group_attrs.size(), k, codes.size(), finals.size(), t));
   }
-  keys_stale_ = false;
-}
-
-void QueryResult::EnsureIndex() const {
-  if (!index_stale_) return;  // AddGroup maintains the index incrementally
-  EnsureKeys();
-  index_.clear();
-  index_.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) index_.emplace(keys_[i], i);
-  index_stale_ = false;
-}
-
-Status QueryResult::AddGroup(GroupKey key, std::string label,
-                             std::vector<double> values) {
-  if (values.size() != agg_labels_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("group has %zu values, expected %zu aggregates",
-                  values.size(), agg_labels_.size()));
-  }
-  EnsureIndex();
-  auto [it, inserted] = index_.try_emplace(key, num_groups());
-  if (!inserted) {
-    return Status::AlreadyExists("duplicate group key '" + label + "'");
-  }
-  key_codes_.insert(key_codes_.end(), key.codes.begin(), key.codes.end());
-  key_offsets_.push_back(key_codes_.size());
-  keys_.push_back(std::move(key));  // EnsureIndex left the shim current
-  labels_.push_back(std::move(label));
-  values_.insert(values_.end(), values.begin(), values.end());
-  return Status::OK();
-}
-
-Status QueryResult::IngestDense(const GroupIndex& gidx,
-                                const std::vector<uint64_t>& counts,
-                                const std::vector<double>& finals) {
-  const size_t t = agg_labels_.size();
-  const size_t G = gidx.num_groups();
-  if (counts.size() != G || finals.size() != t * G) {
-    return Status::InvalidArgument(
-        StrFormat("IngestDense: %zu groups, %zu counts, %zu finals for %zu "
-                  "aggregates",
-                  G, counts.size(), finals.size(), t));
-  }
-  // Into a non-empty result, reject key collisions up front (the executors
-  // always ingest into a fresh result, where gidx ids are unique).
-  if (num_groups() > 0) {
-    EnsureIndex();
-    for (size_t g = 0; g < G; ++g) {
-      if (counts[g] > 0 && index_.count(gidx.KeyOf(g)) > 0) {
-        return Status::AlreadyExists("duplicate group key '" +
-                                     gidx.Label(g) + "'");
-      }
-    }
-  }
+  QueryResult r;
+  r.agg_labels_ = std::move(agg_labels);
+  r.group_attrs_ = std::move(group_attrs);
+  r.key_columns_ = std::move(key_columns);
   size_t live = 0;
   for (size_t g = 0; g < G; ++g) live += counts[g] > 0 ? 1 : 0;
-  const size_t arity = gidx.key_arity();
-  key_codes_.reserve(key_codes_.size() + live * arity);
-  key_offsets_.reserve(key_offsets_.size() + live);
-  labels_.reserve(labels_.size() + live);
-  values_.reserve(values_.size() + live * t);
+  r.values_.reserve(live * t);
+  // Compact the live groups' codes in place (nothing moves when all live).
+  size_t& out = r.num_groups_;
   for (size_t g = 0; g < G; ++g) {
     if (counts[g] == 0) continue;  // no surviving rows: group absent
-    gidx.AppendKeyCodes(g, &key_codes_);
-    key_offsets_.push_back(key_codes_.size());
-    labels_.emplace_back();
-    gidx.AppendLabel(g, &labels_.back());
-    for (size_t j = 0; j < t; ++j) values_.push_back(finals[j * G + g]);
+    if (out != g) {
+      std::copy_n(codes.begin() + g * k, k, codes.begin() + out * k);
+    }
+    for (size_t j = 0; j < t; ++j) r.values_.push_back(finals[j * G + g]);
+    ++out;
   }
-  // The key shim and index are stale now; the first key()/keys()/Find()
-  // rebuilds them once.
-  keys_.clear();
-  keys_stale_ = true;
-  index_.clear();
-  index_stale_ = true;
-  return Status::OK();
+  codes.resize(live * k);
+  r.codes_ = std::move(codes);
+  return r;
 }
 
-std::optional<size_t> QueryResult::Find(const GroupKey& key) const {
-  EnsureIndex();
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+std::string QueryResult::label(size_t i) const {
+  std::string out;
+  AppendKeyLabel(key_columns_, key_codes(i), &out);
+  return out;
 }
 
 std::optional<size_t> QueryResult::FindByLabel(const std::string& label) const {
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    if (labels_[i] == label) return i;
+  for (size_t i = 0; i < num_groups_; ++i) {
+    if (this->label(i) == label) return i;
   }
   return std::nullopt;
 }
@@ -115,12 +66,48 @@ std::string QueryResult::ToString(size_t max_groups) const {
     std::vector<std::string> vals;
     vals.reserve(t);
     for (size_t j = 0; j < t; ++j) vals.push_back(FormatDouble(value(i, j), 4));
-    out += "  " + labels_[i] + ": [" + Join(vals, ", ") + "]\n";
+    out += "  " + label(i) + ": [" + Join(vals, ", ") + "]\n";
   }
   if (n < num_groups()) {
     out += StrFormat("  ... (%zu more)\n", num_groups() - n);
   }
   return out;
+}
+
+Result<std::vector<size_t>> MatchGroups(const QueryResult& from,
+                                        const QueryResult& into) {
+  if (from.group_attrs() != into.group_attrs()) {
+    return Status::InvalidArgument(
+        "cannot match groups of (" + Join(from.group_attrs(), ",") +
+        ") against groups of (" + Join(into.group_attrs(), ",") + ")");
+  }
+  const size_t k = into.key_arity();
+  // Open addressing, linear probing, at most half full; a slot holds an
+  // index of `into` (group ids are dense uint32).
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  size_t capacity = 16;
+  while (capacity < 2 * into.num_groups()) capacity <<= 1;
+  const size_t mask = capacity - 1;
+  std::vector<uint32_t> slots(capacity, kEmpty);
+  // The slot holding `codes`, or the empty slot where it would go.
+  const auto probe = [&](const int64_t* codes) {
+    size_t s = HashKeyCodes(codes, k) & mask;
+    while (slots[s] != kEmpty &&
+           !std::equal(codes, codes + k, into.key_codes(slots[s]))) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  };
+  for (size_t j = 0; j < into.num_groups(); ++j) {
+    const size_t s = probe(into.key_codes(j));
+    if (slots[s] == kEmpty) slots[s] = static_cast<uint32_t>(j);
+  }
+  std::vector<size_t> match(from.num_groups(), kNoGroup);
+  for (size_t i = 0; i < from.num_groups(); ++i) {
+    const size_t s = probe(from.key_codes(i));
+    if (slots[s] != kEmpty) match[i] = slots[s];
+  }
+  return match;
 }
 
 }  // namespace cvopt

@@ -6,79 +6,57 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "src/exec/group_index.h"
 #include "src/stats/group_key.h"
 #include "src/util/status.h"
 
 namespace cvopt {
 
 /// Answer of one group-by query: an ordered list of groups, each with one
-/// value per aggregate.
+/// value per aggregate. An immutable value of three flat parts:
+///   - the key codes, row-major (stride = key_arity()): a string column's
+///     dictionary code, an int column's value;
+///   - per grouping column, its type and its dictionary (KeyColumn), shared
+///     with the table the result was computed over, so no string is copied;
+///   - the values, row-major (stride = num_aggregates()).
+/// Labels ("v1|v2|...") are rendered from the codes only where they are
+/// read: label(), FindByLabel(), ToString() and the wire encoding.
 ///
-/// Values live in one flat row-major array (stride = number of aggregates)
-/// and group keys live in a flat SoA code store (one int64 per key column,
-/// ragged offsets), so the bulk ingest path appends many-group results with
-/// no per-group heap allocation at all. GroupKey objects and the
-/// key -> index map are compatibility shims materialized lazily on first
-/// key() / keys() / Find().
-///
-/// Thread-safety: the lazy shims mutate internal state on first access, so
-/// even the const accessors are NOT safe for concurrent first reads. A
-/// QueryResult is a per-query value object; to share one across threads
-/// read-only, call keys() (or Find()) once beforehand to force
-/// materialization, or use label()/value()/key_codes(), which never
-/// mutate.
+/// Thread-safety: a const QueryResult holds no lazy state, so any number of
+/// threads may read one at once.
 class QueryResult {
  public:
+  /// No aggregates, no grouping columns, no groups.
   QueryResult() = default;
-  QueryResult(std::vector<std::string> agg_labels,
-              std::vector<std::string> group_labels_attrs)
-      : agg_labels_(std::move(agg_labels)),
-        group_attrs_(std::move(group_labels_attrs)) {}
 
-  /// Adds a group; key must be new. `label` is the rendered group key.
-  Status AddGroup(GroupKey key, std::string label, std::vector<double> values);
+  /// The one construction path, from a dense-id aggregation over G
+  /// candidate groups (G = counts.size()): group g's key is
+  /// codes[g * k .. (g + 1) * k) (k = key_columns.size(), one code per
+  /// grouping attribute), counts[g] its surviving row count, and
+  /// finals[j * G + g] its value of aggregate j. Groups with counts[g] == 0
+  /// are absent; the rest keep their id order. InvalidArgument if the
+  /// widths disagree.
+  static Result<QueryResult> Dense(std::vector<std::string> agg_labels,
+                                   std::vector<std::string> group_attrs,
+                                   std::vector<KeyColumn> key_columns,
+                                   std::vector<int64_t> codes,
+                                   const std::vector<uint64_t>& counts,
+                                   const std::vector<double>& finals);
 
-  /// Bulk-ingests the dense-id pipeline's output: one result group per
-  /// index g with counts[g] > 0, labels rendered in batch and key codes
-  /// copied flat from `gidx` (no GroupKey materialization), and values
-  /// gathered from the aggregate-major accumulator array finals[j * G + g]
-  /// (G = gidx.num_groups(), j < num_aggregates()).
-  /// Into an empty result (the executors' path) the GroupIndex's ids are
-  /// distinct by construction, so nothing is hashed and both the GroupKey
-  /// vector and the index stay lazy; into a non-empty result the incoming
-  /// keys are checked against the existing ones first (AlreadyExists on
-  /// collision, nothing ingested).
-  Status IngestDense(const GroupIndex& gidx,
-                     const std::vector<uint64_t>& counts,
-                     const std::vector<double>& finals);
-
-  size_t num_groups() const { return labels_.size(); }
+  size_t num_groups() const { return num_groups_; }
   size_t num_aggregates() const { return agg_labels_.size(); }
+  /// Codes per group: one per grouping attribute.
+  size_t key_arity() const { return key_columns_.size(); }
 
-  /// Group i's key, materialized lazily from the flat code store (the
-  /// compatibility shim over the SoA representation).
-  const GroupKey& key(size_t i) const {
-    EnsureKeys();
-    return keys_[i];
-  }
-  /// All keys, materialized lazily (compatibility shim).
-  const std::vector<GroupKey>& keys() const {
-    EnsureKeys();
-    return keys_;
-  }
-  /// Group i's raw key codes — the allocation-free view of the flat store.
+  /// Group i's key codes (key_arity() of them).
   const int64_t* key_codes(size_t i) const {
-    return key_codes_.data() + key_offsets_[i];
+    return codes_.data() + i * key_arity();
   }
-  size_t key_arity(size_t i) const {
-    return key_offsets_[i + 1] - key_offsets_[i];
-  }
+  const std::vector<KeyColumn>& key_columns() const { return key_columns_; }
 
-  const std::string& label(size_t i) const { return labels_[i]; }
+  /// Group i's label, rendered from its codes.
+  std::string label(size_t i) const;
   /// Copy of group i's aggregate values (row slice of the flat array).
   std::vector<double> values(size_t i) const {
     const size_t t = agg_labels_.size();
@@ -92,36 +70,31 @@ class QueryResult {
   const std::vector<std::string>& agg_labels() const { return agg_labels_; }
   const std::vector<std::string>& group_attrs() const { return group_attrs_; }
 
-  /// Index of a group by key, if present.
-  std::optional<size_t> Find(const GroupKey& key) const;
-
-  /// Index of a group by its rendered label, if present (tests/examples).
+  /// Index of a group by its label, if present (renders every label on the
+  /// way: tests and examples).
   std::optional<size_t> FindByLabel(const std::string& label) const;
 
   std::string ToString(size_t max_groups = 20) const;
 
  private:
-  // Materializes the GroupKey vector from the flat code store if stale.
-  void EnsureKeys() const;
-  // Builds the key -> index map if it is stale (lazy after IngestDense).
-  void EnsureIndex() const;
-
   std::vector<std::string> agg_labels_;
   std::vector<std::string> group_attrs_;
-  std::vector<std::string> labels_;
-  std::vector<double> values_;  // row-major, stride = agg_labels_.size()
-
-  // Flat SoA key store: group i's codes are
-  // key_codes_[key_offsets_[i] .. key_offsets_[i + 1]).
-  std::vector<int64_t> key_codes_;
-  std::vector<size_t> key_offsets_{0};
-
-  // Lazy compatibility shims over the flat store.
-  mutable std::vector<GroupKey> keys_;
-  mutable bool keys_stale_ = false;  // set by IngestDense, cleared on rebuild
-  mutable std::unordered_map<GroupKey, size_t, GroupKeyHash> index_;
-  mutable bool index_stale_ = false;  // set by IngestDense, cleared on rebuild
+  std::vector<KeyColumn> key_columns_;
+  size_t num_groups_ = 0;
+  std::vector<int64_t> codes_;  // row-major, stride = key_arity()
+  std::vector<double> values_;  // row-major, stride = num_aggregates()
 };
+
+/// MatchGroups' mark of a group with no match.
+inline constexpr size_t kNoGroup = SIZE_MAX;
+
+/// Pairs the groups of two results by key: out[i] is the index of the
+/// group of `into` whose codes equal those of group i of `from`, or
+/// kNoGroup. One flat hash over `into`'s codes per call. InvalidArgument
+/// if the results are grouped by different attributes, whose codes do not
+/// compare.
+Result<std::vector<size_t>> MatchGroups(const QueryResult& from,
+                                        const QueryResult& into);
 
 }  // namespace cvopt
 

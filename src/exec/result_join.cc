@@ -12,17 +12,21 @@ Result<QueryResult> JoinResults(
   if (out_agg_labels.size() != a.num_aggregates()) {
     return Status::InvalidArgument("output label count mismatch");
   }
-  QueryResult out(out_agg_labels, a.group_attrs());
-  for (size_t i = 0; i < a.num_groups(); ++i) {
-    auto j = b.Find(a.key(i));
-    if (!j.has_value()) continue;
-    std::vector<double> vals(a.num_aggregates());
-    for (size_t t = 0; t < vals.size(); ++t) {
-      vals[t] = combine(a.value(i, t), b.value(*j, t));
+  CVOPT_ASSIGN_OR_RETURN(std::vector<size_t> match, MatchGroups(a, b));
+  // a's groups as dense candidates, those matched in b live.
+  const size_t G = a.num_groups();
+  const size_t t = a.num_aggregates();
+  std::vector<uint64_t> matched(G, 0);
+  std::vector<double> finals(t * G, 0.0);
+  for (size_t i = 0; i < G; ++i) {
+    if (match[i] == kNoGroup) continue;
+    matched[i] = 1;
+    for (size_t j = 0; j < t; ++j) {
+      finals[j * G + i] = combine(a.value(i, j), b.value(match[i], j));
     }
-    CVOPT_RETURN_NOT_OK(out.AddGroup(a.key(i), a.label(i), std::move(vals)));
   }
-  return out;
+  return QueryResult::Dense(out_agg_labels, a.group_attrs(), a.key_columns(),
+                            {a.key_codes(0), a.key_codes(G)}, matched, finals);
 }
 
 Result<QueryResult> DiffResults(const QueryResult& a, const QueryResult& b) {

@@ -12,7 +12,7 @@ namespace cvopt {
 
 /// Inner-joins `a` and `b` on group key; for each matching group emits
 /// combine(a_value, b_value) per aggregate. The two results must have the
-/// same number of aggregates.
+/// same number of aggregates and the same grouping attributes.
 Result<QueryResult> JoinResults(
     const QueryResult& a, const QueryResult& b,
     const std::function<double(double, double)>& combine,

@@ -52,7 +52,7 @@ StratifiedSample::StratifiedSample(const Table* base, std::vector<uint32_t> rows
         break;
       case DataType::kString:
         out.AdoptCodes(GatherValues(in.codes(), rows_));
-        out.AdoptDictionary(in.dictionary());
+        out.AdoptDictionary(in.shared_dictionary());
         break;
     }
     cols.push_back(std::move(out));
@@ -66,9 +66,6 @@ uint64_t StratifiedSample::resident_bytes() const {
   for (size_t c = 0; c < table_->num_columns(); ++c) {
     const Column& col = table_->column(c);
     bytes += table_->num_rows() * ValueBytes(col.type());
-    for (const std::string& s : col.dictionary()) {
-      bytes += sizeof(std::string) + s.size();
-    }
   }
   if (group_index_ != nullptr) bytes += group_index_->resident_bytes();
   return bytes;

@@ -71,8 +71,9 @@ class StratifiedSample {
     return attrs == group_index_attrs_ ? group_index_ : nullptr;
   }
 
-  /// Bytes the sample holds: its table's column storage and dictionaries,
-  /// its positions and weights, and the cached GroupIndex.
+  /// Bytes the sample holds: its table's column storage (the dictionaries
+  /// are the base table's, shared), its positions and weights, and the
+  /// cached GroupIndex.
   uint64_t resident_bytes() const;
 
   /// Optional: the stratification the sample was drawn under (for reports

@@ -102,7 +102,7 @@ WireResult FlattenResult(const QueryResult& result) {
   for (size_t g = 0; g < groups; ++g) {
     w.group_labels.push_back(result.label(g));
     const int64_t* codes = result.key_codes(g);
-    w.key_codes.emplace_back(codes, codes + result.key_arity(g));
+    w.key_codes.emplace_back(codes, codes + result.key_arity());
     for (size_t a = 0; a < aggs; ++a) {
       const double d = result.value(g, a);
       uint64_t bits;

@@ -40,17 +40,19 @@ Status Column::Append(const Value& v) {
   return Status::Internal("unknown column type");
 }
 
-void Column::AdoptDictionary(std::vector<std::string> dict) {
+void Column::AdoptDictionary(
+    std::shared_ptr<const std::vector<std::string>> dict) {
   dict_ = std::move(dict);
+  own_dict_ = false;
   dict_index_.clear();  // rebuilt lazily by EnsureDictIndex if ever needed
 }
 
 void Column::EnsureDictIndex() {
-  if (dict_index_.size() == dict_.size()) return;
+  if (dict_index_.size() == dict_->size()) return;
   dict_index_.clear();
-  dict_index_.reserve(dict_.size());
-  for (size_t i = 0; i < dict_.size(); ++i) {
-    dict_index_.emplace(dict_[i], static_cast<int32_t>(i));
+  dict_index_.reserve(dict_->size());
+  for (size_t i = 0; i < dict_->size(); ++i) {
+    dict_index_.emplace((*dict_)[i], static_cast<int32_t>(i));
   }
 }
 
@@ -58,17 +60,24 @@ int32_t Column::InternString(const std::string& s) {
   EnsureDictIndex();
   auto it = dict_index_.find(s);
   if (it != dict_index_.end()) return it->second;
-  const int32_t code = static_cast<int32_t>(dict_.size());
-  dict_.push_back(s);
+  // A column copy keeps own_dict_ too, so the use count decides.
+  if (!own_dict_ || dict_.use_count() > 1) {
+    dict_ = std::make_shared<std::vector<std::string>>(*dict_);
+    own_dict_ = true;
+  }
+  // Allocated non-const above, so writing through the cast is defined.
+  auto* dict = const_cast<std::vector<std::string>*>(dict_.get());
+  const int32_t code = static_cast<int32_t>(dict->size());
+  dict->push_back(s);
   dict_index_.emplace(s, code);
   return code;
 }
 
 int32_t Column::LookupCode(const std::string& s) const {
-  if (dict_index_.size() != dict_.size()) {
+  if (dict_index_.size() != dict_->size()) {
     // Adopted dictionary without an index: linear scan (compile-time only).
-    for (size_t i = 0; i < dict_.size(); ++i) {
-      if (dict_[i] == s) return static_cast<int32_t>(i);
+    for (size_t i = 0; i < dict_->size(); ++i) {
+      if ((*dict_)[i] == s) return static_cast<int32_t>(i);
     }
     return -1;
   }

@@ -5,6 +5,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -54,13 +55,21 @@ class Column {
   int32_t GetCode(size_t i) const { return codes_[i]; }
 
   /// String value of row i (string columns only).
-  const std::string& GetString(size_t i) const { return dict_[codes_[i]]; }
+  const std::string& GetString(size_t i) const { return (*dict_)[codes_[i]]; }
 
   /// Dictionary lookup: code for a string, or -1 if absent.
   int32_t LookupCode(const std::string& s) const;
 
   /// Dictionary contents (string columns only).
-  const std::vector<std::string>& dictionary() const { return dict_; }
+  const std::vector<std::string>& dictionary() const { return *dict_; }
+  /// The dictionary as a shared handle: a holder (a sample's column, a
+  /// query result) keeps it at no copy cost, and it never changes under
+  /// the holder — the column copies a shared dictionary before it interns
+  /// a new string.
+  const std::shared_ptr<const std::vector<std::string>>& shared_dictionary()
+      const {
+    return dict_;
+  }
 
   /// Value of row i as a dynamically-typed scalar (slow path).
   Value GetValue(size_t i) const;
@@ -81,14 +90,14 @@ class Column {
 
   // Bulk adoption for decoded-chunk loaders (the table_io v2 reader and the
   // out-of-core scan): moves whole buffers in instead of appending row by
-  // row. AdoptDictionary installs a pre-built dictionary without paying for
+  // row. AdoptDictionary shares a pre-built dictionary without paying for
   // the hash index — LookupCode falls back to a linear scan and InternString
   // rebuilds the index lazily if either is ever needed. Callers must keep
   // every adopted code within the dictionary.
   void AdoptInts(std::vector<int64_t> v) { ints_ = std::move(v); }
   void AdoptDoubles(std::vector<double> v) { doubles_ = std::move(v); }
   void AdoptCodes(std::vector<int32_t> v) { codes_ = std::move(v); }
-  void AdoptDictionary(std::vector<std::string> dict);
+  void AdoptDictionary(std::shared_ptr<const std::vector<std::string>> dict);
 
   void Reserve(size_t n);
 
@@ -101,7 +110,12 @@ class Column {
   std::vector<int64_t> ints_;     // kInt64
   std::vector<double> doubles_;   // kDouble
   std::vector<int32_t> codes_;    // kString (dictionary codes)
-  std::vector<std::string> dict_;
+  // The dictionary, possibly shared with other holders. InternString grows
+  // it in place only when this column allocated it (`own_dict_`) and no
+  // other holder shares it; otherwise it copies it first.
+  std::shared_ptr<const std::vector<std::string>> dict_ =
+      std::make_shared<const std::vector<std::string>>();
+  bool own_dict_ = false;
   std::unordered_map<std::string, int32_t> dict_index_;
 };
 

@@ -309,12 +309,13 @@ Result<MappedTable> MappedTable::Open(const std::string& path) {
       if (dict_size > kMaxDictEntries || dict_size > r.remaining()) {
         return Status::InvalidArgument("corrupt dictionary size");
       }
-      auto& dict = t.dicts_[c];
-      dict.reserve(dict_size);
+      auto dict = std::make_shared<std::vector<std::string>>();
+      dict->reserve(dict_size);
       for (uint32_t d = 0; d < dict_size; ++d) {
         CVOPT_ASSIGN_OR_RETURN(std::string entry, r.ReadString());
-        dict.push_back(std::move(entry));
+        dict->push_back(std::move(entry));
       }
+      t.dicts_[c] = std::move(dict);
     }
   }
   t.schema_ = Schema(std::move(fields));
@@ -440,7 +441,7 @@ Result<std::shared_ptr<const DecodedChunk>> MappedTable::GetChunk(
     case DataType::kString: {
       out->codes.resize(n);
       CVOPT_RETURN_NOT_OK(DecodeCodeChunk(p, len, n, out->codes.data()));
-      const int32_t dict_size = static_cast<int32_t>(dicts_[col].size());
+      const int32_t dict_size = static_cast<int32_t>(dicts_[col]->size());
       for (int32_t code : out->codes) {
         if (code < 0 || code >= dict_size) {
           return Status::InvalidArgument("corrupt dictionary code");
@@ -495,7 +496,7 @@ Result<Table> MappedTable::Materialize() const {
                                               ChunkRowCount(k),
                                               codes.data() + k * chunk_rows()));
         }
-        const int32_t dict_size = static_cast<int32_t>(dicts_[c].size());
+        const int32_t dict_size = static_cast<int32_t>(dicts_[c]->size());
         for (int32_t code : codes) {
           if (code < 0 || code >= dict_size) {
             return Status::InvalidArgument("corrupt dictionary code");
@@ -516,7 +517,7 @@ namespace {
 // Appends row `r` of decoded chunk data to the output column, re-interning
 // strings through the file dictionary so output dictionaries stay dense.
 void AppendDecodedRow(const DecodedChunk& data,
-                      const std::vector<std::string>& dict, size_t r,
+                      const std::vector<std::string>* dict, size_t r,
                       Column* out) {
   switch (data.type) {
     case DataType::kInt64:
@@ -526,7 +527,7 @@ void AppendDecodedRow(const DecodedChunk& data,
       out->AppendDouble(data.doubles[r]);
       break;
     case DataType::kString:
-      out->AppendString(dict[static_cast<size_t>(data.codes[r])]);
+      out->AppendString((*dict)[static_cast<size_t>(data.codes[r])]);
       break;
   }
 }
@@ -566,7 +567,7 @@ Result<Table> MappedTable::TakeRows(const std::vector<uint32_t>& rows) const {
         CVOPT_ASSIGN_OR_RETURN(data, GetChunk(c, k));
         loaded = k;
       }
-      AppendDecodedRow(*data, dicts_[c], r - k * zones_.chunk_rows, &out);
+      AppendDecodedRow(*data, dicts_[c].get(), r - k * zones_.chunk_rows, &out);
     }
     out_cols.push_back(std::move(out));
   }

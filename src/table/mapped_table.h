@@ -135,7 +135,8 @@ class MappedTable {
   Schema schema_;
   size_t num_rows_ = 0;
   ZoneMapIndex zones_;
-  std::vector<std::vector<std::string>> dicts_;  // per column (empty if numeric)
+  // Per column (null if numeric), shared with the tables built from the file.
+  std::vector<std::shared_ptr<const std::vector<std::string>>> dicts_;
   // Per (col, chunk): absolute payload offset and length, validated
   // in-bounds at Open. Indexed [col * num_chunks + chunk].
   std::vector<std::pair<uint64_t, uint64_t>> dir_;

@@ -50,7 +50,7 @@ void ExpectCubeMatchesPerSpec(const Table& t, const QuerySpec& base) {
     ASSERT_EQ(rolled.num_aggregates(), direct.num_aggregates());
     for (size_t i = 0; i < direct.num_groups(); ++i) {
       EXPECT_EQ(rolled.label(i), direct.label(i)) << specs[s].name;
-      EXPECT_EQ(rolled.key(i).codes, direct.key(i).codes) << specs[s].name;
+      EXPECT_EQ(KeyCodesOf(rolled, i), KeyCodesOf(direct, i)) << specs[s].name;
       for (size_t j = 0; j < direct.num_aggregates(); ++j) {
         const double d = direct.value(i, j);
         const double r = rolled.value(i, j);
@@ -123,7 +123,7 @@ TEST(CubeExecTest, FanOutBitIdenticalAcrossThreadCounts) {
             << "threads=" << threads << " set " << s;
         for (size_t i = 0; i < serial[s].num_groups(); ++i) {
           ASSERT_EQ(par[s].label(i), serial[s].label(i));
-          ASSERT_EQ(par[s].key(i).codes, serial[s].key(i).codes);
+          ASSERT_EQ(KeyCodesOf(par[s], i), KeyCodesOf(serial[s], i));
           for (size_t j = 0; j < serial[s].num_aggregates(); ++j) {
             ASSERT_EQ(par[s].value(i, j), serial[s].value(i, j))
                 << "threads=" << threads << " set " << s << " group "

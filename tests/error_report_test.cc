@@ -2,17 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "src/estimate/error_report.h"
+#include "src/exec/group_by_executor.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
 namespace {
 
-QueryResult MakeResult(std::vector<std::pair<int64_t, double>> groups) {
-  QueryResult r({"v"}, {"g"});
-  for (const auto& [k, v] : groups) {
-    EXPECT_OK(r.AddGroup(GroupKey{{k}}, std::to_string(k), {v}));
-  }
-  return r;
+QueryResult MakeResult(const std::vector<std::pair<int64_t, double>>& groups) {
+  return std::move(IntKeyResult("g", "v", groups)).ValueOrDie();
 }
 
 TEST(ErrorReportTest, ExactMatchIsZeroError) {
@@ -57,9 +54,27 @@ TEST(ErrorReportTest, ZeroTruthSkipped) {
 }
 
 TEST(ErrorReportTest, AggCountMismatchRejected) {
-  QueryResult a({"v"}, {"g"});
-  QueryResult b({"v", "w"}, {"g"});
+  QueryResult a = MakeResult({});
+  ASSERT_OK_AND_ASSIGN(QueryResult b,
+                       QueryResult::Dense({"v", "w"}, {"g"}, {KeyColumn{}},
+                                          {}, {}, {}));
   EXPECT_FALSE(CompareResults(a, b).ok());
+}
+
+// Codes of different groupings do not compare: "x" and "p" share code 0,
+// so pairing them would report no missing group.
+TEST(ErrorReportTest, DifferentGroupingsRejected) {
+  const Table t = MakeTwoKeyTable();
+  QuerySpec by_a;
+  by_a.group_by = {"a"};
+  by_a.aggregates = {AggSpec::Sum("v")};
+  QuerySpec by_b = by_a;
+  by_b.group_by = {"b"};
+  ASSERT_OK_AND_ASSIGN(QueryResult a, ExecuteExact(t, by_a));
+  ASSERT_OK_AND_ASSIGN(QueryResult b, ExecuteExact(t, by_b));
+  const Result<ErrorReport> rep = CompareResults(a, b);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ErrorReportTest, Percentiles) {

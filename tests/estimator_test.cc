@@ -36,8 +36,9 @@ TEST(ApproxExecutorTest, FullBudgetSampleIsExact) {
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, AvgV()));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, AvgV()));
   ASSERT_EQ(approx.num_groups(), exact.num_groups());
+  const auto matched = MatchedGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = matched[i];
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0),
                 1e-9 * std::fabs(exact.value(i, 0)));
@@ -54,8 +55,9 @@ TEST(ApproxExecutorTest, CountAndSumScaleUp) {
   ASSERT_OK_AND_ASSIGN(StratifiedSample s, cvopt.Build(t, {q}, 150, &rng));
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  const auto matched = MatchedGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = matched[i];
     ASSERT_TRUE(j.has_value()) << exact.label(i);
     // COUNT from a stratified sample on the grouping attrs is exact: the
     // HT weights per stratum sum to n_c.
@@ -79,8 +81,9 @@ TEST(ApproxExecutorTest, UnbiasedOverRepetitions) {
   for (int rep = 0; rep < reps; ++rep) {
     ASSERT_OK_AND_ASSIGN(StratifiedSample s, uniform.Build(t, {}, 120, &rng));
     ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, AvgV()));
+    const auto matched = MatchedGroups(exact, approx);
     for (size_t i = 0; i < exact.num_groups(); ++i) {
-      auto j = approx.Find(exact.key(i));
+      const auto j = matched[i];
       if (j.has_value()) {
         acc[i] += approx.value(*j, 0);
         seen[i]++;
@@ -110,8 +113,9 @@ TEST(ApproxExecutorTest, RuntimePredicateOnSample) {
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, pred_q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, pred_q));
   ASSERT_EQ(approx.num_groups(), exact.num_groups());  // CS and Math only
+  const auto matched = MatchedGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = matched[i];
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0), 1e-9);
   }
@@ -146,8 +150,9 @@ TEST(ApproxExecutorTest, CountIfEstimate) {
   ASSERT_OK_AND_ASSIGN(StratifiedSample s, cvopt.Build(t, {q}, t.num_rows(), &rng));
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  const auto matched = MatchedGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = matched[i];
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0), 1e-9);
   }

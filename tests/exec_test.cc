@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <thread>
 
 #include "src/core/stratification.h"
 #include "src/exec/cube.h"
@@ -10,6 +12,7 @@
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
 #include "src/exec/result_join.h"
+#include "src/server/protocol.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -302,11 +305,93 @@ TEST(SharedGroupIndexTest, MemoKeepsTheIndexCharged) {
   EXPECT_EQ(server.used(), 0u);
 }
 
-TEST(QueryResultTest, DuplicateGroupRejected) {
-  QueryResult r({"COUNT(*)"}, {"g"});
-  ASSERT_OK(r.AddGroup(GroupKey{{1}}, "1", {2.0}));
-  EXPECT_FALSE(r.AddGroup(GroupKey{{1}}, "1", {3.0}).ok());
-  EXPECT_FALSE(r.AddGroup(GroupKey{{2}}, "2", {1.0, 2.0}).ok());  // width
+TEST(QueryResultTest, WidthMismatchRejected) {
+  // One group, two finals for one aggregate.
+  const Result<QueryResult> r = QueryResult::Dense(
+      {"COUNT(*)"}, {"g"}, {KeyColumn{}}, {2}, {1}, {1.0, 2.0});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A table whose groupings render every label shape: a string key, int keys
+// at both ends of the range, and a mixed key.
+Table MakeLabelTable() {
+  TableBuilder b(Schema({{"s", DataType::kString},
+                         {"i", DataType::kInt64},
+                         {"t", DataType::kString},
+                         {"v", DataType::kDouble}}));
+  const auto add = [&b](const char* s, int64_t i, const char* t) {
+    CVOPT_CHECK(b.AppendRow({Value(s), Value(i), Value(t), Value(1.0)}).ok(),
+                "append failed");
+  };
+  add("Science", -7, "a b");
+  add("Eng|x", std::numeric_limits<int64_t>::min(), "");
+  add("Science", std::numeric_limits<int64_t>::max(), "a b");
+  add("", 0, "z");
+  return std::move(b).Finish();
+}
+
+// The labels the wire carries, pinned byte for byte.
+TEST(QueryResultTest, LabelGolden) {
+  const Table t = MakeLabelTable();
+  const auto labels = [&t](std::vector<std::string> group_by) {
+    QuerySpec q;
+    q.group_by = std::move(group_by);
+    q.aggregates = {AggSpec::Count()};
+    Result<QueryResult> r = ExecuteExact(t, q);
+    CVOPT_CHECK(r.ok(), "query failed");
+    return FlattenResult(*r).group_labels;
+  };
+  using Labels = std::vector<std::string>;
+  EXPECT_EQ(labels({"s"}), (Labels{"Science", "Eng|x", ""}));
+  EXPECT_EQ(labels({"i"}),
+            (Labels{"-7", "-9223372036854775808", "9223372036854775807",
+                    "0"}));
+  EXPECT_EQ(labels({"s", "i", "t"}),
+            (Labels{"Science|-7|a b", "Eng|x|-9223372036854775808|",
+                    "Science|9223372036854775807|a b", "|0|z"}));
+  EXPECT_EQ(labels({}), (Labels{""}));
+}
+
+// A const result is read from several threads at once: every reader sees
+// what a lone reader sees (and ThreadSanitizer sees no race).
+TEST(QueryResultTest, ConcurrentConstReads) {
+  TableBuilder b(Schema({{"s", DataType::kString},
+                         {"i", DataType::kInt64},
+                         {"v", DataType::kDouble}}));
+  for (int r = 0; r < 2000; ++r) {
+    ASSERT_OK(b.AppendRow({Value("k" + std::to_string(r % 37)),
+                           Value(static_cast<int64_t>(r % 11 - 5)),
+                           Value(0.5 * r)}));
+  }
+  const Table t = std::move(b).Finish();
+  QuerySpec q;
+  q.group_by = {"s", "i"};
+  q.aggregates = {AggSpec::Avg("v"), AggSpec::Count()};
+  ASSERT_OK_AND_ASSIGN(const QueryResult result, ExecuteExact(t, q));
+  ASSERT_GT(result.num_groups(), 100u);
+
+  const auto read = [&result] {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < result.num_groups(); ++i) {
+      out.push_back(result.label(i));
+      const std::optional<size_t> found = result.FindByLabel(out.back());
+      out.push_back(found.has_value() ? std::to_string(*found) : "-");
+    }
+    const Result<std::vector<size_t>> match = MatchGroups(result, result);
+    for (size_t j : match.value()) out.push_back(std::to_string(j));
+    out.push_back(result.ToString(1000));
+    const WireResult w = FlattenResult(result);
+    out.insert(out.end(), w.group_labels.begin(), w.group_labels.end());
+    for (uint64_t bits : w.value_bits) out.push_back(std::to_string(bits));
+    return out;
+  };
+  const std::vector<std::string> want = read();
+  std::vector<std::vector<std::string>> got(4);
+  std::vector<std::thread> readers;
+  for (auto& g : got) readers.emplace_back([&g, &read] { g = read(); });
+  for (std::thread& th : readers) th.join();
+  for (const auto& g : got) EXPECT_EQ(g, want);
 }
 
 TEST(QuerySpecTest, ToStringRendersSql) {
@@ -371,10 +456,9 @@ TEST(ResultJoinTest, DiffMatchesAq1Shape) {
 }
 
 TEST(ResultJoinTest, CustomCombine) {
-  QueryResult a({"v"}, {"g"}), b({"v"}, {"g"});
-  ASSERT_OK(a.AddGroup(GroupKey{{1}}, "1", {10.0}));
-  ASSERT_OK(a.AddGroup(GroupKey{{2}}, "2", {20.0}));
-  ASSERT_OK(b.AddGroup(GroupKey{{1}}, "1", {4.0}));
+  ASSERT_OK_AND_ASSIGN(QueryResult a,
+                       IntKeyResult("g", "v", {{1, 10.0}, {2, 20.0}}));
+  ASSERT_OK_AND_ASSIGN(QueryResult b, IntKeyResult("g", "v", {{1, 4.0}}));
   ASSERT_OK_AND_ASSIGN(
       QueryResult ratio,
       JoinResults(a, b, [](double x, double y) { return x / y; }, {"ratio"}));
@@ -383,8 +467,26 @@ TEST(ResultJoinTest, CustomCombine) {
 }
 
 TEST(ResultJoinTest, MismatchedAggCountsRejected) {
-  QueryResult a({"v"}, {"g"}), b({"v", "w"}, {"g"});
+  ASSERT_OK_AND_ASSIGN(QueryResult a, IntKeyResult("g", "v", {}));
+  ASSERT_OK_AND_ASSIGN(QueryResult b,
+                       QueryResult::Dense({"v", "w"}, {"g"}, {KeyColumn{}},
+                                          {}, {}, {}));
   EXPECT_FALSE(DiffResults(a, b).ok());
+}
+
+// Codes of different groupings do not compare: "x" and "p" share code 0.
+TEST(ResultJoinTest, DifferentGroupingsRejected) {
+  const Table t = MakeTwoKeyTable();
+  QuerySpec by_a;
+  by_a.group_by = {"a"};
+  by_a.aggregates = {AggSpec::Sum("v")};
+  QuerySpec by_b = by_a;
+  by_b.group_by = {"b"};
+  ASSERT_OK_AND_ASSIGN(QueryResult a, ExecuteExact(t, by_a));
+  ASSERT_OK_AND_ASSIGN(QueryResult b, ExecuteExact(t, by_b));
+  const Result<QueryResult> diff = DiffResults(a, b);
+  ASSERT_FALSE(diff.ok());
+  EXPECT_EQ(diff.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

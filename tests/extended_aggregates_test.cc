@@ -62,8 +62,9 @@ TEST(ExtendedAggTest, FullBudgetSampleMatchesExactVariance) {
   ASSERT_OK_AND_ASSIGN(StratifiedSample s, cvopt.Build(t, {q}, t.num_rows(), &rng));
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  const auto matched = MatchedGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = matched[i];
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0),
                 1e-9 * std::max(1.0, exact.value(i, 0)));
@@ -82,8 +83,9 @@ TEST(ExtendedAggTest, SampledVarianceAndMedianAreClose) {
   ASSERT_OK_AND_ASSIGN(StratifiedSample s, cvopt.Build(t, {q}, 800, &rng));
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  const auto matched = MatchedGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = matched[i];
     ASSERT_TRUE(j.has_value());
     // Variance: 30% relative tolerance at a ~25% per-group sampling rate.
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0),

@@ -203,8 +203,9 @@ TEST_F(IntegrationTest, WeightedAggregateShiftsAccuracy) {
     CVOPT_CHECK(approx.ok(), "approx failed");
     double total = 0;
     size_t n = 0;
+    const auto matched = MatchedGroups(exact, *approx);
     for (size_t i = 0; i < exact.num_groups(); ++i) {
-      auto j = approx->Find(exact.key(i));
+      const auto j = matched[i];
       if (!j.has_value()) continue;
       const double truth = exact.value(i, agg);
       if (std::fabs(truth) < 1e-9) continue;

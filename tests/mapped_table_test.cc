@@ -435,10 +435,10 @@ TEST(MappedTableTest, GroupDirectoryPerColumnOrder) {
   ASSERT_EQ(city_n->num_groups(), n_city->num_groups());
   EXPECT_EQ(mt.group_directory_bytes(),
             city_n->byte_size() + n_city->byte_size());
-  const GroupKey a = city_n->KeyOf(0);
-  const GroupKey b = n_city->KeyOf(0);
-  EXPECT_EQ(a.codes[0], b.codes[1]);
-  EXPECT_EQ(a.codes[1], b.codes[0]);
+  const std::vector<int64_t> a = RouterKeyCodes(*city_n, 0);
+  const std::vector<int64_t> b = RouterKeyCodes(*n_city, 0);
+  EXPECT_EQ(a[0], b[1]);
+  EXPECT_EQ(a[1], b[0]);
   EXPECT_EQ(mt.FindGroupDirectory({1}), nullptr);  // never built
   std::remove(path.c_str());
 }

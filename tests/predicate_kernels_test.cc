@@ -434,33 +434,6 @@ TEST(NanSemanticsTest, ExactInt64ComparisonsBeyondDoublePrecision) {
   EXPECT_EQ(Count(t, Predicate::In("i", {Value(two53 + 1)})), 1u);
 }
 
-TEST(IngestDenseTest, RejectsCollisionsWithExistingGroups) {
-  Table t = MakeStudentTable();
-  QuerySpec q;
-  q.group_by = {"college"};
-  q.aggregates = {AggSpec::Count()};
-  ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteExact(t, q));
-  EXPECT_EQ(r.num_groups(), 2u);
-  // A second dense ingest of the same groups collides and ingests nothing.
-  ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::Build(t, {"college"}));
-  std::vector<uint64_t> counts(gidx.sizes().begin(), gidx.sizes().end());
-  std::vector<double> finals(gidx.num_groups(), 0.0);
-  Status st = r.IngestDense(gidx, counts, finals);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(r.num_groups(), 2u);
-  // Find stays consistent (and the lazy index serves repeated lookups).
-  for (size_t i = 0; i < r.num_groups(); ++i) {
-    auto f = r.Find(r.key(i));
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(*f, i);
-  }
-  // AddGroup after a dense ingest still detects duplicates.
-  Status dup = r.AddGroup(r.key(0), r.label(0), {1.0});
-  EXPECT_FALSE(dup.ok());
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
-}
-
 // ------------------------------------------- SIMD-vs-scalar parity fuzz
 
 // Forces the scalar kernels for a scope, restoring auto-detection on exit.

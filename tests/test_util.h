@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exec/group_index.h"
@@ -64,6 +66,43 @@ inline void ExpectBitIdentical(const QueryResult& a, const QueryResult& b) {
   }
 }
 
+/// Group i's key codes as a vector (for comparisons).
+inline std::vector<int64_t> KeyCodesOf(const QueryResult& r, size_t i) {
+  return {r.key_codes(i), r.key_codes(i) + r.key_arity()};
+}
+
+/// Group g's codes in a StreamGroupRouter.
+inline std::vector<int64_t> RouterKeyCodes(const StreamGroupRouter& router,
+                                           size_t g) {
+  const int64_t* codes = router.key_codes().data() + g * router.arity();
+  return {codes, codes + router.arity()};
+}
+
+/// MatchGroups(from, into), with nullopt for a group with no match.
+inline std::vector<std::optional<size_t>> MatchedGroups(
+    const QueryResult& from, const QueryResult& into) {
+  std::vector<std::optional<size_t>> out;
+  for (size_t j : std::move(MatchGroups(from, into)).ValueOrDie()) {
+    out.push_back(j == kNoGroup ? std::nullopt : std::optional<size_t>(j));
+  }
+  return out;
+}
+
+/// A one-aggregate result grouped by one int attribute: one group per
+/// (key, value) pair, in order.
+inline Result<QueryResult> IntKeyResult(
+    const std::string& attr, const std::string& agg,
+    const std::vector<std::pair<int64_t, double>>& groups) {
+  std::vector<int64_t> codes;
+  std::vector<double> finals;
+  for (const auto& [k, v] : groups) {
+    codes.push_back(k);
+    finals.push_back(v);
+  }
+  return QueryResult::Dense({agg}, {attr}, {KeyColumn{}}, std::move(codes),
+                            std::vector<uint64_t>(groups.size(), 1), finals);
+}
+
 #define ASSERT_OK(expr)                                         \
   do {                                                          \
     const ::cvopt::Status _st = (expr);                         \
@@ -105,6 +144,19 @@ inline Table MakeStudentTable() {
   add(6, 23, 3.2, 1260, "EE", "Engineering");
   add(7, 27, 3.7, 1220, "ME", "Engineering");
   add(8, 26, 3.3, 1230, "ME", "Engineering");
+  return std::move(b).Finish();
+}
+
+/// Two rows keyed by two string columns with the same codes: a = "x", "y"
+/// and b = "p", "q" (codes 0 and 1 each), with a value column v.
+inline Table MakeTwoKeyTable() {
+  TableBuilder b(Schema({{"a", DataType::kString},
+                         {"b", DataType::kString},
+                         {"v", DataType::kDouble}}));
+  CVOPT_CHECK(b.AppendRow({Value("x"), Value("p"), Value(1.0)}).ok(),
+              "append failed");
+  CVOPT_CHECK(b.AppendRow({Value("y"), Value("q"), Value(2.0)}).ok(),
+              "append failed");
   return std::move(b).Finish();
 }
 

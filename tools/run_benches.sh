@@ -176,9 +176,12 @@ doc["description"] = (
     "with no WHERE clause, which decodes and looks up every chunk: the "
     "selective ladder decodes ~5 of 489 chunks and so measures pool "
     "hand-off, this one the scan's scaling. "
-    "BM_AdaptiveGroupByHugeG is the packed-tier radix build at huge "
+    "BM_AdaptiveGroupByHugeG is a whole exact AVG group-by at huge "
     "cardinality: a 3M-row two-int-key table with ~2.7M distinct groups "
-    "(24 packed key bits), partitioned and hash-probed per partition; "
+    "(24 packed key bits), whose packed-tier GroupIndex build takes the "
+    "radix path (partitioned and hash-probed per partition), then the "
+    "accumulation and the columnar result (key codes, no labels "
+    "rendered); "
     "BM_AdaptiveGroupBySmallG is the ~2k-group control on the same tier, "
     "which takes the chunk-merge path (the realized group count is "
     "reported as a bench counter); the masked and adaptive pairs run on "
