@@ -1,17 +1,21 @@
 // Micro-benchmarks for the chunked storage layer: zone-map chunk skipping
 // against the flat-scan baseline (the skip rate is reported as a counter),
-// and the out-of-core group-by over an mmap-backed v2 file (selective and
-// full-scan, across the thread ladder) against the in-memory executor on
-// the same data.
+// the out-of-core scan's two per-row kernels (FOR-varint chunk decode and
+// the group directory's batched id lookup), and the out-of-core group-by
+// over an mmap-backed v2 file (selective and full-scan, across the thread
+// ladder) against the in-memory executor on the same data.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_threading.h"
 #include "src/exec/chunked_scan.h"
 #include "src/exec/group_by_executor.h"
+#include "src/exec/group_index.h"
 #include "src/expr/compiled_predicate.h"
+#include "src/table/chunk_codec.h"
 #include "src/table/mapped_table.h"
 #include "src/table/table_builder.h"
 #include "src/table/table_io.h"
@@ -84,6 +88,85 @@ void BM_FlatScanBaseline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_FlatScanBaseline);
+
+// One 4096-row FOR-varint chunk decoded per iteration. Arguments: the
+// column kind (0 = int64, 1 = dictionary codes) and the delta widths
+// (0 = every delta one byte, the word-at-a-time case; 1 = mixed, about a
+// third of the deltas two or three bytes wide).
+void BM_DecodeForVarintChunk(benchmark::State& state) {
+  constexpr size_t kChunk = 4096;
+  const bool codes = state.range(0) == 1;
+  const bool mixed = state.range(1) == 1;
+  Rng rng(11);
+  std::vector<int64_t> ints(kChunk);
+  std::vector<int32_t> dict_codes(kChunk);
+  for (size_t i = 0; i < kChunk; ++i) {
+    const uint64_t bound = mixed && rng.Uniform(3) == 0 ? 1u << 21 : 128;
+    ints[i] = 1'000'000 + static_cast<int64_t>(rng.Uniform(bound));
+    dict_codes[i] = static_cast<int32_t>(ints[i] - 1'000'000);
+  }
+  std::string enc;
+  if (codes) {
+    EncodeCodeChunk(dict_codes.data(), kChunk, &enc);
+  } else {
+    EncodeI64Chunk(ints.data(), kChunk, &enc);
+  }
+  CVOPT_CHECK(enc[0] == static_cast<char>(codes ? ChunkEncoding::kForVarCode
+                                                : ChunkEncoding::kForVarI64),
+              "bench chunk is not FOR-varint encoded");
+  const auto* p = reinterpret_cast<const uint8_t*>(enc.data());
+  for (auto _ : state) {
+    const Status st = codes
+                          ? DecodeCodeChunk(p, enc.size(), kChunk,
+                                            dict_codes.data())
+                          : DecodeI64Chunk(p, enc.size(), kChunk, ints.data());
+    benchmark::DoNotOptimize(st);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kChunk);
+}
+BENCHMARK(BM_DecodeForVarintChunk)
+    ->ArgNames({"codes", "mixed"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+// The group directory's lookup over one 4096-row chunk, direct tier: a
+// string column of 40 codes and an int column of 24 values (12 packed
+// bits), every key routed beforehand. Argument: the percent of the chunk's
+// rows selected (100 = no selection vector, 30 = an ascending selection).
+void BM_DirectoryFindBatch(benchmark::State& state) {
+  constexpr uint32_t kChunk = 4096;
+  Rng rng(13);
+  std::vector<int32_t> codes(kChunk);
+  std::vector<int64_t> ints(kChunk);
+  for (uint32_t r = 0; r < kChunk; ++r) {
+    codes[r] = static_cast<int32_t>(rng.Uniform(40));
+    ints[r] = static_cast<int64_t>(rng.Uniform(24));
+  }
+  StreamGroupRouter dir({DataType::kString, DataType::kInt64});
+  dir.Bind(0, nullptr, codes.data());
+  dir.Bind(1, ints.data(), nullptr);
+  for (uint32_t r = 0; r < kChunk; ++r) dir.Route(r);
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < kChunk; ++r) {
+    if (static_cast<int64_t>(rng.Uniform(100)) < state.range(0)) {
+      rows.push_back(r);
+    }
+  }
+  const StreamGroupRouter::ColumnRef cols[] = {{nullptr, codes.data()},
+                                               {ints.data(), nullptr}};
+  std::vector<uint32_t> gids(kChunk);
+  for (auto _ : state) {
+    const bool found =
+        dir.FindBatch(cols, rows.data(), rows.size(), gids.data());
+    benchmark::DoNotOptimize(found);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_DirectoryFindBatch)->ArgName("selected_pct")->Arg(100)->Arg(30);
 
 QuerySpec StorageBenchQuery() {
   QuerySpec q;

@@ -1060,10 +1060,55 @@ uint32_t StreamGroupRouter::Route(uint32_t row) {
 bool StreamGroupRouter::FindBatch(const ColumnRef* cols, const uint32_t* rows,
                                   size_t n, uint32_t* out) const {
   bool found = true;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = Find(cols, rows[i]);
-    found &= id != kNotFound;
-    out[rows[i]] = id;
+  if (direct_.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t id = Find(cols, rows[i]);
+      found &= id != kNotFound;
+      out[rows[i]] = id;
+    }
+    return found;
+  }
+  // The direct tier, a block of rows at a time: pack the keys one grouping
+  // column at a time, then one direct_ load per row. A code wider than its
+  // field (every field is under 16 bits here) sets the key's top bit, which
+  // no direct_ index reaches; the rows are re-read for it only in a block
+  // where some code is that wide.
+  constexpr size_t kBlock = 512;
+  constexpr uint64_t kBadKey = uint64_t{1} << 63;
+  uint64_t keys[kBlock];
+  const uint32_t* ids = direct_.data();
+  const uint64_t span = direct_.size();
+  for (size_t lo = 0; lo < n; lo += kBlock) {
+    const uint32_t* r = rows + lo;
+    const size_t m = std::min(kBlock, n - lo);
+    std::fill_n(keys, m, uint64_t{0});
+    for (size_t j = 0; j < plans_.size(); ++j) {
+      const int shift = plans_[j].shift;
+      const int bits = plans_[j].bits;
+      const auto pack = [&](const auto* src) {
+        constexpr bool kString = sizeof(*src) == sizeof(int32_t);
+        uint64_t over = 0;
+        for (size_t i = 0; i < m; ++i) {
+          const uint64_t code = PackRaw(src[r[i]], kString);
+          keys[i] |= code << shift;
+          over |= code >> bits;
+        }
+        if (over == 0) return;
+        for (size_t i = 0; i < m; ++i) {
+          if ((PackRaw(src[r[i]], kString) >> bits) != 0) keys[i] |= kBadKey;
+        }
+      };
+      if (plans_[j].is_string) {
+        pack(cols[j].codes);
+      } else {
+        pack(cols[j].ints);
+      }
+    }
+    for (size_t i = 0; i < m; ++i) {
+      const uint32_t id = keys[i] < span ? ids[keys[i]] : kNotFound;
+      found &= id != kNotFound;
+      out[r[i]] = id;
+    }
   }
   return found;
 }

@@ -74,6 +74,23 @@ std::string QueryResult::ToString(size_t max_groups) const {
   return out;
 }
 
+namespace {
+
+// Codes compare only under agreeing key columns: the same type and, for a
+// string column, one dictionary extending the other (the same handle, or a
+// prefix of it: a table that interned more strings since).
+bool KeyColumnsAgree(const KeyColumn& a, const KeyColumn& b) {
+  if (a.type != b.type) return false;
+  if (a.dictionary == b.dictionary) return true;
+  if (a.dictionary == nullptr || b.dictionary == nullptr) return false;
+  const std::vector<std::string>& x = *a.dictionary;
+  const std::vector<std::string>& y = *b.dictionary;
+  return x.size() <= y.size() ? std::equal(x.begin(), x.end(), y.begin())
+                              : std::equal(y.begin(), y.end(), x.begin());
+}
+
+}  // namespace
+
 Result<std::vector<size_t>> MatchGroups(const QueryResult& from,
                                         const QueryResult& into) {
   if (from.group_attrs() != into.group_attrs()) {
@@ -82,6 +99,13 @@ Result<std::vector<size_t>> MatchGroups(const QueryResult& from,
         ") against groups of (" + Join(into.group_attrs(), ",") + ")");
   }
   const size_t k = into.key_arity();
+  for (size_t c = 0; c < k; ++c) {
+    if (!KeyColumnsAgree(from.key_columns()[c], into.key_columns()[c])) {
+      return Status::InvalidArgument(
+          "cannot match groups by " + from.group_attrs()[c] +
+          ": the results' key columns differ in type or dictionary");
+    }
+  }
   // Open addressing, linear probing, at most half full; a slot holds an
   // index of `into` (group ids are dense uint32).
   constexpr uint32_t kEmpty = UINT32_MAX;

@@ -91,8 +91,9 @@ inline constexpr size_t kNoGroup = SIZE_MAX;
 /// Pairs the groups of two results by key: out[i] is the index of the
 /// group of `into` whose codes equal those of group i of `from`, or
 /// kNoGroup. One flat hash over `into`'s codes per call. InvalidArgument
-/// if the results are grouped by different attributes, whose codes do not
-/// compare.
+/// if the results are grouped by different attributes, or if a grouping
+/// column's types or dictionaries disagree (neither dictionary a prefix of
+/// the other), since their codes do not compare.
 Result<std::vector<size_t>> MatchGroups(const QueryResult& from,
                                         const QueryResult& into);
 

@@ -4,21 +4,14 @@
 #ifndef CVOPT_EXEC_RESULT_JOIN_H_
 #define CVOPT_EXEC_RESULT_JOIN_H_
 
-#include <functional>
-
 #include "src/exec/query_result.h"
 
 namespace cvopt {
 
-/// Inner-joins `a` and `b` on group key; for each matching group emits
-/// combine(a_value, b_value) per aggregate. The two results must have the
-/// same number of aggregates and the same grouping attributes.
-Result<QueryResult> JoinResults(
-    const QueryResult& a, const QueryResult& b,
-    const std::function<double(double, double)>& combine,
-    const std::vector<std::string>& out_agg_labels);
-
-/// Convenience: per-aggregate difference a - b (AQ1's avg_incre/cnt_incre).
+/// Inner-joins `a` and `b` on group key (MatchGroups) and emits, per
+/// matching group, a - b per aggregate (AQ1's avg_incre/cnt_incre), labelled
+/// "delta <label>". The two results must have the same number of aggregates
+/// and the same grouping attributes.
 Result<QueryResult> DiffResults(const QueryResult& a, const QueryResult& b);
 
 }  // namespace cvopt

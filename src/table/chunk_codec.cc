@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "src/util/env.h"
 
@@ -171,6 +172,55 @@ size_t VarintLen(uint64_t v) {
   return n;
 }
 
+// The frame-of-reference body of a kForVarI64 / kForVarCode payload at
+// [p, end): the base, then n varint deltas, out[i] = base + delta_i
+// (modular in T's width). While 8 values and 8 bytes remain, one word is
+// loaded: the bytes before its first continuation bit (all 8 when none is
+// set) are one-byte varints, emitted with no per-byte branch, and the
+// varint that bit starts decodes through GetVarint64. The word read never
+// passes `end`. A code delta must fit 32 bits.
+template <typename T>
+Status DecodeForVarints(const uint8_t* p, const uint8_t* end, size_t n,
+                        const char* what, T* out) {
+  using U = std::make_unsigned_t<T>;
+  T base;
+  if (!GetPod(&p, end, &base)) {
+    return Status::InvalidArgument(std::string("truncated ") + what +
+                                   " chunk base");
+  }
+  const U b = static_cast<U>(base);
+  size_t i = 0;
+  while (i < n) {
+    if (n - i >= 8 && end - p >= 8) {
+      uint64_t word;
+      std::memcpy(&word, p, sizeof(word));
+      const uint64_t cont = word & 0x8080808080808080ull;
+      // Little-endian, like the file: the lowest set bit is the first byte's.
+      const size_t ones =
+          cont == 0 ? 8 : static_cast<size_t>(__builtin_ctzll(cont)) / 8;
+      for (size_t k = 0; k < ones; ++k) out[i + k] = static_cast<T>(b + p[k]);
+      p += ones;
+      i += ones;
+      if (cont == 0) continue;
+    }
+    uint64_t d;
+    if (!GetVarint64(&p, end, &d)) {
+      return Status::InvalidArgument(std::string("truncated ") + what +
+                                     " chunk varint");
+    }
+    if (sizeof(T) < sizeof(uint64_t) && d > 0xffffffffull) {
+      return Status::InvalidArgument(std::string(what) +
+                                     " chunk delta out of range");
+    }
+    out[i++] = static_cast<T>(b + static_cast<U>(d));
+  }
+  if (p != end) {
+    return Status::InvalidArgument(std::string("trailing bytes in ") + what +
+                                   " chunk");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void EncodeI64Chunk(const int64_t* v, size_t n, std::string* out) {
@@ -287,24 +337,8 @@ Status DecodeI64Chunk(const uint8_t* p, size_t len, size_t n, int64_t* out) {
       for (size_t i = 0; i < n; ++i) out[i] = c;
       return Status::OK();
     }
-    case ChunkEncoding::kForVarI64: {
-      int64_t base;
-      if (!GetPod(&p, end, &base)) {
-        return Status::InvalidArgument("truncated int64 chunk base");
-      }
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t d;
-        if (!GetVarint64(&p, end, &d)) {
-          return Status::InvalidArgument("truncated int64 chunk varint");
-        }
-        out[i] =
-            static_cast<int64_t>(static_cast<uint64_t>(base) + d);
-      }
-      if (p != end) {
-        return Status::InvalidArgument("trailing bytes in int64 chunk");
-      }
-      return Status::OK();
-    }
+    case ChunkEncoding::kForVarI64:
+      return DecodeForVarints(p, end, n, "int64", out);
     default:
       return Status::InvalidArgument("bad int64 chunk encoding tag");
   }
@@ -355,27 +389,8 @@ Status DecodeCodeChunk(const uint8_t* p, size_t len, size_t n, int32_t* out) {
       for (size_t i = 0; i < n; ++i) out[i] = c;
       return Status::OK();
     }
-    case ChunkEncoding::kForVarCode: {
-      int32_t base;
-      if (!GetPod(&p, end, &base)) {
-        return Status::InvalidArgument("truncated code chunk base");
-      }
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t d;
-        if (!GetVarint64(&p, end, &d)) {
-          return Status::InvalidArgument("truncated code chunk varint");
-        }
-        if (d > 0xffffffffull) {
-          return Status::InvalidArgument("code chunk delta out of range");
-        }
-        out[i] = static_cast<int32_t>(static_cast<uint32_t>(base) +
-                                      static_cast<uint32_t>(d));
-      }
-      if (p != end) {
-        return Status::InvalidArgument("trailing bytes in code chunk");
-      }
-      return Status::OK();
-    }
+    case ChunkEncoding::kForVarCode:
+      return DecodeForVarints(p, end, n, "code", out);
     default:
       return Status::InvalidArgument("bad code chunk encoding tag");
   }

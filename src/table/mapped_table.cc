@@ -199,6 +199,19 @@ Status DecodeZoneRecord(MapReader* r, ZoneMap* z) {
   return Status::OK();
 }
 
+// Every decoded code must index the column's dictionary: one branch-free
+// max over the codes read as uint32_t (a negative code reads as huge),
+// then one compare.
+Status CheckDictionaryCodes(const std::vector<int32_t>& codes,
+                            const std::vector<std::string>& dict) {
+  uint32_t hi = 0;
+  for (int32_t code : codes) hi = std::max(hi, static_cast<uint32_t>(code));
+  if (!codes.empty() && hi >= dict.size()) {
+    return Status::InvalidArgument("corrupt dictionary code");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 struct MappedTable::GroupDirectories {
@@ -441,12 +454,7 @@ Result<std::shared_ptr<const DecodedChunk>> MappedTable::GetChunk(
     case DataType::kString: {
       out->codes.resize(n);
       CVOPT_RETURN_NOT_OK(DecodeCodeChunk(p, len, n, out->codes.data()));
-      const int32_t dict_size = static_cast<int32_t>(dicts_[col]->size());
-      for (int32_t code : out->codes) {
-        if (code < 0 || code >= dict_size) {
-          return Status::InvalidArgument("corrupt dictionary code");
-        }
-      }
+      CVOPT_RETURN_NOT_OK(CheckDictionaryCodes(out->codes, *dicts_[col]));
       break;
     }
   }
@@ -496,12 +504,7 @@ Result<Table> MappedTable::Materialize() const {
                                               ChunkRowCount(k),
                                               codes.data() + k * chunk_rows()));
         }
-        const int32_t dict_size = static_cast<int32_t>(dicts_[c]->size());
-        for (int32_t code : codes) {
-          if (code < 0 || code >= dict_size) {
-            return Status::InvalidArgument("corrupt dictionary code");
-          }
-        }
+        CVOPT_RETURN_NOT_OK(CheckDictionaryCodes(codes, *dicts_[c]));
         col.AdoptDictionary(dicts_[c]);
         col.AdoptCodes(std::move(codes));
         break;

@@ -353,6 +353,43 @@ TEST(QueryResultTest, LabelGolden) {
   EXPECT_EQ(labels({}), (Labels{""}));
 }
 
+// Groups pair by code only under agreeing dictionaries. TakeRows re-interns
+// strings, so t.TakeRows({1, 0}) codes "b" as 0 and "a" as 1: pairing its
+// result with t's by code would match "a" with "b".
+TEST(QueryResultTest, MatchGroupsRefusesDisagreeingDictionaries) {
+  TableBuilder b(Schema({{"s", DataType::kString}, {"v", DataType::kDouble}}));
+  ASSERT_OK(b.AppendRow({Value("a"), Value(1.0)}));
+  ASSERT_OK(b.AppendRow({Value("b"), Value(2.0)}));
+  const Table t = std::move(b).Finish();
+  QuerySpec q;
+  q.group_by = {"s"};
+  q.aggregates = {AggSpec::Avg("v")};
+  ASSERT_OK_AND_ASSIGN(const QueryResult base, ExecuteExact(t, q));
+  ASSERT_OK_AND_ASSIGN(const QueryResult swapped,
+                       ExecuteExact(t.TakeRows({1, 0}), q));
+  const Result<std::vector<size_t>> crossed = MatchGroups(swapped, base);
+  ASSERT_FALSE(crossed.ok());
+  EXPECT_EQ(crossed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(MatchGroups(base, swapped).ok());
+
+  // A dictionary that is a prefix of the other still pairs by key, both ways.
+  ASSERT_OK_AND_ASSIGN(const QueryResult prefix,
+                       ExecuteExact(t.TakeRows({0, 0}), q));
+  ASSERT_OK_AND_ASSIGN(std::vector<size_t> into_base, MatchGroups(prefix, base));
+  EXPECT_EQ(into_base, (std::vector<size_t>{0}));
+  ASSERT_OK_AND_ASSIGN(std::vector<size_t> into_prefix,
+                       MatchGroups(base, prefix));
+  EXPECT_EQ(into_prefix, (std::vector<size_t>{0, kNoGroup}));
+
+  // Int keys carry no dictionary; a string key never pairs with an int one.
+  TableBuilder ib(Schema({{"s", DataType::kInt64}, {"v", DataType::kDouble}}));
+  ASSERT_OK(ib.AppendRow({Value(int64_t{0}), Value(1.0)}));
+  ASSERT_OK_AND_ASSIGN(const QueryResult ints,
+                       ExecuteExact(std::move(ib).Finish(), q));
+  EXPECT_FALSE(MatchGroups(ints, base).ok());
+  ASSERT_OK(MatchGroups(ints, ints).status());
+}
+
 // A const result is read from several threads at once: every reader sees
 // what a lone reader sees (and ThreadSanitizer sees no race).
 TEST(QueryResultTest, ConcurrentConstReads) {
@@ -455,15 +492,15 @@ TEST(ResultJoinTest, DiffMatchesAq1Shape) {
   }
 }
 
-TEST(ResultJoinTest, CustomCombine) {
+TEST(ResultJoinTest, DiffKeepsMatchedGroupsOnly) {
   ASSERT_OK_AND_ASSIGN(QueryResult a,
                        IntKeyResult("g", "v", {{1, 10.0}, {2, 20.0}}));
   ASSERT_OK_AND_ASSIGN(QueryResult b, IntKeyResult("g", "v", {{1, 4.0}}));
-  ASSERT_OK_AND_ASSIGN(
-      QueryResult ratio,
-      JoinResults(a, b, [](double x, double y) { return x / y; }, {"ratio"}));
-  ASSERT_EQ(ratio.num_groups(), 1u);
-  EXPECT_DOUBLE_EQ(ratio.value(0, 0), 2.5);
+  ASSERT_OK_AND_ASSIGN(QueryResult diff, DiffResults(a, b));
+  ASSERT_EQ(diff.num_groups(), 1u);
+  EXPECT_EQ(diff.key_codes(0)[0], 1);
+  EXPECT_DOUBLE_EQ(diff.value(0, 0), 6.0);
+  EXPECT_EQ(diff.agg_labels(), (std::vector<std::string>{"delta v"}));
 }
 
 TEST(ResultJoinTest, MismatchedAggCountsRejected) {

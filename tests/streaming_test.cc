@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "src/datagen/openaq_gen.h"
 #include "src/estimate/approx_executor.h"
@@ -301,6 +303,101 @@ TEST(StreamGroupRouterTest, FindBatchMatchesRouteOnEveryTier) {
                            Value(base % 7)}));
   }
   ExpectFindMatchesHalfRoute(std::move(b).Finish(), {"a", "b", "c"});
+}
+
+// The direct tier's column-at-a-time FindBatch, over batches of several
+// blocks, with and without a selection vector: codes too wide for their
+// packed fields sit among found keys, and only their rows read kNotFound.
+TEST(StreamGroupRouterTest, FindBatchFlagsOutOfWidthCodesRowByRow) {
+  // Route a string column with codes 0..3 (two bits) and an int column in
+  // [-2, 2] (three zig-zag bits): a direct-table router.
+  StreamGroupRouter router({DataType::kString, DataType::kInt64});
+  std::vector<int32_t> seed_codes;
+  std::vector<int64_t> seed_ints;
+  for (int32_t s = 0; s < 4; ++s) {
+    for (int64_t k = -2; k <= 2; ++k) {
+      if ((s + k) % 3 == 0) continue;  // some in-width keys stay unseen
+      seed_codes.push_back(s);
+      seed_ints.push_back(k);
+    }
+  }
+  router.Bind(0, nullptr, seed_codes.data());
+  router.Bind(1, seed_ints.data(), nullptr);
+  std::map<std::pair<int32_t, int64_t>, uint32_t> ids;
+  for (uint32_t r = 0; r < seed_codes.size(); ++r) {
+    ids[{seed_codes[r], seed_ints[r]}] = router.Route(r);
+  }
+  ASSERT_TRUE(router.packed());
+
+  // 1500 rows (three blocks): mostly routed keys, every 7th row's string
+  // code and every 11th row's int outgrow their fields, and some keys fit
+  // their fields but were never routed. A string code of 4..7 spills one
+  // bit into the int's field: unmarked, (4, 0) would read as the routed
+  // key (0, -1).
+  constexpr uint32_t kRows = 1500;
+  std::vector<int32_t> codes(kRows);
+  std::vector<int64_t> ints(kRows);
+  Rng rng(31);
+  for (uint32_t r = 0; r < kRows; ++r) {
+    codes[r] = static_cast<int32_t>(rng.Uniform(4));
+    ints[r] = static_cast<int64_t>(rng.Uniform(5)) - 2;
+    if (r % 7 == 3) {
+      codes[r] = r % 2 == 0 ? 4 + static_cast<int32_t>(rng.Uniform(4))
+                            : 8 + static_cast<int32_t>(rng.Uniform(1000));
+    }
+    if (r % 11 == 5) ints[r] = r % 2 == 0 ? 100 : -50;
+  }
+  ASSERT_EQ(ids.count({0, -1}), 1u);
+  codes[3] = 4;
+  ints[3] = 0;
+  const auto expected = [&](uint32_t r) {
+    const auto it = ids.find({codes[r], ints[r]});
+    return it == ids.end() ? StreamGroupRouter::kNotFound : it->second;
+  };
+  const StreamGroupRouter::ColumnRef refs[] = {{nullptr, codes.data()},
+                                               {ints.data(), nullptr}};
+  // Row r's expected id, checked against the per-row lookup as well: Route
+  // on a routed key is that key's lookup and assigns nothing.
+  router.Bind(0, nullptr, codes.data());
+  router.Bind(1, ints.data(), nullptr);
+  const size_t groups = router.num_groups();
+  for (uint32_t r = 0; r < kRows; ++r) {
+    if (expected(r) != StreamGroupRouter::kNotFound) {
+      ASSERT_EQ(router.Route(r), expected(r)) << "row " << r;
+    }
+  }
+  ASSERT_EQ(router.num_groups(), groups);
+
+  const auto check = [&](const std::vector<uint32_t>& rows) {
+    std::vector<uint32_t> out(kRows, 12345);
+    const bool all =
+        router.FindBatch(refs, rows.data(), rows.size(), out.data());
+    std::vector<bool> selected(kRows, false);
+    bool expect_all = true;
+    for (uint32_t r : rows) selected[r] = true;
+    for (uint32_t r = 0; r < kRows; ++r) {
+      const uint32_t want = selected[r] ? expected(r) : 12345;
+      expect_all &= !selected[r] || want != StreamGroupRouter::kNotFound;
+      ASSERT_EQ(out[r], want) << "row " << r;
+    }
+    EXPECT_EQ(all, expect_all);
+  };
+  std::vector<uint32_t> every(kRows);
+  for (uint32_t r = 0; r < kRows; ++r) every[r] = r;
+  check(every);
+  std::vector<uint32_t> selection;  // ~2/3 of the rows, ascending
+  for (uint32_t r = 0; r < kRows; ++r) {
+    if (r % 3 != 0) selection.push_back(r);
+  }
+  check(selection);
+  // Only routed keys selected: the batch finds them all.
+  std::vector<uint32_t> found_only;
+  for (uint32_t r = 0; r < kRows; ++r) {
+    if (expected(r) != StreamGroupRouter::kNotFound) found_only.push_back(r);
+  }
+  ASSERT_GT(found_only.size(), 512u);
+  check(found_only);
+  EXPECT_EQ(router.num_groups(), groups);
 }
 
 TEST(StreamGroupRouterTest, EmptyColumnListRoutesEverythingToGroupZero) {

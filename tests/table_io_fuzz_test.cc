@@ -4,6 +4,7 @@
 // read. The loops are deliberately exhaustive over a small file so the
 // ASan/UBSan jobs in tools/run_sanitizers.sh sweep every parser branch.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -21,8 +22,10 @@
 namespace cvopt {
 namespace {
 
+// Unique per process: suites running at once on one host must not
+// truncate each other's mapped file.
 std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 // A small but representative table: negative ints, NaN / -0.0 doubles,

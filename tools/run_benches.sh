@@ -176,6 +176,14 @@ doc["description"] = (
     "with no WHERE clause, which decodes and looks up every chunk: the "
     "selective ladder decodes ~5 of 489 chunks and so measures pool "
     "hand-off, this one the scan's scaling. "
+    "BM_DecodeForVarintChunk/codes:<0|1>/mixed:<0|1> decodes one "
+    "4096-row frame-of-reference varint chunk (int64 or dictionary codes; "
+    "every delta one byte, the word-at-a-time case, or mixed with about a "
+    "third two or three bytes wide), and BM_DirectoryFindBatch/"
+    "selected_pct:<100|30> looks up one 4096-row chunk's group ids in a "
+    "direct-tier group directory (12 packed key bits), over the whole chunk "
+    "or an ascending 30% selection: the out-of-core scan's two per-row "
+    "kernels, on one thread. "
     "BM_AdaptiveGroupByHugeG is a whole exact AVG group-by at huge "
     "cardinality: a 3M-row two-int-key table with ~2.7M distinct groups "
     "(24 packed key bits), whose packed-tier GroupIndex build takes the "
