@@ -1,11 +1,12 @@
 // Serving-path micro-benchmarks: full client round trips through a live
 // AqpServer over an AF_UNIX socket, so the numbers include framing, the
-// request queue, governance setup, and the response encode — the price of
-// an answer, not just the executor. BM_ServerCatalogHit is the paper's
-// reuse fast path (shared sample already published); BM_ServerSampleBuild
-// pays the catalog miss every iteration (the offline phase run online);
-// BM_ServerExact is the ground-truth path; the threaded variant measures
-// concurrent clients multiplexed onto the pipeline workers.
+// execution-slot grant, governance setup, and the response encode — the
+// price of an answer, not just the executor. BM_ServerCatalogHit is the
+// paper's reuse fast path (shared sample already published);
+// BM_ServerSampleBuild pays the catalog miss every iteration (the offline
+// phase run online); BM_ServerExact is the ground-truth path; the threaded
+// variant measures concurrent clients sharing the server's 4 execution
+// slots (threads:8 has more connections than slots, so batches wait).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>

@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -19,10 +20,14 @@ namespace cvopt {
 
 namespace {
 
-bool IsGovernanceAbort(const Status& st) {
-  return st.code() == StatusCode::kDeadlineExceeded ||
-         st.code() == StatusCode::kCancelled ||
-         st.code() == StatusCode::kResourceExhausted;
+// The per-code counter of a typed governance abort; null for other codes.
+Counter* AbortCounter(ServerMetrics& m, const Status& st) {
+  switch (st.code()) {
+    case StatusCode::kDeadlineExceeded: return &m.queries_deadline_exceeded;
+    case StatusCode::kCancelled: return &m.queries_cancelled;
+    case StatusCode::kResourceExhausted: return &m.queries_resource_exhausted;
+    default: return nullptr;
+  }
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -32,10 +37,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-AqpServer::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
 
 AqpServer::AqpServer(ServerOptions options)
     : options_(std::move(options)),
@@ -94,11 +95,6 @@ Status AqpServer::Start() {
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  const int workers = options_.num_workers > 0 ? options_.num_workers : 1;
-  workers_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   return Status::OK();
 }
 
@@ -124,30 +120,25 @@ void AqpServer::Stop() {
   // 1. Stop accepting (the acceptor owns and closes the listen fd).
   if (acceptor_.joinable()) acceptor_.join();
 
-  // 2. Drain the queue: workers finish every admitted batch and write its
-  // response before exiting, so no accepted client is left hanging.
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+  // 2. Drain: every executing and waiting batch (a test pause no longer
+  // holds) finishes and writes its response.
+  {
+    std::unique_lock<std::mutex> lock(slots_mu_);
+    GrantSlotsLocked();
+    drained_cv_.wait(lock, [this] {
+      return busy_slots_ == 0 && waiters_.empty();
+    });
   }
-  workers_.clear();
 
-  // 3. Unblock the connection readers (responses are already written) and
-  // join them.
+  // 3. Unblock the readers (responses are written) and join them.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) {
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    }
+    for (const int fd : conns_) ::shutdown(fd, SHUT_RDWR);
   }
   for (std::thread& t : conn_threads_) {
     if (t.joinable()) t.join();
   }
-  conn_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
+  conn_threads_.clear();  // every reader deregistered its connection
 
   ::unlink(options_.socket_path.c_str());
   running_.store(false, std::memory_order_release);
@@ -160,17 +151,15 @@ void AqpServer::AcceptLoop() {
     if (ready <= 0) continue;  // timeout, EINTR, or transient error
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
-    auto conn = std::make_shared<Connection>();
-    conn->fd = client;
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
       if (conns_.size() >= options_.max_connections) {
         metrics_.connections_rejected.Inc();
-        continue;  // conn destructor closes the fd
+        ::close(client);
+        continue;
       }
-      conns_.push_back(conn);
-      conn_threads_.emplace_back(
-          [this, conn] { ConnectionLoop(std::move(conn)); });
+      conns_.push_back(client);
+      conn_threads_.emplace_back([this, client] { ConnectionLoop(client); });
     }
     metrics_.connections_accepted.Inc();
   }
@@ -178,9 +167,9 @@ void AqpServer::AcceptLoop() {
   listen_fd_ = -1;
 }
 
-void AqpServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
+void AqpServer::ConnectionLoop(int fd) {
   for (;;) {
-    Result<std::string> frame = ReadFrame(conn->fd);
+    Result<std::string> frame = ReadFrame(fd);
     if (!frame.ok()) break;  // clean close, peer failure, or Stop's shutdown
     Result<RequestEnvelope> decoded = DecodeRequest(*frame);
     if (!decoded.ok()) break;  // protocol violation: drop the connection
@@ -188,21 +177,21 @@ void AqpServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
     switch (req.kind) {
       case MessageKind::kQueryBatch:
         metrics_.requests_received.Inc();
-        AdmitOrReject(conn, std::move(req));
+        AdmitOrReject(fd, req);
         break;
       case MessageKind::kMetrics: {
         ResponseEnvelope resp;
         resp.kind = MessageKind::kMetrics;
         resp.request_id = req.request_id;
         resp.metrics_text = RenderMetrics();
-        WriteResponse(conn, resp);
+        WriteResponse(fd, resp);
         break;
       }
       case MessageKind::kShutdown: {
         ResponseEnvelope resp;
         resp.kind = MessageKind::kShutdown;
         resp.request_id = req.request_id;
-        WriteResponse(conn, resp);
+        WriteResponse(fd, resp);
         {
           std::lock_guard<std::mutex> lock(stop_mu_);
           stop_requested_.store(true, std::memory_order_release);
@@ -212,19 +201,16 @@ void AqpServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       }
     }
   }
-  // Deregister; the shared_ptr (and any queued batch's copy) keeps the fd
-  // alive until the last writer is done.
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto it = conns_.begin(); it != conns_.end(); ++it) {
-    if (it->get() == conn.get()) {
-      conns_.erase(it);
-      break;
-    }
+  // Deregister before closing, so Stop never shuts down a reused fd.
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_.erase(std::find(conns_.begin(), conns_.end(), fd));
   }
+  ::close(fd);
 }
 
-void AqpServer::AdmitOrReject(std::shared_ptr<Connection> conn,
-                              RequestEnvelope req) {
+void AqpServer::AdmitOrReject(int fd, const RequestEnvelope& req) {
+  const auto accepted_at = std::chrono::steady_clock::now();
   const uint64_t admitted = req.memory_limit_bytes != 0
                                 ? req.memory_limit_bytes
                                 : options_.request_memory_limit_bytes;
@@ -235,27 +221,16 @@ void AqpServer::AdmitOrReject(std::shared_ptr<Connection> conn,
         static_cast<unsigned long long>(admission_budget_.used()),
         static_cast<unsigned long long>(options_.memory_limit_bytes)));
   } else {
-    PendingBatch batch;
-    batch.conn = conn;
-    batch.request = std::move(req);
-    batch.admitted_bytes = admitted;
-    batch.accepted_at = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (queue_.size() >= options_.max_queue) {
-        rejection = Status::ResourceExhausted(
-            StrFormat("admission: request queue full (%zu pending)",
-                      queue_.size()));
-        req = std::move(batch.request);  // recover for the rejection reply
-      } else {
-        queue_.push_back(std::move(batch));
-      }
-    }
+    rejection = AcquireSlot();
     if (rejection.ok()) {
-      queue_cv_.notify_one();
-      return;
+      ProcessBatch(fd, req, admitted);
+      metrics_.request_latency.Observe(SecondsSince(accepted_at));
+      std::lock_guard<std::mutex> lock(slots_mu_);
+      --busy_slots_;
+      GrantSlotsLocked();
     }
     admission_budget_.Uncharge(admitted);
+    if (rejection.ok()) return;
   }
   metrics_.requests_rejected.Inc();
   ResponseEnvelope resp;
@@ -263,34 +238,44 @@ void AqpServer::AdmitOrReject(std::shared_ptr<Connection> conn,
   resp.request_id = req.request_id;
   resp.results.resize(req.queries.size());
   for (QueryResponseItem& item : resp.results) item.status = rejection;
-  WriteResponse(conn, resp);
+  WriteResponse(fd, resp);
 }
 
-void AqpServer::WorkerLoop() {
-  for (;;) {
-    PendingBatch batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        const bool stopping = stopping_.load(std::memory_order_acquire);
-        return (!queue_.empty() && (!workers_paused_ || stopping)) ||
-               (stopping && queue_.empty());
-      });
-      if (queue_.empty()) return;  // stopping and drained
-      batch = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    ProcessBatch(std::move(batch));
+Status AqpServer::AcquireSlot() {
+  std::unique_lock<std::mutex> lock(slots_mu_);
+  SlotWaiter self;
+  waiters_.push_back(&self);
+  GrantSlotsLocked();
+  if (self.granted) return Status::OK();
+  if (waiters_.size() > options_.max_queue) {
+    waiters_.pop_back();
+    return Status::ResourceExhausted(StrFormat(
+        "admission: request queue full (%zu pending)", waiters_.size()));
   }
+  metrics_.batches_waited.Inc();
+  self.cv.wait(lock, [&] { return self.granted; });
+  return Status::OK();
 }
 
-void AqpServer::ProcessBatch(PendingBatch batch) {
-  const RequestEnvelope& req = batch.request;
+void AqpServer::GrantSlotsLocked() {
+  const int slots = std::max(options_.num_workers, 1);
+  while (!waiters_.empty() && busy_slots_ < slots &&
+         (!slots_paused_ || stopping_.load(std::memory_order_acquire))) {
+    ++busy_slots_;
+    waiters_.front()->granted = true;
+    waiters_.front()->cv.notify_one();
+    waiters_.pop_front();
+  }
+  if (busy_slots_ == 0 && waiters_.empty()) drained_cv_.notify_all();
+}
+
+void AqpServer::ProcessBatch(int fd, const RequestEnvelope& req,
+                             uint64_t admitted) {
   QueryContext ctx;
   const uint32_t timeout_ms =
       req.timeout_ms != 0 ? req.timeout_ms : options_.default_timeout_ms;
-  ctx.InitForRequest(std::chrono::milliseconds(timeout_ms),
-                     batch.admitted_bytes, TenantBudget(req.tenant));
+  ctx.InitForRequest(std::chrono::milliseconds(timeout_ms), admitted,
+                     TenantBudget(req.tenant));
   ScopedQueryContext scope(&ctx);
 
   ResponseEnvelope resp;
@@ -300,9 +285,7 @@ void AqpServer::ProcessBatch(PendingBatch batch) {
   for (const QueryRequestItem& item : req.queries) {
     resp.results.push_back(ServeQuery(item, ctx));
   }
-  WriteResponse(batch.conn, resp);
-  metrics_.request_latency.Observe(SecondsSince(batch.accepted_at));
-  admission_budget_.Uncharge(batch.admitted_bytes);
+  WriteResponse(fd, resp);
 }
 
 QueryResponseItem AqpServer::ServeQuery(const QueryRequestItem& item,
@@ -353,8 +336,9 @@ QueryResponseItem AqpServer::ServeQuery(const QueryRequestItem& item,
 
   if (out.status.ok()) {
     metrics_.queries_served.Inc();
-  } else if (IsGovernanceAbort(out.status)) {
+  } else if (Counter* by_code = AbortCounter(metrics_, out.status)) {
     metrics_.queries_aborted.Inc();
+    by_code->Inc();
   } else {
     metrics_.queries_failed.Inc();
   }
@@ -362,14 +346,12 @@ QueryResponseItem AqpServer::ServeQuery(const QueryRequestItem& item,
   return out;
 }
 
-void AqpServer::WriteResponse(const std::shared_ptr<Connection>& conn,
-                              const ResponseEnvelope& resp) {
+void AqpServer::WriteResponse(int fd, const ResponseEnvelope& resp) {
   std::string payload;
   EncodeResponse(resp, &payload);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
   // A failed write means the client went away; its batch is already done
   // and the reader will observe the close. Nothing to do.
-  (void)WriteFrame(conn->fd, payload);
+  (void)WriteFrame(fd, payload);
 }
 
 MemoryBudget* AqpServer::TenantBudget(const std::string& tenant) {
@@ -388,10 +370,9 @@ std::string AqpServer::RenderMetrics() const {
                      name, name, static_cast<unsigned long long>(v));
   };
   {
-    std::lock_guard<std::mutex> lock(
-        const_cast<std::mutex&>(queue_mu_));
-    gauge("aqp_queue_depth", "Batches waiting for a pipeline worker",
-          queue_.size());
+    std::lock_guard<std::mutex> lock(slots_mu_);
+    gauge("aqp_queue_depth", "Batches waiting for an execution slot",
+          waiters_.size());
   }
   gauge("aqp_inflight_memory_bytes",
         "Admitted per-request memory caps currently in flight",
@@ -410,11 +391,9 @@ std::string AqpServer::RenderMetrics() const {
 }
 
 void AqpServer::PauseWorkersForTesting(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    workers_paused_ = paused;
-  }
-  queue_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  slots_paused_ = paused;
+  GrantSlotsLocked();
 }
 
 }  // namespace cvopt

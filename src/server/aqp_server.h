@@ -1,12 +1,15 @@
 // AqpServer: the concurrent serving front end over the AQP engine. Accepts
 // batched query requests on an AF_UNIX stream socket (src/server/protocol.h)
-// and runs them through an async pipeline
+// and runs each batch on the reader thread of the connection it arrived on
 //
-//   accept -> per-connection reader -> bounded request queue -> worker
-//   (plan: parse SQL + catalog lookup) -> execute (morsel pool) -> respond
+//   acceptor -> readers that execute their own batches under N slots
+//   (admit -> slot -> parse + catalog lookup -> execute -> respond)
 //
-// so a slow analytical query occupies one pipeline worker, never the
-// connection readers, the metrics scrape, or the admission decision.
+// with no thread hand-off. A reader that finds all num_workers slots busy
+// waits for one in FIFO order, so a slow query holds one slot and its own
+// connection, never the other readers, the metrics scrape, or admission.
+// Batches pipelined on one connection run one after another (AqpClient is
+// synchronous and never pipelines).
 //
 // Governance. Every batch runs under a child QueryContext
 // (QueryContext::InitForRequest): deadline = request timeout, working
@@ -16,11 +19,11 @@
 // keeps serving.
 //
 // Admission control. Two caps, both rejecting with kResourceExhausted
-// before any work is queued: the bounded request queue (max_queue pending
-// batches), and the server-wide in-flight memory budget — each admitted
-// batch pessimistically charges its declared per-request memory cap until
-// its response is written, so the sum of admitted caps never exceeds
-// memory_limit_bytes.
+// before any work starts: the bounded wait for a slot (at most max_queue
+// batches wait), and the server-wide in-flight memory budget — each
+// admitted batch pessimistically charges its declared per-request memory
+// cap until its response is written, so the sum of admitted caps never
+// exceeds memory_limit_bytes.
 //
 // Serving fast path. Approximate queries resolve through the shared
 // SampleCatalog: a hit answers from the published sample in microseconds
@@ -51,10 +54,12 @@ namespace cvopt {
 struct ServerOptions {
   /// AF_UNIX socket path to listen on (required; unlinked on Stop).
   std::string socket_path;
-  /// Pipeline executors. Each runs one batch at a time; intra-query
-  /// parallelism comes from the shared morsel pool underneath.
+  /// Execution slots: at most this many batches execute at once, each on
+  /// its connection's reader thread; intra-query parallelism comes from the
+  /// shared morsel pool underneath. Values below 1 mean 1.
   int num_workers = 2;
-  /// Pending-batch cap of the request queue (admission control).
+  /// Batches that may wait for a slot while every slot is busy; one more
+  /// is rejected (admission control).
   size_t max_queue = 64;
   /// Concurrent client connections; further connects are closed.
   size_t max_connections = 64;
@@ -84,15 +89,16 @@ class AqpServer {
   /// Start; the table must outlive the server.
   Status RegisterTable(const std::string& name, const Table* table);
 
-  /// Binds, listens, and spawns the acceptor + worker threads.
+  /// Binds, listens, and spawns the acceptor thread.
   Status Start();
 
   /// Blocks until a client kShutdown request (or Stop from another thread),
   /// then tears down. Convenience for main()-style owners.
   void Wait();
 
-  /// Stops accepting, drains queued batches (their responses are written),
-  /// closes connections, joins every thread. Idempotent.
+  /// Stops accepting, lets every executing and waiting batch finish and
+  /// write its response, then shuts the connections down and joins every
+  /// thread. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -106,35 +112,28 @@ class AqpServer {
   /// the kMetrics protocol message returns).
   std::string RenderMetrics() const;
 
-  /// Test hook: freezes the pipeline workers so the bounded queue fills
-  /// deterministically (admission-rejection tests). Never use in serving.
+  /// Test hook: withholds execution slots so the bounded wait fills
+  /// deterministically (admission tests); a stopping server ignores it.
   void PauseWorkersForTesting(bool paused);
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::mutex write_mu;  // readers (rejections, metrics) + workers share
-    ~Connection();
-  };
-
-  struct PendingBatch {
-    std::shared_ptr<Connection> conn;
-    RequestEnvelope request;
-    uint64_t admitted_bytes = 0;  // charged on admission_budget_
-    std::chrono::steady_clock::time_point accepted_at;
-  };
-
   void AcceptLoop();
-  void ConnectionLoop(std::shared_ptr<Connection> conn);
-  void WorkerLoop();
-  void ProcessBatch(PendingBatch batch);
+  /// Reads, executes and answers one connection's frames; the fd is read,
+  /// written and closed by this thread alone.
+  void ConnectionLoop(int fd);
+  /// Admission decision for one decoded batch, on its reader thread: run it
+  /// under an execution slot, or write the typed rejection.
+  void AdmitOrReject(int fd, const RequestEnvelope& req);
+  /// Claims an execution slot, waiting FIFO behind earlier waiters when
+  /// none is free; kResourceExhausted when max_queue batches already wait.
+  Status AcquireSlot();
+  /// Hands free slots to the oldest waiters, a stopping server ignoring
+  /// the test pause. Requires slots_mu_.
+  void GrantSlotsLocked();
+  void ProcessBatch(int fd, const RequestEnvelope& req, uint64_t admitted);
   QueryResponseItem ServeQuery(const QueryRequestItem& item,
                                const QueryContext& ctx);
-  /// Admission decision for one decoded batch: enqueue, or write the typed
-  /// rejection immediately from the reader thread.
-  void AdmitOrReject(std::shared_ptr<Connection> conn, RequestEnvelope req);
-  void WriteResponse(const std::shared_ptr<Connection>& conn,
-                     const ResponseEnvelope& resp);
+  void WriteResponse(int fd, const ResponseEnvelope& resp);
   MemoryBudget* TenantBudget(const std::string& tenant);
 
   const ServerOptions options_;
@@ -154,16 +153,22 @@ class AqpServer {
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
 
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingBatch> queue_;
-  bool workers_paused_ = false;
+  // Execution slots. A batch queues as a waiter; a freed slot passes
+  // straight to the oldest waiter, and only that waiter wakes.
+  struct SlotWaiter {
+    std::condition_variable cv;
+    bool granted = false;
+  };
+  mutable std::mutex slots_mu_;
+  int busy_slots_ = 0;
+  std::deque<SlotWaiter*> waiters_;
+  bool slots_paused_ = false;
+  std::condition_variable drained_cv_;  // no slot busy, no waiter
 
   std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
+  std::vector<int> conns_;  // open connection fds
 
   std::thread acceptor_;
-  std::vector<std::thread> workers_;
   std::vector<std::thread> conn_threads_;
 };
 

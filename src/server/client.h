@@ -1,7 +1,7 @@
 // AqpClient: blocking client for the AqpServer wire protocol. One client
 // owns one connection; requests on a single client are serialized (one
 // frame out, one frame in). For concurrency, open one client per thread —
-// the server multiplexes them onto its pipeline.
+// the server runs each connection's batches on that connection's thread.
 #ifndef CVOPT_SERVER_CLIENT_H_
 #define CVOPT_SERVER_CLIENT_H_
 

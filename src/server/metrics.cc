@@ -71,6 +71,13 @@ std::string ServerMetrics::RenderPrometheus() const {
   counter("aqp_queries_aborted_total",
           "Queries aborted by governance (deadline/cancel/memory)",
           queries_aborted);
+  counter("aqp_queries_deadline_exceeded_total",
+          "Governance aborts: deadline exceeded", queries_deadline_exceeded);
+  counter("aqp_queries_cancelled_total", "Governance aborts: cancelled",
+          queries_cancelled);
+  counter("aqp_queries_resource_exhausted_total",
+          "Governance aborts: memory budget exhausted",
+          queries_resource_exhausted);
   counter("aqp_queries_failed_total",
           "Queries failed for non-governance reasons", queries_failed);
   counter("aqp_catalog_hits_total", "Queries served from a shared sample",
@@ -88,6 +95,9 @@ std::string ServerMetrics::RenderPrometheus() const {
           connections_accepted);
   counter("aqp_connections_rejected_total",
           "Connections refused over max_connections", connections_rejected);
+  counter("aqp_batches_waited_total",
+          "Admitted batches that waited for an execution slot",
+          batches_waited);
   request_latency.RenderPrometheus("aqp_request_latency_seconds", &out);
   query_latency.RenderPrometheus("aqp_query_latency_seconds", &out);
   return out;

@@ -65,6 +65,9 @@ struct ServerMetrics {
   Counter queries_served;        // OK responses
   Counter queries_aborted;       // typed governance aborts (deadline/
                                  // cancel/resource) during execution
+  Counter queries_deadline_exceeded;   // ...of which kDeadlineExceeded
+  Counter queries_cancelled;           // ...of which kCancelled
+  Counter queries_resource_exhausted;  // ...of which kResourceExhausted
   Counter queries_failed;        // everything else (parse, unknown table)
   Counter catalog_hits;          // served from an already-published sample
   Counter catalog_misses;        // had to build (or wait out a failure)
@@ -74,7 +77,8 @@ struct ServerMetrics {
   Counter sample_build_failures;
   Counter connections_accepted;
   Counter connections_rejected;  // over max_connections
-  LatencyHistogram request_latency;  // whole batch, dequeue-to-response
+  Counter batches_waited;        // admitted batches that waited for a slot
+  LatencyHistogram request_latency;  // batch: admission to response written
   LatencyHistogram query_latency;    // single query inside a batch
 
   /// Renders every counter and histogram in Prometheus text format with

@@ -67,10 +67,10 @@ class ChunkCache {
            size_t budget) {
     const size_t bytes = data->byte_size();
     std::lock_guard<std::mutex> l(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) return;  // racing decode; first insert wins
+    const auto [it, inserted] = map_.try_emplace(key);
+    if (!inserted) return;  // racing decode; first insert wins
     lru_.push_front(Entry{key, std::move(data), bytes});
-    map_[key] = lru_.begin();
+    it->second = lru_.begin();
     resident_bytes_ += bytes;
     while (resident_bytes_ > budget && lru_.size() > 1) {
       EvictBackLocked();

@@ -4,8 +4,9 @@
 // bit patterns and the catalog's builds are deterministic functions of
 // (catalog seed, key), so equality is exact, not tolerance-based. The rest
 // pin the catalog-reuse contract (one shared sample answers distinct
-// queries), both admission-control rejections, and that typed per-query
-// failures (fail-point injected) never take the server down.
+// queries), both admission-control rejections, the execution slots (FIFO
+// waits, a draining Stop), and that typed per-query failures (fail-point
+// injected) never take the server down.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -117,18 +118,15 @@ TEST_F(ServerTest, RoundTripExactAndApprox) {
   server_->Stop();
 }
 
-// The tentpole differential: concurrent clients, mixed exact/approx batches
-// with per-request WHERE predicates, every response bit-identical to a
-// direct serial engine call replicating the catalog's deterministic build.
-TEST_F(ServerTest, ConcurrentClientsBitIdenticalToDirectEngine) {
-  ScopedExecThreads threads(4);  // server and direct calls share the pool
+// The load-bearing differential: concurrent clients, mixed exact/approx
+// batches with per-request WHERE predicates, every response bit-identical
+// to a direct serial engine call replicating the catalog's deterministic
+// build. Each client's batches execute on its connection's reader thread
+// under the server's execution slots.
+void ExpectConcurrentClientsBitIdentical(const Table& table,
+                                         AqpServer* server, int clients) {
   constexpr double kRate = 0.25;
-  constexpr uint64_t kSeed = 1234;
-  ServerOptions opts;
-  opts.socket_path = TestSocketPath("differential");
-  opts.catalog_seed = kSeed;
-  opts.num_workers = 3;
-  StartServer(opts);
+  const std::string& socket_path = server->options().socket_path;
 
   // Three workload-class-sharing approx queries (distinct WHERE, same
   // canonical spec) + one exact.
@@ -140,17 +138,16 @@ TEST_F(ServerTest, ConcurrentClientsBitIdenticalToDirectEngine) {
   const std::string kExactSql =
       "SELECT g, AVG(v), SUM(v) FROM skewed GROUP BY g";
 
-  constexpr int kClients = 4;
   constexpr int kBatchesPerClient = 3;
-  std::vector<std::vector<ResponseEnvelope>> responses(kClients);
+  std::vector<std::vector<ResponseEnvelope>> responses(clients);
   std::atomic<int> transport_failures{0};
   {
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
+    std::vector<std::thread> threads;
+    threads.reserve(clients);
+    for (int c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
         AqpClient client;
-        if (!client.Connect(opts.socket_path).ok()) {
+        if (!client.Connect(socket_path).ok()) {
           transport_failures.fetch_add(1);
           return;
         }
@@ -177,14 +174,15 @@ TEST_F(ServerTest, ConcurrentClientsBitIdenticalToDirectEngine) {
         }
       });
     }
-    for (std::thread& t : clients) t.join();
+    for (std::thread& t : threads) t.join();
   }
   ASSERT_EQ(transport_failures.load(), 0);
 
   // Ground truth, computed serially after the fact.
-  ASSERT_OK_AND_ASSIGN(StratifiedSample sample,
-                       ReplicateCatalogBuild(table_, kApproxSql[0], kRate,
-                                             kSeed));
+  ASSERT_OK_AND_ASSIGN(
+      StratifiedSample sample,
+      ReplicateCatalogBuild(table, kApproxSql[0], kRate,
+                            server->options().catalog_seed));
   std::vector<WireResult> want_approx;
   for (const std::string& sql : kApproxSql) {
     ASSERT_OK_AND_ASSIGN(ParsedQuery parsed, ParseSql(sql));
@@ -194,10 +192,10 @@ TEST_F(ServerTest, ConcurrentClientsBitIdenticalToDirectEngine) {
   }
   ASSERT_OK_AND_ASSIGN(ParsedQuery exact_parsed, ParseSql(kExactSql));
   ASSERT_OK_AND_ASSIGN(QueryResult exact_direct,
-                       ExecuteExact(table_, exact_parsed.query));
+                       ExecuteExact(table, exact_parsed.query));
   const WireResult want_exact = FlattenResult(exact_direct);
 
-  for (int c = 0; c < kClients; ++c) {
+  for (int c = 0; c < clients; ++c) {
     ASSERT_EQ(responses[c].size(), static_cast<size_t>(kBatchesPerClient));
     for (const ResponseEnvelope& resp : responses[c]) {
       ASSERT_EQ(resp.results.size(), kApproxSql.size() + 1);
@@ -211,14 +209,37 @@ TEST_F(ServerTest, ConcurrentClientsBitIdenticalToDirectEngine) {
     }
   }
 
-  // All 36 approx queries share ONE workload class: exactly one sample was
+  // Every approx query shares ONE workload class: exactly one sample was
   // built, everything else hit it.
-  EXPECT_EQ(server_->catalog().size(), 1u);
-  EXPECT_EQ(server_->catalog().builds(), 1u);
-  EXPECT_GT(server_->catalog().hits(), 0u);
-  EXPECT_EQ(server_->catalog().hits() + server_->catalog().misses(),
-            static_cast<uint64_t>(kClients * kBatchesPerClient *
+  EXPECT_EQ(server->catalog().size(), 1u);
+  EXPECT_EQ(server->catalog().builds(), 1u);
+  EXPECT_GT(server->catalog().hits(), 0u);
+  EXPECT_EQ(server->catalog().hits() + server->catalog().misses(),
+            static_cast<uint64_t>(clients * kBatchesPerClient *
                                   kApproxSql.size()));
+}
+
+TEST_F(ServerTest, ConcurrentClientsBitIdenticalToDirectEngine) {
+  ScopedExecThreads threads(4);  // server and direct calls share the pool
+  ServerOptions opts;
+  opts.socket_path = TestSocketPath("differential");
+  opts.catalog_seed = 1234;
+  opts.num_workers = 3;
+  StartServer(opts);
+  ExpectConcurrentClientsBitIdentical(table_, server_.get(), /*clients=*/4);
+  server_->Stop();
+}
+
+// More connections than execution slots: batches wait for a slot and still
+// answer bit-identically.
+TEST_F(ServerTest, MoreClientsThanSlotsBitIdenticalToDirectEngine) {
+  ScopedExecThreads threads(4);
+  ServerOptions opts;
+  opts.socket_path = TestSocketPath("overslots");
+  opts.catalog_seed = 77;
+  opts.num_workers = 2;
+  StartServer(opts);
+  ExpectConcurrentClientsBitIdentical(table_, server_.get(), /*clients=*/6);
   server_->Stop();
 }
 
@@ -342,6 +363,126 @@ TEST_F(ServerTest, QueueDepthAdmissionRejectsWhenFull) {
   server_->Stop();
 }
 
+// Blocks until the server reports `depth` batches waiting for a slot.
+void AwaitQueueDepth(const AqpServer& server, uint64_t depth) {
+  while (GaugeValue(server.RenderMetrics(), "aqp_queue_depth") != depth) {
+    std::this_thread::yield();
+  }
+}
+
+// A sequential client on an idle server always finds a free slot: its
+// batches run straight on the reader thread and never wait.
+TEST_F(ServerTest, SequentialClientNeverWaitsForASlot) {
+  ServerOptions opts;
+  opts.socket_path = TestSocketPath("nowait");
+  opts.num_workers = 1;
+  StartServer(opts);
+
+  AqpClient client;
+  ASSERT_OK(client.Connect(opts.socket_path));
+  QueryRequestItem item;
+  item.sql = "SELECT g, AVG(v) FROM skewed GROUP BY g";
+  item.sample_rate = 0.25;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_OK_AND_ASSIGN(ResponseEnvelope resp, client.Query({item}));
+    ASSERT_OK(resp.results[0].status);
+  }
+  EXPECT_EQ(server_->metrics().batches_waited.value(), 0u);
+  ASSERT_OK_AND_ASSIGN(std::string metrics, client.Metrics());
+  EXPECT_NE(metrics.find("aqp_batches_waited_total 0"), std::string::npos);
+  EXPECT_EQ(GaugeValue(metrics, "aqp_queue_depth"), 0u);
+  server_->Stop();
+}
+
+// With the slots withheld, batches wait in arrival order up to max_queue;
+// one more is rejected. Once released, the one slot runs the waiters first
+// come, first served: the first builds the shared sample, the second hits
+// it.
+TEST_F(ServerTest, WaitingBatchesRunInArrivalOrder) {
+  ServerOptions opts;
+  opts.socket_path = TestSocketPath("fifo");
+  opts.max_queue = 2;
+  opts.num_workers = 1;
+  StartServer(opts);
+  server_->PauseWorkersForTesting(true);
+
+  QueryRequestItem item;
+  item.sql = "SELECT g, AVG(v) FROM skewed GROUP BY g";
+  item.sample_rate = 0.25;
+  ResponseEnvelope resp[2];
+  std::atomic<int> answered{0};
+  const auto send = [&](int i) {
+    AqpClient c;
+    if (!c.Connect(opts.socket_path).ok()) return;
+    auto r = c.Query({item});
+    if (r.ok()) {
+      resp[i] = std::move(r).value();
+      answered.fetch_add(1);
+    }
+  };
+  std::thread first(send, 0);
+  AwaitQueueDepth(*server_, 1);
+  std::thread second(send, 1);
+  AwaitQueueDepth(*server_, 2);
+
+  AqpClient overflow;
+  ASSERT_OK(overflow.Connect(opts.socket_path));
+  ASSERT_OK_AND_ASSIGN(ResponseEnvelope rejected, overflow.Query({item}));
+  ASSERT_EQ(rejected.results.size(), 1u);
+  EXPECT_EQ(rejected.results[0].status.code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_NE(rejected.results[0].status.message().find("queue full"),
+            std::string::npos);
+
+  server_->PauseWorkersForTesting(false);
+  first.join();
+  second.join();
+  ASSERT_EQ(answered.load(), 2);
+  ASSERT_OK(resp[0].results[0].status);
+  ASSERT_OK(resp[1].results[0].status);
+  EXPECT_EQ(resp[0].results[0].served_from, ServedFrom::kCatalogBuild);
+  EXPECT_EQ(resp[1].results[0].served_from, ServedFrom::kCatalogHit);
+  EXPECT_EQ(server_->metrics().batches_waited.value(), 2u);
+  EXPECT_EQ(server_->metrics().requests_rejected.value(), 1u);
+  server_->Stop();
+}
+
+// Stop from another thread drains: a batch executing and a batch waiting
+// behind it (the test pause no longer holds) both write their responses
+// before the connections shut down.
+TEST_F(ServerTest, StopDeliversWaitingAndExecutingBatches) {
+  ServerOptions opts;
+  opts.socket_path = TestSocketPath("drain");
+  opts.num_workers = 1;
+  StartServer(opts);
+  server_->PauseWorkersForTesting(true);
+
+  QueryRequestItem item;
+  item.sql = "SELECT g, AVG(v), SUM(v) FROM skewed GROUP BY g";
+  item.exact = true;
+  std::atomic<int> answered{0};
+  const auto send = [&] {
+    AqpClient c;
+    if (!c.Connect(opts.socket_path).ok()) return;
+    auto r = c.Query({item});
+    if (r.ok() && r->results.size() == 1 && r->results[0].status.ok() &&
+        r->results[0].result.num_groups() == 6u) {
+      answered.fetch_add(1);
+    }
+  };
+  std::thread first(send);
+  AwaitQueueDepth(*server_, 1);
+  std::thread second(send);
+  AwaitQueueDepth(*server_, 2);
+
+  std::thread stopper([&] { server_->Stop(); });
+  first.join();
+  second.join();
+  stopper.join();
+  EXPECT_EQ(answered.load(), 2);
+  EXPECT_FALSE(server_->running());
+}
+
 // A fail point firing mid-request comes back as that query's typed status;
 // the server (and even the same connection) keeps serving.
 TEST_F(ServerTest, FailpointAbortLeavesServerServing) {
@@ -361,12 +502,28 @@ TEST_F(ServerTest, FailpointAbortLeavesServerServing) {
   ASSERT_EQ(resp.results.size(), 1u);
   EXPECT_EQ(resp.results[0].status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(server_->metrics().queries_aborted.value(), 1u);
+  EXPECT_EQ(server_->metrics().queries_deadline_exceeded.value(), 1u);
+  EXPECT_EQ(server_->metrics().queries_cancelled.value(), 0u);
+  EXPECT_EQ(server_->metrics().queries_resource_exhausted.value(), 0u);
+  ASSERT_OK_AND_ASSIGN(std::string metrics, client.Metrics());
+  EXPECT_NE(metrics.find("aqp_queries_aborted_total 1"), std::string::npos);
+  EXPECT_NE(metrics.find("aqp_queries_deadline_exceeded_total 1"),
+            std::string::npos);
 
   // Same client, same query, fail point disarmed: served fine.
   ASSERT_TRUE(server_->running());
   ASSERT_OK_AND_ASSIGN(resp, client.Query({item}));
   ASSERT_OK(resp.results[0].status);
   EXPECT_EQ(resp.results[0].result.num_groups(), 6u);
+
+  // A cancellation lands on its own code's counter.
+  ASSERT_OK(failpoint::SetForTesting("exec.groupby.alloc:cancel"));
+  ASSERT_OK_AND_ASSIGN(resp, client.Query({item}));
+  failpoint::ClearForTesting();
+  EXPECT_EQ(resp.results[0].status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(server_->metrics().queries_aborted.value(), 2u);
+  EXPECT_EQ(server_->metrics().queries_cancelled.value(), 1u);
+  EXPECT_EQ(server_->metrics().queries_deadline_exceeded.value(), 1u);
 
   // An injected hard error is likewise contained as kInternal.
   ASSERT_OK(failpoint::SetForTesting("exec.groupby.alloc:error"));
@@ -537,7 +694,7 @@ TEST_F(ServerTest, MetricsScrapeAndShutdownRequest) {
   EXPECT_FALSE(server_->running());
 }
 
-// Pipeline workers answer from one published sample at once, all reading
+// Connection readers answer from one published sample at once, all reading
 // its table and cached GroupIndex: concurrent ExecuteApprox calls on a
 // shared catalog sample must equal the serial answers bit for bit (and
 // run race-free under TSan).

@@ -213,6 +213,17 @@ doc["description"] = (
     "the exact engine over the 500k-row base table, and "
     "BM_ServerCatalogHitParallel/<threads> is aggregate throughput with "
     "one connection per benchmark thread."
+    " (BM_ServerCatalogHit and the BM_ServerCatalogHitParallel ladder "
+    "hold the change's medians of 10 alternating parent/change pairs, "
+    "--benchmark_min_time=1, taken when each batch began executing on "
+    "its connection's reader thread under the server's 4 execution "
+    "slots instead of passing through a request queue to pipeline "
+    "workers; threads:8 has more connections than slots, so its batches "
+    "wait for a slot: BM_ServerCatalogHit 12.0k -> 13.6k queries/s "
+    "(10/10 wins), threads:2 23.4k -> 27.1k (10/10), threads:4 33.5k -> "
+    "61.6k (10/10), threads:8 47.8k -> 46.8k (2/10; run alone, 10 pairs "
+    "at --benchmark_min_time=2 read 46.6k -> 50.2k, 7/10), so threads:8 "
+    "is within noise)"
 )
 # The commit measured; "-dirty" marks numbers taken from uncommitted
 # changes on top of it.
