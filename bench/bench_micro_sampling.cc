@@ -2,6 +2,9 @@
 // method at a 1% rate, and approximate query answering.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "bench/bench_threading.h"
 #include "src/datagen/openaq_gen.h"
 #include "src/estimate/approx_executor.h"
@@ -9,12 +12,37 @@
 #include "src/sample/congress_sampler.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/rl_sampler.h"
-#include "src/sample/senate_sampler.h"
 #include "src/sample/streaming_cvopt_sampler.h"
 #include "src/sample/uniform_sampler.h"
 
 namespace cvopt {
 namespace {
+
+// Equal split of `budget` over strata with capacities `caps`: strata that
+// fill up drop out and their surplus is split again over the rest, so
+// sum(out) == min(budget, sum caps). The draw bench's allocation.
+std::vector<uint64_t> EqualAllocation(const std::vector<uint64_t>& caps,
+                                      uint64_t budget) {
+  const size_t r = caps.size();
+  std::vector<uint64_t> out(r, 0);
+  const uint64_t total = std::accumulate(caps.begin(), caps.end(), uint64_t{0});
+  uint64_t remaining = std::min(budget, total);
+  std::vector<size_t> open(r);
+  std::iota(open.begin(), open.end(), 0);
+  while (remaining > 0 && !open.empty()) {
+    const uint64_t share = std::max<uint64_t>(1, remaining / open.size());
+    std::vector<size_t> next;
+    for (size_t i : open) {
+      if (remaining == 0) break;
+      const uint64_t take = std::min({share, caps[i] - out[i], remaining});
+      out[i] += take;
+      remaining -= take;
+      if (out[i] < caps[i]) next.push_back(i);
+    }
+    open = std::move(next);
+  }
+  return out;
+}
 
 const Table& BenchTable() {
   static const Table* t = [] {

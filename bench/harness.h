@@ -20,7 +20,6 @@
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/rl_sampler.h"
 #include "src/sample/sample_seek_sampler.h"
-#include "src/sample/senate_sampler.h"
 #include "src/sample/uniform_sampler.h"
 #include "src/util/string_util.h"
 

@@ -26,22 +26,17 @@ Result<QueryResult> ExecuteApprox(const StratifiedSample& sample,
   CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> gidx,
                          SampleGroupIndex(sample, query.group_by));
 
-  // WHERE compiles to typed kernels (cached per sample table + predicate)
-  // and selects the surviving sampled rows.
-  const bool use_sel = query.where != nullptr;
-  std::vector<uint32_t> sel;
-  if (use_sel) {
-    CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> where,
-                           CompilePredicateCached(table, query.where));
-    sel = where->Select();
+  // WHERE compiles to typed kernels (cached per sample table + predicate);
+  // the exact executor's accumulation selects the surviving sampled rows
+  // one storage chunk at a time, each carrying its Horvitz–Thompson
+  // weight.
+  std::shared_ptr<const CompiledPredicate> where;
+  if (query.where != nullptr) {
+    CVOPT_ASSIGN_OR_RETURN(where, CompilePredicateCached(table, query.where));
   }
-
-  // The exact executor's accumulation with every sampled row carrying its
-  // Horvitz–Thompson weight.
   CVOPT_ASSIGN_OR_RETURN(
       GroupedAccumulators acc,
-      AccumulateGrouped(table, query, *gidx, use_sel ? &sel : nullptr,
-                        &sample.weights()));
+      AccumulateGrouped(table, query, *gidx, where.get(), &sample.weights()));
 
   // Groups emit in first-occurrence-over-sampled-rows order; under a WHERE
   // clause this may differ from the legacy first-surviving-row order.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "src/exec/group_by_executor.h"
@@ -136,7 +137,9 @@ ChunkVerdict ClassifyChunk(const MappedTable& mt, const MappedScanPlan& plan,
 
 // One storage chunk of a decode wave. The decoded columns are held here
 // (by column index; null when not read), so cache evictions cannot free
-// them before the wave is accumulated.
+// them before the wave is accumulated. A scan keeps one WaveChunk per wave
+// slot, so the id, selection and mask buffers keep their capacity from
+// wave to wave.
 struct WaveChunk {
   size_t rows = 0;
   ChunkVerdict verdict = ChunkVerdict::kResidual;
@@ -164,7 +167,6 @@ Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
   const bool skip = wc->verdict == ChunkVerdict::kSkip;
   if (skip && dir != nullptr) return Status::OK();
   const size_t n = wc->rows;
-  wc->cols.resize(mt.num_columns());
   for (size_t c : skip ? plan.gcols : plan.decode_cols) {
     CVOPT_ASSIGN_OR_RETURN(wc->cols[c], mt.GetChunk(c, k));
   }
@@ -175,9 +177,7 @@ Status DecodeWaveChunk(const MappedTable& mt, const MappedScanPlan& plan,
                                          d.codes.data()};
   };
   const bool selects = Selects(plan, *wc);
-  if (selects) {
-    wc->sel = plan.where->Rebind(span_of, n).SelectRange(0, n);
-  }
+  if (selects) plan.where->Rebind(span_of, n).SelectRange(0, n, &wc->sel);
   const size_t t = plan.bindings.size();
   wc->indicators.resize(t);
   wc->values.resize(t);
@@ -278,9 +278,10 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
   std::iota(positions.begin(), positions.end(), 0u);
 
   const bool zones_on = ZoneMapPruningEnabled();
+  std::vector<WaveChunk> wave(std::min(wave_cap, num_chunks));
+  std::optional<SourceAccumulator> accumulator;  // prepared at first use
   for (size_t w0 = 0; w0 < num_chunks; w0 += wave_cap) {
     const size_t wn = std::min(wave_cap, num_chunks - w0);
-    std::vector<WaveChunk> wave(wn);
     for (size_t i = 0; i < wn; ++i) {
       // Governance boundary of the streaming scan: one check per storage
       // chunk, never per row.
@@ -288,6 +289,7 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
       CVOPT_FAILPOINT("exec.mapped.chunk");
       wave[i].rows = mt.ChunkRowCount(w0 + i);
       wave[i].verdict = ClassifyChunk(mt, plan, zones_on, w0 + i);
+      wave[i].cols.assign(mt.num_columns(), nullptr);  // drop the last wave's
     }
 
     // (a) Decode, masks and looked-up ids, one chunk per morsel. Failures
@@ -297,11 +299,12 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
       wave[i].status = DecodeWaveChunk(mt, plan, kept.get(), positions.data(),
                                        w0 + i, &wave[i]);
     });
-    for (const WaveChunk& wc : wave) CVOPT_RETURN_NOT_OK(wc.status);
+    for (size_t i = 0; i < wn; ++i) CVOPT_RETURN_NOT_OK(wave[i].status);
 
     // (b) Building: route in chunk order, so ids are full-file first-seen.
     if (building != nullptr) {
-      for (WaveChunk& wc : wave) {
+      for (size_t c = 0; c < wn; ++c) {
+        WaveChunk& wc = wave[c];
         for (size_t i = 0; i < plan.gcols.size(); ++i) {
           const DecodedChunk& d = *wc.cols[plan.gcols[i]];
           building->Bind(i, d.ints.data(), d.codes.data());
@@ -314,13 +317,17 @@ Result<QueryResult> ScanMapped(const MappedTable& mt, const QuerySpec& query,
 
     // (c) Accumulate chunk by chunk: the WHERE survivors are the selection,
     // the decoded columns and COUNT_IF masks the value streams.
-    for (const WaveChunk& wc : wave) {
+    for (size_t i = 0; i < wn; ++i) {
+      const WaveChunk& wc = wave[i];
       if (wc.verdict == ChunkVerdict::kSkip) continue;
       GroupedPass pass;
       pass.num_groups = acc.num_groups;
       pass.row_groups = &wc.gids;
       if (Selects(plan, wc)) pass.sel = &wc.sel;
-      AccumulateSources(pass, query.aggregates, wc.values, &acc);
+      if (!accumulator) {
+        accumulator.emplace(query.aggregates, wc.values, /*weighted=*/false);
+      }
+      accumulator->Add(pass, wc.values, &acc);
     }
   }
   if (building != nullptr) {

@@ -13,7 +13,8 @@
 // rejected chunks decode their GROUP BY columns, every row is routed in
 // chunk order, and a completed scan offers the directory to the table.
 // Each chunk is accumulated, in chunk order, with one serial pass of the
-// shared accumulation core (AccumulateSources). Decoded chunks flow
+// shared accumulation core (a SourceAccumulator prepared once per scan;
+// each wave slot reuses its selection buffer). Decoded chunks flow
 // through the process-wide LRU chunk cache (CVOPT_CHUNK_CACHE_BYTES), so
 // peak memory is one decode wave's worth of the projected columns plus
 // the cache budget, the directory and the accumulators, regardless of

@@ -48,22 +48,18 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
   }
 
   // One finest-grouping pass shared by every grouping set: dense ids over
-  // the full key set, the WHERE selection evaluated once, and one raw
-  // accumulation (which itself reuses the partition artifact on unmasked
-  // queries — partition-owned slabs, no chunk merge).
+  // the full key set, the WHERE clause evaluated once, and one raw
+  // accumulation (which itself reuses the partition artifact —
+  // partition-owned slabs, no chunk merge).
   CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> index,
                          GroupIndex::BuildShared(table, base.group_by));
   const GroupIndex& gidx = *index;
-  const bool use_sel = base.where != nullptr;
-  std::vector<uint32_t> sel;
-  if (use_sel) {
-    CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> where,
-                           CompilePredicateCached(table, base.where));
-    sel = ParallelSelect(*where);
+  std::shared_ptr<const CompiledPredicate> where;
+  if (base.where != nullptr) {
+    CVOPT_ASSIGN_OR_RETURN(where, CompilePredicateCached(table, base.where));
   }
-  CVOPT_ASSIGN_OR_RETURN(
-      GroupedAccumulators acc,
-      AccumulateGrouped(table, base, gidx, use_sel ? &sel : nullptr));
+  CVOPT_ASSIGN_OR_RETURN(GroupedAccumulators acc,
+                         AccumulateGrouped(table, base, gidx, where.get()));
 
   const size_t G = gidx.num_groups();
   const size_t k = base.group_by.size();

@@ -58,6 +58,135 @@ struct UnitWeight {
   double operator()(size_t) const { return 1.0; }
 };
 
+// Value readers of the row loops, one per ValueSpan kind.
+struct DoublesAt {
+  const double* p;
+  double operator()(size_t i) const { return p[i]; }
+};
+struct IntsAt {
+  const int64_t* p;
+  double operator()(size_t i) const { return static_cast<double>(p[i]); }
+};
+struct IndicatorAt {
+  const uint8_t* p;
+  double operator()(size_t i) const { return p[i] ? 1.0 : 0.0; }
+};
+// A shifted pass's reader: the value less its group's shift value c_g.
+template <class V>
+struct ShiftedAt {
+  V v;
+  const double* c;
+  const uint32_t* rg;
+  double operator()(size_t i) const { return v(i) - c[rg[i]]; }
+};
+// The reader of a fused loop that adds no value stream.
+struct NoValue {
+  double operator()(size_t) const { return 0.0; }
+};
+
+// Calls fn with the reader of a column stream (doubles or ints).
+template <class Fn>
+void WithColumnReader(const ValueSpan& src, Fn&& fn) {
+  if (src.doubles != nullptr) {
+    fn(DoublesAt{src.doubles});
+  } else {
+    fn(IntsAt{src.ints});
+  }
+}
+
+// Calls fn with the reader of any value stream.
+template <class Fn>
+void WithReader(const ValueSpan& src, Fn&& fn) {
+  if (src.indicator != nullptr) {
+    fn(IndicatorAt{src.indicator});
+  } else {
+    WithColumnReader(src, fn);
+  }
+}
+
+// Calls fn with `reader`, or with its ShiftedAt when `c` holds the pass's
+// per-group shift values.
+template <class V, class Fn>
+void WithShift(V reader, const double* c, const uint32_t* rg, Fn&& fn) {
+  if (c != nullptr) {
+    fn(ShiftedAt<V>{reader, c, rg});
+  } else {
+    fn(reader);
+  }
+}
+
+// Position walks: each calls fn(i, slot) for the positions one loop
+// visits, ascending, where slot indexes the destination slabs.
+//
+// Positions [lo, hi): an unmasked morsel, or a storage chunk the zone maps
+// prove all-matching.
+struct RangeWalk {
+  size_t lo, hi;
+  const uint32_t* rg;
+  template <class Fn>
+  void operator()(Fn&& fn) const {
+    for (size_t i = lo; i < hi; ++i) fn(i, rg[i]);
+  }
+};
+// Listed positions: a selection, or one storage chunk's survivors.
+struct ListWalk {
+  const uint32_t* rows;
+  size_t n;
+  const uint32_t* rg;
+  template <class Fn>
+  void operator()(Fn&& fn) const {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = rows[k];
+      fn(i, rg[i]);
+    }
+  }
+};
+// One radix partition's positions [kb, ke) of part_rows, slotted by their
+// partition-local group ids, skipping positions whose mask byte is 0.
+struct PartitionWalk {
+  const uint32_t* rows;
+  const uint32_t* local;
+  size_t kb, ke;
+  const uint8_t* mask;  // null: every position
+  template <class Fn>
+  void operator()(Fn&& fn) const {
+    for (size_t k = kb; k < ke; ++k) {
+      const size_t i = rows[k];
+      if (mask != nullptr && mask[i] == 0) continue;
+      fn(i, local[k]);
+    }
+  }
+};
+
+// The fused row loop: per visited position, ++cnt (kCount), wsum += w
+// (kWeightSum), s += w * v and s2 += w * v * v (kS2) at its slot. Each
+// slab still receives its additions in visit order, so one loop over
+// several slabs adds exactly what one loop per slab would.
+template <bool kCount, bool kWeightSum, bool kS2, class Walk, class W,
+          class V>
+void RowLoop(const Walk& walk, uint64_t* cnt, double* wsum, double* s,
+             double* s2, W weight_at, V value_at) {
+  walk([&](size_t i, size_t g) {
+    if constexpr (kCount) ++cnt[g];
+    const double w = weight_at(i);
+    if constexpr (kWeightSum) wsum[g] += w;
+    if constexpr (!std::is_same_v<V, NoValue>) {
+      const double v = value_at(i);
+      const double wv = w * v;
+      s[g] += wv;
+      if constexpr (kS2) s2[g] += wv * v;
+    }
+  });
+}
+
+// The WHERE walk's per-storage-chunk checkpoint: governance, and a fail
+// point that aborts a scan part-way.
+void StorageChunkCheckpoint() {
+  CheckQueryAbortedOrThrow();
+  Status st = CVOPT_FAILPOINT_STATUS("exec.groupby.chunk");
+  if (!st.ok()) throw QueryAbortedError(std::move(st));
+}
+
 // The finalize rules over a per-group denominator: the count of an
 // unweighted pass, the weight sum of a weighted one.
 template <class Den>
@@ -155,288 +284,348 @@ std::vector<ValueSpan> SpansOf(const std::vector<StatSource>& sources) {
   return spans;
 }
 
-void AccumulateSources(const GroupedPass& pass,
-                       const std::vector<AggSpec>& aggs,
-                       const std::vector<ValueSpan>& values,
-                       GroupedAccumulators* out) {
-  GroupedAccumulators& acc = *out;
-  const size_t t = aggs.size();
-  const size_t n = pass.row_groups->size();
-  const size_t G = pass.num_groups;
-  const uint32_t* rg = pass.row_groups->data();
-  const std::vector<uint32_t>* sel = pass.sel;
-  const bool use_sel = sel != nullptr;
-  const uint32_t* selp = use_sel ? sel->data() : nullptr;
-  const bool weighted = pass.weights != nullptr;
-  acc.Grow(aggs, G, weighted);
-  if (pass.shift_rows != nullptr) acc.shifts.resize(t);
-
-  // Pass over a partitioned build: partition-owned accumulator slabs.
-  // Each worker iterates its partition's ascending position list into a
-  // slab sized to the partition's own group count, then adds the slab
-  // into its groups' global ids — disjoint across partitions, so there is
-  // no contention and no chunk-order merge at all. Per-group sums are the
-  // serial ascending-position sums bit for bit (no reassociation), and
-  // MEDIAN buffers append whole (a group's positions live in one
-  // partition).
-  // A WHERE selection rides the same slabs through a dense byte mask: a
-  // group's surviving positions are still visited ascending, so masked
-  // sums match the serial masked loop bit for bit, and fully-filtered
-  // groups keep count zero (their results omit them).
-  const GroupPartitions* parts = pass.parts;
-  const uint32_t* prows = parts != nullptr ? parts->part_rows.data() : nullptr;
-  const uint32_t* plocal =
-      parts != nullptr ? parts->part_local.data() : nullptr;
-
-  // Otherwise: the chunk-order merged morsel path. Accumulation iterates
-  // [0, m): surviving positions under a WHERE clause, all positions
-  // otherwise. Parallel passes run the same body over chunk-order ranges
-  // and merge per-chunk accumulators in chunk order; one chunk is the
-  // exact serial loop.
-  const size_t m = use_sel ? sel->size() : n;
-  const size_t chunks = pass.chunks;
-  auto for_range = [&](size_t lo, size_t hi, auto&& fn) {
-    if (use_sel) {
-      for (size_t i = lo; i < hi; ++i) fn(static_cast<size_t>(selp[i]));
-    } else {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    }
+SourceAccumulator::SourceAccumulator(const std::vector<AggSpec>& aggs,
+                                     const std::vector<ValueSpan>& values,
+                                     bool weighted)
+    : aggs_(&aggs), weighted_(weighted) {
+  // SUM-like (AVG, SUM, COUNT_IF) or VARIANCE: aggregates of one kind over
+  // one stream make the same additions in the same order.
+  auto is_variance = [&](size_t j) {
+    return aggs[j].func == AggFunc::kVariance;
   };
-
-  std::vector<uint8_t> sel_mask;
-  const uint8_t* mk = nullptr;
-  if (parts != nullptr && use_sel) {
-    // Scatter the selection into position-indexed bytes. Selection entries
-    // are distinct positions, so parallel chunks write disjoint slots.
-    sel_mask.assign(n, 0);
-    uint8_t* mp = sel_mask.data();
-    ParallelForChunks(m, chunks, [&](size_t, size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) mp[selp[i]] = 1;
+  auto same_stream = [&](size_t k, size_t j) {
+    return values[k].doubles == values[j].doubles &&
+           values[k].ints == values[j].ints &&
+           values[k].indicator == values[j].indicator;
+  };
+  std::vector<size_t> owners;
+  for (size_t j = 0; j < aggs.size(); ++j) {
+    const AggFunc f = aggs[j].func;
+    if (f == AggFunc::kCount) continue;  // answered by cnt / wcnt
+    if (f == AggFunc::kMedian) {
+      medians_.push_back(j);
+      continue;
+    }
+    const auto k = std::find_if(owners.begin(), owners.end(), [&](size_t o) {
+      return is_variance(o) == is_variance(j) && same_stream(o, j);
     });
-    mk = mp;
+    if (k != owners.end()) {
+      copies_.emplace_back(j, *k);
+      continue;
+    }
+    owners.push_back(j);
+    if (fused_ == kNone && values[j].indicator == nullptr) {
+      fused_ = j;
+    } else {
+      sums_.push_back(j);
+    }
+  }
+}
+
+void SourceAccumulator::Add(const GroupedPass& pass,
+                            const std::vector<ValueSpan>& values,
+                            GroupedAccumulators* out) const {
+  GroupedAccumulators& acc = *out;
+  const std::vector<AggSpec>& aggs = *aggs_;
+  const size_t t = aggs.size();
+  const size_t G = pass.num_groups;
+  const size_t n = pass.row_groups->size();
+  const uint32_t* rg = pass.row_groups->data();
+  if (acc.num_groups != G || acc.sums.size() != t) {
+    acc.Grow(aggs, G, weighted_);
   }
 
-  // Per-group surviving-position counts, added to earlier passes' counts
-  // (identical across aggregates; integer, so every merge is bit-exact).
-  if (!use_sel && pass.sizes != nullptr) {
+  // Per-group surviving-position counts: the sizes of an unmasked pass
+  // that has them, else counted by the fused loop (integers, so every
+  // merge is bit-exact).
+  const bool counts =
+      pass.sel != nullptr || pass.where != nullptr || pass.sizes == nullptr;
+  if (!counts) {
     const uint64_t* sizes = pass.sizes->data();
     for (size_t g = 0; g < G; ++g) acc.cnt[g] += sizes[g];
-  } else if (parts != nullptr) {
-    const uint32_t* l2g = parts->local_to_global.data();
-    ParallelForChunks(parts->num_partitions(), parts->num_partitions(),
-                      [&](size_t p, size_t, size_t) {
-      const size_t gb = parts->group_base[p];
-      std::vector<uint64_t> local(parts->num_groups_in(p), 0);
-      for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1]; ++k) {
-        local[plocal[k]] += mk[prows[k]];
-      }
-      for (size_t l = 0; l < local.size(); ++l) {
-        acc.cnt[l2g[gb + l]] += local[l];
-      }
-    });
-  } else if (chunks == 1) {
-    for_range(0, m, [&](size_t i) { acc.cnt[rg[i]]++; });
-  } else {
-    std::vector<std::vector<uint64_t>> part(chunks);
-    ParallelForChunks(m, chunks, [&](size_t c, size_t lo, size_t hi) {
-      part[c].assign(G, 0);
-      uint64_t* p = part[c].data();
-      for_range(lo, hi, [&](size_t i) { p[rg[i]]++; });
-    });
-    for (const auto& p : part) {
-      for (size_t g = 0; g < G; ++g) acc.cnt[g] += p[g];
-    }
   }
 
-  // S[g] += w * v and, for VARIANCE, S2[g] += w * v * v over the group's
-  // surviving positions in ascending order.
-  auto sum_into = [&](double* S, double* S2, auto weight_at, auto value_at) {
-    if (parts != nullptr) {
-      AccumulatePartitioned(
-          *parts, /*use_s2=*/S2 != nullptr, S, S2,
-          [&](size_t p, double* s, double* s2) {
-            for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1];
-                 ++k) {
-              const size_t i = prows[k];
-              if (mk != nullptr && mk[i] == 0) continue;
-              const double v = value_at(i);
-              const double wv = weight_at(i) * v;
-              s[plocal[k]] += wv;
-              if (s2 != nullptr) s2[plocal[k]] += wv * v;
-            }
-          });
-    } else if (S2 != nullptr) {
-      AccumulateChunked(m, chunks, G, S, S2,
-                        [&](double* s, double* s2, size_t lo, size_t hi) {
-                          for_range(lo, hi, [&](size_t i) {
-                            const double v = value_at(i);
-                            const double wv = weight_at(i) * v;
-                            s[rg[i]] += wv;
-                            s2[rg[i]] += wv * v;
-                          });
-                        });
-    } else {
-      AccumulateChunked(m, chunks, G, S, nullptr,
-                        [&](double* s, double*, size_t lo, size_t hi) {
-                          for_range(lo, hi, [&](size_t i) {
-                            s[rg[i]] += weight_at(i) * value_at(i);
-                          });
-                        });
-    }
-  };
-
-  // Appends elem_at(i) to the group's buffer for every surviving position,
-  // ascending — the MEDIAN buffers, which finalization reads instead of
-  // the sums.
-  auto collect_into = [&](auto* bufs, auto elem_at) {
-    using Elem = decltype(elem_at(size_t{0}));
-    if (parts == nullptr) {
-      CollectChunked<Elem>(m, chunks, G, bufs,
-                           [&](std::vector<Elem>* b, size_t lo, size_t hi) {
-                             for_range(lo, hi, [&](size_t i) {
-                               b[rg[i]].push_back(elem_at(i));
-                             });
-                           });
-      return;
-    }
-    const uint32_t* l2g = parts->local_to_global.data();
-    ParallelForChunks(parts->num_partitions(), parts->num_partitions(),
-                      [&](size_t p, size_t, size_t) {
-      const size_t gb = parts->group_base[p];
-      std::vector<std::vector<Elem>> local(parts->num_groups_in(p));
-      for (size_t k = parts->part_base[p]; k < parts->part_base[p + 1]; ++k) {
-        if (mk != nullptr && mk[prows[k]] == 0) continue;
-        local[plocal[k]].push_back(elem_at(prows[k]));
-      }
-      for (size_t l = 0; l < local.size(); ++l) {
-        std::vector<Elem>& dst = (*bufs)[l2g[gb + l]];
-        dst.insert(dst.end(), local[l].begin(), local[l].end());
-      }
-    });
-  };
-
-  // The earlier aggregate whose slabs aggregate j's pass would repeat, or
-  // j: one of the same kind (SUM-like: AVG, SUM, COUNT_IF; or VARIANCE)
-  // over the same value stream, e.g. AVG(v) beside SUM(v). Its pass makes
-  // the same additions in the same order, so j copies its sums.
-  auto sums_source = [&](size_t j) {
-    auto kind = [&](size_t i) {
-      const AggFunc f = aggs[i].func;
-      return f == AggFunc::kCount || f == AggFunc::kMedian ? 0
-             : f == AggFunc::kVariance                     ? 2
-                                                           : 1;
+  // Shifted passes: c_g is the value at the group's shift row (0 for a
+  // group with no positions, whose shift row does not exist).
+  if (pass.shift_rows != nullptr) {
+    acc.shifts.resize(t);
+    const uint32_t* srow = pass.shift_rows->data();
+    const uint64_t* sizes = pass.sizes->data();
+    auto record = [&](size_t j) {
+      std::vector<double>& c = acc.shifts[j];
+      c.assign(G, 0.0);
+      WithReader(values[j], [&](auto value_at) {
+        for (size_t g = 0; g < G; ++g) {
+          if (sizes[g] > 0) c[g] = value_at(srow[g]);
+        }
+      });
     };
-    for (size_t k = 0; k < j; ++k) {
-      if (kind(k) != 0 && kind(k) == kind(j) &&
-          values[k].doubles == values[j].doubles &&
-          values[k].ints == values[j].ints &&
-          values[k].indicator == values[j].indicator) {
-        return k;
-      }
-    }
-    return j;
+    if (fused_ != kNone) record(fused_);
+    for (size_t j : sums_) record(j);
+  }
+  auto shift_of = [&](size_t j) -> const double* {
+    return pass.shift_rows != nullptr ? acc.shifts[j].data() : nullptr;
   };
 
-  // Hoists the weight stream and each aggregate's value stream (indicator
-  // or column type) out of the row loops; each combination instantiates a
-  // specialized inner loop.
-  auto accumulate = [&](auto weight_at) {
+  // Zeroed slabs of `groups` entries for everything this pass adds: a
+  // morsel's chunk-merge partial, or a partition's own slabs.
+  auto partial = [&](size_t groups) {
+    GroupedAccumulators p;
+    p.num_groups = groups;
+    if (counts) p.cnt.assign(groups, 0);
+    if (weighted_) p.wcnt.assign(groups, 0.0);
+    p.sums.resize(t);
+    p.sums2.resize(t);
+    p.median_values.resize(t);
+    p.median_pairs.resize(t);
+    auto slabs = [&](size_t j) {
+      p.sums[j].assign(groups, 0.0);
+      if (aggs[j].func == AggFunc::kVariance) p.sums2[j].assign(groups, 0.0);
+    };
+    if (fused_ != kNone) slabs(fused_);
+    for (size_t j : sums_) slabs(j);
+    for (size_t j : medians_) {
+      if (weighted_) {
+        p.median_pairs[j].resize(groups);
+      } else {
+        p.median_values[j].resize(groups);
+      }
+    }
+    return p;
+  };
+  // Adds partial `p` into acc at ids[l] (at l when ids is null): counts
+  // and sums add, MEDIAN buffers append.
+  auto merge = [&](GroupedAccumulators& p, const uint32_t* ids) {
+    auto add = [&](auto& dst, const auto& src) {
+      for (size_t l = 0; l < src.size(); ++l) {
+        dst[ids != nullptr ? ids[l] : l] += src[l];
+      }
+    };
+    add(acc.cnt, p.cnt);
+    add(acc.wcnt, p.wcnt);
+    for (size_t j = 0; j < t; ++j) {
+      add(acc.sums[j], p.sums[j]);
+      add(acc.sums2[j], p.sums2[j]);
+    }
+    auto append = [&](auto& dst, auto& src) {
+      for (size_t l = 0; l < src.size(); ++l) {
+        auto& d = dst[ids != nullptr ? ids[l] : l];
+        d.insert(d.end(), src[l].begin(), src[l].end());
+      }
+    };
+    for (size_t j : medians_) {
+      append(acc.median_values[j], p.median_values[j]);
+      append(acc.median_pairs[j], p.median_pairs[j]);
+    }
+  };
+
+  // Everything one walk adds into dst, whose slabs the walk's slots
+  // index: the fused loop, then each other sum stream's loop, then the
+  // MEDIAN buffers. Each combination of weight stream and value readers
+  // instantiates a specialized loop.
+  auto run_walk = [&](const auto& walk, GroupedAccumulators& dst,
+                      auto weight_at) {
     constexpr bool kWeighted =
         !std::is_same_v<decltype(weight_at), UnitWeight>;
-    if constexpr (kWeighted) {
-      sum_into(acc.wcnt.data(), nullptr, weight_at,
-               [](size_t) { return 1.0; });
-    }
-    for (size_t j = 0; j < t; ++j) {
-      const AggFunc f = aggs[j].func;
-      const ValueSpan& src = values[j];
-      if (f == AggFunc::kCount) continue;  // answered by cnt / wcnt
-      if (const size_t k = sums_source(j); k != j) {
-        acc.sums[j] = acc.sums[k];
-        acc.sums2[j] = acc.sums2[k];
-        if (pass.shift_rows != nullptr) acc.shifts[j] = acc.shifts[k];
-        continue;
+    auto loop = [&](auto count, auto weight_sum, size_t j, auto value_at) {
+      constexpr bool kCount = decltype(count)::value;
+      constexpr bool kWeightSum = decltype(weight_sum)::value;
+      double* s = j != kNone ? dst.sums[j].data() : nullptr;
+      if (j != kNone && aggs[j].func == AggFunc::kVariance) {
+        RowLoop<kCount, kWeightSum, true>(walk, dst.cnt.data(),
+                                          dst.wcnt.data(), s,
+                                          dst.sums2[j].data(), weight_at,
+                                          value_at);
+      } else {
+        RowLoop<kCount, kWeightSum, false>(walk, dst.cnt.data(),
+                                           dst.wcnt.data(), s, nullptr,
+                                           weight_at, value_at);
       }
-      auto run = [&](auto value_at) {
-        if (f != AggFunc::kMedian) {
-          double* S = acc.sums[j].data();
-          double* S2 = f == AggFunc::kVariance ? acc.sums2[j].data() : nullptr;
-          if (pass.shift_rows == nullptr) {
-            sum_into(S, S2, weight_at, value_at);
-            return;
-          }
-          // Shifted sums: c_g is the value at the group's shift row (0 for
-          // a group with no positions, whose shift row does not exist).
-          std::vector<double>& c = acc.shifts[j];
-          c.assign(G, 0.0);
-          const uint32_t* srow = pass.shift_rows->data();
-          const uint64_t* sizes = pass.sizes->data();
-          for (size_t g = 0; g < G; ++g) {
-            if (sizes[g] > 0) c[g] = value_at(srow[g]);
-          }
-          const double* cp = c.data();
-          sum_into(S, S2, weight_at, [value_at, cp, rg](size_t i) {
-            return value_at(i) - cp[rg[i]];
-          });
-        } else if constexpr (kWeighted) {
-          collect_into(&acc.median_pairs[j], [&](size_t i) {
-            return std::make_pair(value_at(i), weight_at(i));
+    };
+    auto fused = [&](auto count) {
+      const std::bool_constant<kWeighted> weight_sum;
+      if (fused_ == kNone) {
+        if (decltype(count)::value || kWeighted) {
+          loop(count, weight_sum, kNone, NoValue{});
+        }
+        return;
+      }
+      WithColumnReader(values[fused_], [&](auto reader) {
+        WithShift(reader, shift_of(fused_), rg, [&](auto value_at) {
+          loop(count, weight_sum, fused_, value_at);
+        });
+      });
+    };
+    if (counts) {
+      fused(std::true_type{});
+    } else {
+      fused(std::false_type{});
+    }
+    for (size_t j : sums_) {
+      WithReader(values[j], [&](auto reader) {
+        WithShift(reader, shift_of(j), rg, [&](auto value_at) {
+          loop(std::false_type{}, std::false_type{}, j, value_at);
+        });
+      });
+    }
+    for (size_t j : medians_) {
+      WithReader(values[j], [&](auto value_at) {
+        if constexpr (kWeighted) {
+          auto* b = dst.median_pairs[j].data();
+          walk([&](size_t i, size_t g) {
+            b[g].emplace_back(value_at(i), weight_at(i));
           });
         } else {
-          collect_into(&acc.median_values[j], value_at);
+          auto* b = dst.median_values[j].data();
+          walk([&](size_t i, size_t g) { b[g].push_back(value_at(i)); });
         }
-      };
-      if (src.indicator != nullptr) {
-        const uint8_t* ind = src.indicator;
-        run([ind](size_t i) { return ind[i] ? 1.0 : 0.0; });
-      } else if (src.doubles != nullptr) {
-        const double* vals = src.doubles;
-        run([vals](size_t i) { return vals[i]; });
-      } else {
-        const int64_t* vals = src.ints;
-        run([vals](size_t i) { return static_cast<double>(vals[i]); });
-      }
+      });
     }
   };
-  if (weighted) {
+
+  auto accumulate = [&](auto weight_at) {
+    // Pass over a partitioned build: partition-owned slabs. Each worker
+    // walks its partition's ascending position list into slabs sized to
+    // the partition's own group count, then adds them into its groups'
+    // global ids — disjoint across partitions, so there is no contention
+    // and no chunk-order merge at all. Per-group sums are the serial
+    // ascending-position sums bit for bit, and MEDIAN buffers append
+    // whole (a group's positions live in one partition). A WHERE clause
+    // or selection rides the same slabs as a position mask, so masked
+    // groups are still visited ascending.
+    if (const GroupPartitions* parts = pass.parts) {
+      std::vector<uint8_t> mask;
+      if (pass.where != nullptr) {
+        mask.resize(n);
+        ParallelEvalMask(*pass.where, mask.data());
+      } else if (pass.sel != nullptr) {
+        // Selection entries are distinct positions: chunks write disjoint
+        // bytes.
+        mask.assign(n, 0);
+        const uint32_t* selp = pass.sel->data();
+        ParallelForChunks(pass.sel->size(), pass.chunks,
+                          [&](size_t, size_t lo, size_t hi) {
+                            for (size_t i = lo; i < hi; ++i) mask[selp[i]] = 1;
+                          });
+      }
+      const bool masked = pass.where != nullptr || pass.sel != nullptr;
+      const size_t P = parts->num_partitions();
+      ParallelForChunks(P, P, [&](size_t p, size_t, size_t) {
+        GroupedAccumulators local = partial(parts->num_groups_in(p));
+        run_walk(PartitionWalk{parts->part_rows.data(),
+                               parts->part_local.data(), parts->part_base[p],
+                               parts->part_base[p + 1],
+                               masked ? mask.data() : nullptr},
+                 local, weight_at);
+        merge(local, parts->local_to_global.data() + parts->group_base[p]);
+      });
+      return;
+    }
+
+    // Otherwise the chunk-order merged morsel path over [0, m): `sel`
+    // indices under a selection, rows otherwise. A WHERE morsel walks its
+    // storage chunks and hands each one's survivors, selected into one
+    // reused buffer, straight to the loops. Parallel passes run morsels
+    // into zeroed partials and merge them in chunk order; one chunk is
+    // the exact serial loop.
+    const size_t m = pass.sel != nullptr ? pass.sel->size() : n;
+    auto morsel = [&](size_t lo, size_t hi, GroupedAccumulators& dst) {
+      if (pass.sel != nullptr) {
+        run_walk(ListWalk{pass.sel->data() + lo, hi - lo, rg}, dst,
+                 weight_at);
+      } else if (pass.where == nullptr) {
+        run_walk(RangeWalk{lo, hi, rg}, dst, weight_at);
+      } else {
+        std::vector<uint32_t> buf;
+        pass.where->ScanChunks(
+            lo, hi, &buf,
+            [&](size_t clo, size_t chi, const std::vector<uint32_t>* rows) {
+              StorageChunkCheckpoint();
+              if (rows == nullptr) {
+                run_walk(RangeWalk{clo, chi, rg}, dst, weight_at);
+              } else {
+                run_walk(ListWalk{rows->data(), rows->size(), rg}, dst,
+                         weight_at);
+              }
+            });
+      }
+    };
+    if (pass.chunks <= 1) {
+      morsel(0, m, acc);
+      return;
+    }
+    std::vector<GroupedAccumulators> part(pass.chunks);
+    ParallelForChunks(m, pass.chunks, [&](size_t c, size_t lo, size_t hi) {
+      part[c] = partial(G);
+      morsel(lo, hi, part[c]);
+    });
+    for (GroupedAccumulators& p : part) merge(p, nullptr);
+  };
+  if (weighted_) {
     const double* w = pass.weights->data();
     accumulate([w](size_t i) { return w[i]; });
   } else {
     accumulate(UnitWeight{});
   }
+
+  for (const auto& [j, k] : copies_) {
+    acc.sums[j] = acc.sums[k];
+    acc.sums2[j] = acc.sums2[k];
+    if (pass.shift_rows != nullptr) acc.shifts[j] = acc.shifts[k];
+  }
+}
+
+void AccumulateSources(const GroupedPass& pass,
+                       const std::vector<AggSpec>& aggs,
+                       const std::vector<ValueSpan>& values,
+                       GroupedAccumulators* acc) {
+  SourceAccumulator(aggs, values, pass.weights != nullptr)
+      .Add(pass, values, acc);
 }
 
 Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
-    const std::vector<uint32_t>* sel, const std::vector<double>* weights) {
+    const CompiledPredicate* where, const std::vector<double>* weights) {
  return GovernedSection([&]() -> Result<GroupedAccumulators> {
   CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
                          BoundAggregates::Bind(table, query.aggregates));
   const size_t G = gidx.num_groups();
-
-  // The accumulator slabs are the aggregation's dominant working memory;
-  // reserve them against the query's budget before touching them (the
-  // fail-point lets tests force the kResourceExhausted path without a real
-  // budget). Held until the accumulators are returned to the caller.
-  size_t slabs = weights != nullptr ? 1 : 0;  // wcnt
-  for (const auto& a : query.aggregates) {
-    if (a.func == AggFunc::kCount || a.func == AggFunc::kMedian) continue;
-    slabs += a.func == AggFunc::kVariance ? 2 : 1;  // sums (+ sums2)
-  }
-  CVOPT_FAILPOINT("exec.groupby.alloc");
-  MemoryReservation slab_res = ReserveMemoryOrThrow(
-      G * (slabs * sizeof(double) + sizeof(uint64_t)),
-      "group-by accumulator slabs");
+  const size_t n = gidx.num_rows();
 
   GroupedPass pass;
   pass.num_groups = G;
   pass.row_groups = &gidx.row_groups();
   pass.sizes = &gidx.sizes();
   pass.parts = gidx.partitions().get();
-  pass.sel = sel;
+  pass.where = where;
   pass.weights = weights;
-  pass.chunks =
-      AggregationChunks(sel != nullptr ? sel->size() : gidx.num_rows(), G);
+  pass.chunks = AggregationChunks(n, G);
+
+  // The accumulator slabs, plus one set of zeroed partials per morsel of
+  // a merged pass, are the aggregation's dominant working memory; a WHERE
+  // clause adds a row mask (partitioned) or one storage chunk's selection
+  // buffer per morsel. Reserve them against the query's budget before
+  // touching them (the fail-point lets tests force the kResourceExhausted
+  // path without a real budget). Held until the accumulators are returned
+  // to the caller.
+  size_t slabs = weights != nullptr ? 1 : 0;  // wcnt
+  for (const auto& a : query.aggregates) {
+    if (a.func == AggFunc::kCount || a.func == AggFunc::kMedian) continue;
+    slabs += a.func == AggFunc::kVariance ? 2 : 1;  // sums (+ sums2)
+  }
+  const bool merged = pass.parts == nullptr && pass.chunks > 1;
+  size_t bytes = (merged ? pass.chunks + 1 : 1) * G *
+                 (slabs * sizeof(double) + sizeof(uint64_t));
+  if (where != nullptr && pass.parts != nullptr) {
+    bytes += n;
+  } else if (where != nullptr) {
+    bytes += pass.chunks * std::min(n, table.zone_index()->chunk_rows) *
+             sizeof(uint32_t);
+  }
+  CVOPT_FAILPOINT("exec.groupby.alloc");
+  MemoryReservation slab_res =
+      ReserveMemoryOrThrow(bytes, "group-by accumulator slabs");
+
   GroupedAccumulators acc;
   AccumulateSources(pass, query.aggregates, SpansOf(bound.sources()), &acc);
   return acc;
@@ -475,24 +664,14 @@ Result<QueryResult> ExecuteExact(const Table& table, const QuerySpec& query) {
   const GroupIndex& gidx = *index;
 
   // WHERE compiles through the shared plan cache (workload replays reuse
-  // the plan) and evaluates per-morsel through the pool straight to a
-  // selection vector of surviving rows; no byte mask is materialized and
-  // the mask branch is hoisted out of every accumulation loop.
-  const bool use_sel = query.where != nullptr;
-  std::vector<uint32_t> sel;
-  MemoryReservation sel_res;
-  if (use_sel) {
-    CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> where,
-                           CompilePredicateCached(table, query.where));
-    // Upper bound: every row survives.
-    sel_res = ReserveMemoryOrThrow(table.num_rows() * sizeof(uint32_t),
-                                   "selection vector");
-    sel = ParallelSelect(*where);
+  // the plan); the accumulation selects its rows one storage chunk at a
+  // time.
+  std::shared_ptr<const CompiledPredicate> where;
+  if (query.where != nullptr) {
+    CVOPT_ASSIGN_OR_RETURN(where, CompilePredicateCached(table, query.where));
   }
-
-  CVOPT_ASSIGN_OR_RETURN(
-      GroupedAccumulators acc,
-      AccumulateGrouped(table, query, gidx, use_sel ? &sel : nullptr));
+  CVOPT_ASSIGN_OR_RETURN(GroupedAccumulators acc,
+                         AccumulateGrouped(table, query, gidx, where.get()));
 
   // Groups emit in first-occurrence-over-all-rows order (the GroupIndex is
   // built unmasked); under a WHERE clause this may differ from the legacy

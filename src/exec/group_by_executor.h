@@ -15,6 +15,8 @@
 
 namespace cvopt {
 
+class CompiledPredicate;
+
 /// Runs the query exactly over every row of the table. Groups with no rows
 /// passing the WHERE predicate are omitted (SQL semantics). For AVG on an
 /// empty selection within a group the group is likewise omitted.
@@ -58,9 +60,15 @@ struct GroupedPass {
   const GroupPartitions* parts = nullptr;
   /// Surviving positions (a WHERE selection), or null for every position.
   const std::vector<uint32_t>* sel = nullptr;
+  /// A WHERE plan compiled against the table whose rows are the positions,
+  /// or null: the pass visits the rows it matches, selected one storage
+  /// chunk at a time (CompiledPredicate::ScanChunks) into one reused
+  /// buffer per morsel. At most one of `sel` and `where` is set.
+  const CompiledPredicate* where = nullptr;
   /// One Horvitz–Thompson weight per position, or null for unit weights.
   const std::vector<double>* weights = nullptr;
-  /// Chunks of the chunk-order merged path; the merged sums are a pure
+  /// Morsels of the chunk-order merged path, cut from the positions (rows
+  /// under `where`, `sel` indices under `sel`); the merged sums are a pure
   /// function of this count, never of the thread count.
   size_t chunks = 1;
   /// Per-group shift rows, or null. When set, each group's SUM / VARIANCE
@@ -83,42 +91,80 @@ std::vector<ValueSpan> SpansOf(const std::vector<StatSource>& sources);
 
 /// The one accumulation core: exact execution, the approximate executor
 /// and the cube rollup accumulate through AccumulateGrouped, the
-/// out-of-core scan through AccumulateSources one storage chunk at a time,
-/// and all of them finalize through FinalizeGrouped.
+/// out-of-core scan through a SourceAccumulator one storage chunk at a
+/// time, and all of them finalize through FinalizeGrouped.
 ///
 /// Accumulates the query's aggregates over the rows of `table`, grouped by
 /// `gidx`, which must be built over `table` (GroupIndex::Build) with the
-/// query's grouping. `sel` lists the rows surviving the query's WHERE
-/// clause, or is null for an unmasked pass. `weights` holds one
-/// Horvitz–Thompson weight per row (a sample's own table, row i carrying
-/// weights[i]), or is null for an unweighted pass: SUM/COUNT_IF then add
-/// w * v, VARIANCE adds w * v * v, COUNT and the AVG/VARIANCE denominators
-/// are the per-group weight sums `wcnt`, and MEDIAN buffers (value, weight)
-/// pairs. Since 1.0 * v == v, an unweighted pass is bit-identical to a
-/// weighted one with every weight 1.0.
+/// query's grouping. `where` is the query's WHERE clause compiled against
+/// `table`, or null for an unmasked pass; each morsel walks its storage
+/// chunks, honours their zone verdicts and hands each chunk's survivors
+/// straight to the row loop, so no table-sized selection exists. `weights`
+/// holds one Horvitz–Thompson weight per row (a sample's own table, row i
+/// carrying weights[i]), or is null for an unweighted pass: SUM/COUNT_IF
+/// then add w * v, VARIANCE adds w * v * v, COUNT and the AVG/VARIANCE
+/// denominators are the per-group weight sums `wcnt`, and MEDIAN buffers
+/// (value, weight) pairs. Since 1.0 * v == v, an unweighted pass is
+/// bit-identical to a weighted one with every weight 1.0.
 ///
 /// Passes over a partitioned GroupIndex accumulate into partition-owned
 /// slabs (each worker owns a disjoint group range: no cross-chunk merge,
-/// and per-group sums equal the serial ascending-position sums exactly);
-/// otherwise the chunk-order merged morsel path runs.
+/// and per-group sums equal the serial ascending-position sums exactly;
+/// a WHERE clause rides them as a row mask); otherwise the chunk-order
+/// merged morsel path runs over row ranges. On one resolved thread both
+/// equal the serial ascending-row loop bit for bit.
 Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
-    const std::vector<uint32_t>* sel,
+    const CompiledPredicate* where,
     const std::vector<double>* weights = nullptr);
 
-/// The loop inside AccumulateGrouped, for callers that bring their own
-/// grouping and value streams (the group-statistics pass, the out-of-core
-/// scan): accumulates values[j] as aggs[j].func into *acc, grown to the
-/// pass's group count. Only aggs[j].func is read; COUNT makes no pass.
-/// Every pass adds to what earlier passes left in *acc (counts and sums
-/// add, MEDIAN buffers append), so per-chunk passes in chunk order add
-/// each group's values in ascending position order. An aggregate of the
-/// same kind over the same stream as an earlier one (AVG(v) beside SUM(v);
-/// two VARIANCE sources over one column) makes no pass of its own and
-/// copies that one's slabs, so across several passes into one *acc such a
-/// pair must share its stream in every pass or in none. Throws
-/// QueryAbortedError at morsel boundaries; run it inside a
-/// GovernedSection.
+/// The loop inside AccumulateGrouped, prepared once per query for callers
+/// that bring their own grouping and value streams (the group-statistics
+/// pass, the out-of-core scan, which adds one storage chunk per Add).
+///
+/// One fused row loop adds, per visited position, its count (when the
+/// pass counts rather than reading `sizes`), its weight (weighted passes)
+/// and the S / S2 of the first SUM-like (AVG, SUM) or VARIANCE aggregate
+/// over a column; every other distinct value stream, each COUNT_IF
+/// indicator and each MEDIAN buffer gets a loop of its own over the same
+/// positions. Each slab still receives its additions in ascending position
+/// order, so fusing changes no bits. An aggregate of the same kind
+/// (SUM-like or VARIANCE) over the same stream as an earlier one (AVG(v)
+/// beside SUM(v); two VARIANCE sources over one column) makes no loop of
+/// its own and copies that one's slabs, so across several Adds into one
+/// *acc such a pair must share its stream in every Add or in none.
+class SourceAccumulator {
+ public:
+  /// Prepares `aggs` (only aggs[j].func is read; COUNT makes no loop) over
+  /// streams shaped like `values`: which pointer of each ValueSpan is set,
+  /// and which aggregates share one. `weighted` fixes whether every pass
+  /// carries weights (GroupedPass::weights set). `aggs` must outlive the
+  /// accumulator.
+  SourceAccumulator(const std::vector<AggSpec>& aggs,
+                    const std::vector<ValueSpan>& values, bool weighted);
+
+  /// Accumulates values[j] as aggs[j].func over `pass` into *acc, grown to
+  /// the pass's group count. Adds to what earlier Adds left in *acc
+  /// (counts and sums add, MEDIAN buffers append), so per-chunk Adds in
+  /// chunk order add each group's values in ascending position order.
+  /// Throws QueryAbortedError at morsel and storage-chunk boundaries; run
+  /// it inside a GovernedSection.
+  void Add(const GroupedPass& pass, const std::vector<ValueSpan>& values,
+           GroupedAccumulators* acc) const;
+
+ private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  const std::vector<AggSpec>* aggs_;
+  bool weighted_;
+  size_t fused_ = kNone;       // aggregate whose S / S2 the fused loop adds
+  std::vector<size_t> sums_;   // other aggregates with a sum loop
+  std::vector<size_t> medians_;
+  std::vector<std::pair<size_t, size_t>> copies_;  // (j, k): j copies k
+};
+
+/// SourceAccumulator(aggs, values, pass.weights != nullptr).Add(pass,
+/// values, acc): one pass with its own setup.
 void AccumulateSources(const GroupedPass& pass,
                        const std::vector<AggSpec>& aggs,
                        const std::vector<ValueSpan>& values,

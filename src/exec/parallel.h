@@ -102,61 +102,6 @@ size_t AggregationChunks(size_t positions, size_t groups);
 void ParallelForChunks(size_t n, size_t chunks,
                        const std::function<void(size_t chunk, size_t lo, size_t hi)>& fn);
 
-/// Partition-then-merge accumulation into per-group slabs, the shared
-/// shape of the executors' SUM/AVG/VAR passes: runs acc(s1, s2, lo, hi)
-/// over chunk-order ranges of [0, m), where s1/s2 are zeroed slabs of
-/// `groups` doubles (s2 is null when S2 is null), then adds the per-chunk
-/// slabs into S1/S2 in chunk order — the documented float-summation
-/// reassociation. One chunk invokes acc(S1, S2, 0, m) directly: the exact
-/// serial loop, no partials.
-template <class Acc>
-void AccumulateChunked(size_t m, size_t chunks, size_t groups, double* S1,
-                       double* S2, Acc&& acc) {
-  if (chunks <= 1) {
-    acc(S1, S2, size_t{0}, m);
-    return;
-  }
-  std::vector<double> p1(chunks * groups, 0.0);
-  std::vector<double> p2(S2 != nullptr ? chunks * groups : 0, 0.0);
-  ParallelForChunks(m, chunks, [&](size_t c, size_t lo, size_t hi) {
-    acc(p1.data() + c * groups,
-        S2 != nullptr ? p2.data() + c * groups : nullptr, lo, hi);
-  });
-  for (size_t c = 0; c < chunks; ++c) {
-    for (size_t g = 0; g < groups; ++g) S1[g] += p1[c * groups + g];
-    if (S2 != nullptr) {
-      for (size_t g = 0; g < groups; ++g) S2[g] += p2[c * groups + g];
-    }
-  }
-}
-
-/// Partition-then-concatenate collection into per-group value buffers, the
-/// shared shape of the executors' MEDIAN passes: runs fill(groups_array,
-/// lo, hi) over chunk-order ranges of [0, m), where groups_array points at
-/// `groups` empty vectors, then concatenates the per-chunk buffers in
-/// chunk order — so the merged per-group sequences equal the serial ones
-/// element for element. One chunk fills *bufs directly.
-template <class T, class Fill>
-void CollectChunked(size_t m, size_t chunks, size_t groups,
-                    std::vector<std::vector<T>>* bufs, Fill&& fill) {
-  bufs->resize(groups);
-  if (chunks <= 1) {
-    fill(bufs->data(), size_t{0}, m);
-    return;
-  }
-  std::vector<std::vector<std::vector<T>>> part(chunks);
-  ParallelForChunks(m, chunks, [&](size_t c, size_t lo, size_t hi) {
-    part[c].resize(groups);
-    fill(part[c].data(), lo, hi);
-  });
-  for (size_t c = 0; c < chunks; ++c) {
-    for (size_t g = 0; g < groups; ++g) {
-      (*bufs)[g].insert((*bufs)[g].end(), part[c][g].begin(),
-                        part[c][g].end());
-    }
-  }
-}
-
 /// Parallel CompiledPredicate evaluation: per-morsel selection vectors,
 /// concatenated in row order — identical output to cp.Select() for every
 /// thread count.

@@ -823,31 +823,58 @@ std::vector<uint32_t> CompiledPredicate::Select() const {
 std::vector<uint32_t> CompiledPredicate::SelectRange(size_t lo,
                                                      size_t hi) const {
   std::vector<uint32_t> out;
-  const size_t cr = zone_chunk_rows();
-  if (cr == 0 || lo >= hi) {
-    SeedSelectRange(root_, lo, hi, &out);
-    return out;
+  SelectRange(lo, hi, &out);
+  return out;
+}
+
+void CompiledPredicate::SelectRange(size_t lo, size_t hi,
+                                    std::vector<uint32_t>* out) const {
+  if (zone_chunk_rows() == 0 || lo >= hi) {
+    SeedSelectRange(root_, lo, hi, out);
+    return;
   }
-  // Chunk-at-a-time drive: a verdict for a chunk covers any subrange of it
-  // (all-rows / no-rows statements restrict), so morsel boundaries that
-  // split a chunk still classify correctly.
+  out->clear();
   std::vector<uint32_t> part;
-  for (size_t k = lo / cr; k * cr < hi; ++k) {
-    const size_t clo = std::max(lo, k * cr);
-    const size_t chi = std::min(hi, (k + 1) * cr);
-    const ChunkVerdict v = ClassifyChunk(k);
-    CountVerdict(v);
+  ScanChunks(lo, hi, &part,
+             [&](size_t clo, size_t chi, const std::vector<uint32_t>* rows) {
+               if (rows != nullptr) {
+                 out->insert(out->end(), rows->begin(), rows->end());
+                 return;
+               }
+               const size_t w = out->size();
+               out->resize(w + (chi - clo));
+               std::iota(out->begin() + w, out->end(),
+                         static_cast<uint32_t>(clo));
+             });
+}
+
+void CompiledPredicate::ScanChunks(size_t lo, size_t hi,
+                                   std::vector<uint32_t>* buf,
+                                   const ChunkFn& emit) const {
+  // A verdict for a chunk covers any subrange of it (all-rows / no-rows
+  // statements restrict), so range cuts that split a chunk still classify
+  // correctly.
+  const size_t cr = zone_chunk_rows();
+  const size_t step = cr != 0 ? cr
+                      : zones_ != nullptr && zones_->chunk_rows > 0
+                          ? zones_->chunk_rows
+                          : DefaultChunkRows();
+  for (size_t k = lo / step; k * step < hi; ++k) {
+    const size_t clo = std::max(lo, k * step);
+    const size_t chi = std::min(hi, (k + 1) * step);
+    ChunkVerdict v = ChunkVerdict::kResidual;
+    if (cr != 0) {
+      v = ClassifyChunk(k);
+      CountVerdict(v);
+    }
     if (v == ChunkVerdict::kSkip) continue;
     if (v == ChunkVerdict::kTakeAll) {
-      const size_t w = out.size();
-      out.resize(w + (chi - clo));
-      std::iota(out.begin() + w, out.end(), static_cast<uint32_t>(clo));
+      emit(clo, chi, nullptr);
       continue;
     }
-    SeedSelectRange(root_, clo, chi, &part);
-    out.insert(out.end(), part.begin(), part.end());
+    SeedSelectRange(root_, clo, chi, buf);
+    if (!buf->empty()) emit(clo, chi, buf);
   }
-  return out;
 }
 
 void CompiledPredicate::EvalMaskRange(size_t lo, size_t hi,

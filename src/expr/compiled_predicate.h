@@ -22,14 +22,15 @@
 // predicate — including `!=` — and a NaN literal or bound matches nothing.
 //
 // Zone-map chunk skipping: the plan also borrows the Table's per-chunk
-// ZoneMapIndex. Select / SelectRange / EvalMaskRange classify each storage
-// chunk through the plan tree with three-valued logic — a provably-false
-// chunk is skipped without touching row data, a provably-true chunk emits
-// a dense run of row ids, and only residual chunks hit the columnar
-// kernels. Classification is an exact implication (NaN rows never match,
-// pinned by the nan_count zone field), so the output is bit-identical to
-// the flat scan for every chunk size; SetZoneMapPruningEnabled(false)
-// forces the flat path (the differential oracle and bench baseline).
+// ZoneMapIndex. Select / SelectRange / ScanChunks / EvalMaskRange classify
+// each storage chunk through the plan tree with three-valued logic — a
+// provably-false chunk is skipped without touching row data, a
+// provably-true chunk emits a dense run of row ids, and only residual
+// chunks hit the columnar kernels. Classification is an exact
+// implication (NaN rows never match, pinned by the nan_count zone field),
+// so the output is bit-identical to the flat scan for every chunk size;
+// SetZoneMapPruningEnabled(false) forces the flat path (the differential
+// oracle and bench baseline).
 //
 // The compiled plan borrows raw pointers into the Table's column storage;
 // the Table must outlive the CompiledPredicate and must not be appended to
@@ -55,7 +56,8 @@ enum class ChunkVerdict : uint8_t {
 };
 
 /// Process-wide zone-skip observability (benches, tests). `chunks` counts
-/// every chunk classified by a SelectRange/EvalMaskRange driver; `skipped` and
+/// every chunk classified by a SelectRange/ScanChunks/EvalMaskRange call
+/// (a chunk two ranges split is classified by each); `skipped` and
 /// `take_all` the chunks resolved without running kernels.
 struct ZoneSkipStats {
   uint64_t chunks = 0;
@@ -90,6 +92,24 @@ class CompiledPredicate {
   /// the per-morsel unit of parallel selection: concatenating the results
   /// of consecutive ranges reproduces Select() exactly.
   std::vector<uint32_t> SelectRange(size_t lo, size_t hi) const;
+
+  /// SelectRange into *out, replacing its contents and reusing its
+  /// capacity: the form a chunk loop calls with one buffer per scan.
+  void SelectRange(size_t lo, size_t hi, std::vector<uint32_t>* out) const;
+
+  /// Walks table rows [lo, hi) one storage chunk at a time (the table's
+  /// zone-map chunk size; DefaultChunkRows() without a zone index) for a
+  /// scan that consumes each chunk's survivors at once. A chunk the zone
+  /// maps refute is passed over; a chunk they prove all-matching calls
+  /// emit(clo, chi, nullptr) for its rows [clo, chi); any other chunk
+  /// selects its matching rows into *buf, reused from chunk to chunk, and
+  /// calls emit(clo, chi, buf) unless none matched. With pruning disabled
+  /// every chunk runs the kernels. The emitted rows, concatenated, are
+  /// SelectRange(lo, hi).
+  using ChunkFn = std::function<void(size_t lo, size_t hi,
+                                     const std::vector<uint32_t>* rows)>;
+  void ScanChunks(size_t lo, size_t hi, std::vector<uint32_t>* buf,
+                  const ChunkFn& emit) const;
 
   /// Byte mask over table rows [lo, hi): out[i] = 1 iff row lo + i matches.
   void EvalMaskRange(size_t lo, size_t hi, uint8_t* out) const;

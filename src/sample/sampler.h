@@ -1,5 +1,5 @@
 // Sampler: the common interface of all sampling methods compared in the
-// paper (Uniform, Senate, Congress/CS, RL, Sample+Seek, CVOPT, CVOPT-INF).
+// paper (Uniform, Congress/CS, RL, Sample+Seek, CVOPT, CVOPT-INF).
 #ifndef CVOPT_SAMPLE_SAMPLER_H_
 #define CVOPT_SAMPLE_SAMPLER_H_
 

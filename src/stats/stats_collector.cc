@@ -62,12 +62,12 @@ Result<GroupStatsTable> CollectGroupStats(
   pass.sizes = &strat.sizes();
   pass.chunks = StatChunks(strat.table().num_rows(), strata);
   pass.shift_rows = &strat.first_rows();
-  // Sum, sum-of-squares and shift slabs per value source, plus the
-  // per-chunk partial sum slabs of the source being accumulated.
-  const size_t partials =
-      pass.chunks > 1 && value_sources > 0 ? 2 * pass.chunks : 0;
+  // Sum, sum-of-squares and shift slabs per value source, plus each
+  // chunk's partial sum and sum-of-squares slabs of every source (a
+  // chunk's morsel fills all of its partials before the merge).
+  const size_t partials = pass.chunks > 1 ? 2 * pass.chunks : 0;
   MemoryReservation slab_res = ReserveMemoryOrThrow(
-      strata * ((3 * value_sources + partials) * sizeof(double) +
+      strata * ((3 + partials) * value_sources * sizeof(double) +
                 sizeof(uint64_t)),
       "group statistics slabs");
   GroupedAccumulators acc;

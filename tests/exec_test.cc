@@ -3,16 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <thread>
 
 #include "src/core/stratification.h"
+#include "src/estimate/approx_executor.h"
 #include "src/exec/cube.h"
 #include "src/exec/group_by_executor.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
 #include "src/exec/result_join.h"
+#include "src/expr/plan_cache.h"
+#include "src/sample/sampler.h"
 #include "src/server/protocol.h"
+#include "src/util/failpoint.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -222,6 +228,368 @@ TEST(AccumulateSourcesTest, SharedStreamMatchesSeparatePasses) {
       }
     }
   }
+}
+
+// Rows for the accumulation and WHERE tests: `g` cycles through 23 groups
+// in runs of 37 rows, `t` ascends (so a range predicate on it mixes
+// zone-skipped, take-all and residual chunks), `v` is a signed double and
+// `k` a signed int64.
+Table MakeAccumulationTable(size_t rows) {
+  Schema schema({{"g", DataType::kInt64},
+                 {"t", DataType::kInt64},
+                 {"v", DataType::kDouble},
+                 {"k", DataType::kInt64}});
+  TableBuilder b(schema);
+  Rng rng(11);
+  for (size_t i = 0; i < rows; ++i) {
+    Status st = b.AppendRow(
+        {Value(static_cast<int64_t>(i / 37 % 23)),
+         Value(static_cast<int64_t>(i)), Value(50.0 * rng.NextGaussian()),
+         Value(static_cast<int64_t>(rng.Uniform(1000)) - 500)});
+    CVOPT_CHECK(st.ok(), "append failed");
+  }
+  return std::move(b).Finish();
+}
+
+// t in [1000, 2999], or t >= 4000 with v > 0: with small chunks the zone
+// maps skip some chunks, take others whole and leave the rest residual.
+PredicatePtr MixedVerdictPredicate() {
+  return Predicate::Or(
+      Predicate::Between("t", Value(int64_t{1000}), Value(int64_t{2999})),
+      Predicate::And(
+          Predicate::Compare("t", CompareOp::kGe, Value(int64_t{4000})),
+          Predicate::Compare("v", CompareOp::kGt, Value(0.0))));
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Sum of term(i) per group by the plain loop: each chunk's positions
+// (ascending, chunks in order) add into a zeroed partial, and the partials
+// add in chunk order — the core's chunk-order merge, one slab at a time.
+std::vector<double> ChunkedSums(
+    const std::vector<std::vector<uint32_t>>& chunks,
+    const std::vector<uint32_t>& rg, size_t groups,
+    const std::function<double(size_t)>& term) {
+  std::vector<double> total(groups, 0.0);
+  for (const std::vector<uint32_t>& positions : chunks) {
+    std::vector<double> part(groups, 0.0);
+    for (const uint32_t i : positions) part[rg[i]] += term(i);
+    for (size_t g = 0; g < groups; ++g) total[g] += part[g];
+  }
+  return total;
+}
+
+TEST(AccumulateSourcesTest, FusedLoopMatchesPerAccumulatorReference) {
+  // The fused loop adds counts, weights and the first stream's S / S2 in
+  // one pass; every slab must equal a plain loop per accumulator bit for
+  // bit, unweighted and weighted, unmasked, under a selection and under a
+  // WHERE plan, on the chunk-order merge at 1-8 chunks and on forced radix
+  // partitions.
+  ScopedChunkRows chunk_rows(256);
+  const size_t n = 6007;
+  Table t = MakeAccumulationTable(n);
+  const std::vector<double>& v = t.column(2).doubles();
+  const std::vector<int64_t>& k = t.column(3).ints();
+  std::vector<uint8_t> ind(n);
+  std::vector<double> weights(n);
+  std::vector<uint32_t> sel;
+  for (size_t i = 0; i < n; ++i) {
+    ind[i] = k[i] > 100 ? 1 : 0;
+    weights[i] = 1.0 + static_cast<double>(i % 7) * 0.37;
+    if (i % 3 != 0 && (i < 2000 || i > 2500)) {
+      sel.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  ASSERT_OK_AND_ASSIGN(CompiledPredicate where,
+                       CompiledPredicate::Compile(t, MixedVerdictPredicate()));
+  std::vector<uint8_t> match(n);
+  for (size_t i = 0; i < n; ++i) match[i] = where.MatchesRow(i) ? 1 : 0;
+
+  // Two distinct value streams (v, k), COUNT_IF, VARIANCE and MEDIAN, plus
+  // COUNT and a SUM(v) that shares AVG(v)'s slabs.
+  const std::vector<AggSpec> aggs = {
+      AggSpec::Avg("v"),
+      AggSpec::Sum("k"),
+      AggSpec::CountIf(Predicate::Compare("k", CompareOp::kGt, 100)),
+      AggSpec::Variance("v"),
+      AggSpec::Median("v"),
+      AggSpec::Count(),
+      AggSpec::Sum("v")};
+  std::vector<ValueSpan> values(aggs.size());
+  values[0].doubles = v.data();
+  values[1].ints = k.data();
+  values[2].indicator = ind.data();
+  values[3].doubles = v.data();
+  values[4].doubles = v.data();
+  values[6].doubles = v.data();
+  auto value_of = [&](size_t j, size_t i) {
+    return values[j].indicator != nullptr ? (ind[i] ? 1.0 : 0.0)
+           : values[j].doubles != nullptr ? v[i]
+                                          : static_cast<double>(k[i]);
+  };
+
+  for (const int radix : {0, 1}) {
+    std::unique_ptr<GroupIndex> gidx;
+    {
+      ScopedRadixOverride force(radix, /*partitions=*/8);
+      ScopedExecThreads build_threads(4);
+      ASSERT_OK_AND_ASSIGN(GroupIndex built, GroupIndex::Build(t, {"g"}));
+      gidx = std::make_unique<GroupIndex>(std::move(built));
+    }
+    ASSERT_EQ(gidx->partitions() != nullptr, radix == 1);
+    const std::vector<uint32_t>& rg = gidx->row_groups();
+    const size_t G = gidx->num_groups();
+    for (const int threads : {1, 2, 4, 8}) {
+      ScopedExecThreads scope(threads);
+      for (const bool weighted : {false, true}) {
+        for (const int mask : {0, 1, 2}) {  // none, selection, WHERE
+          SCOPED_TRACE(testing::Message()
+                       << "radix " << radix << " threads " << threads
+                       << " weighted " << weighted << " mask " << mask);
+          GroupedPass pass;
+          pass.num_groups = G;
+          pass.row_groups = &rg;
+          pass.sizes = &gidx->sizes();
+          pass.parts = gidx->partitions().get();
+          pass.sel = mask == 1 ? &sel : nullptr;
+          pass.where = mask == 2 ? &where : nullptr;
+          pass.weights = weighted ? &weights : nullptr;
+          pass.chunks = static_cast<size_t>(threads);
+          GroupedAccumulators acc;
+          AccumulateSources(pass, aggs, values, &acc);
+
+          // The positions each chunk visits: `sel` indices under a
+          // selection, rows otherwise; partitions visit them all in one
+          // ascending run per group.
+          const size_t chunks = radix == 1 ? 1 : pass.chunks;
+          const size_t m = mask == 1 ? sel.size() : n;
+          std::vector<std::vector<uint32_t>> visits(chunks);
+          for (size_t c = 0; c < chunks; ++c) {
+            for (size_t p = ChunkBegin(m, chunks, c);
+                 p < ChunkBegin(m, chunks, c + 1); ++p) {
+              const uint32_t i = mask == 1 ? sel[p] : static_cast<uint32_t>(p);
+              if (mask != 2 || match[i]) visits[c].push_back(i);
+            }
+          }
+          auto w = [&](size_t i) { return weighted ? weights[i] : 1.0; };
+
+          std::vector<uint64_t> cnt(G, 0);
+          for (const auto& positions : visits) {
+            for (const uint32_t i : positions) cnt[rg[i]]++;
+          }
+          EXPECT_EQ(acc.cnt, cnt);
+          if (weighted) {
+            EXPECT_TRUE(SameBits(acc.wcnt, ChunkedSums(visits, rg, G, w)));
+          } else {
+            EXPECT_TRUE(acc.wcnt.empty());
+          }
+          for (size_t j = 0; j < aggs.size(); ++j) {
+            const AggFunc f = aggs[j].func;
+            if (f == AggFunc::kCount || f == AggFunc::kMedian) continue;
+            EXPECT_TRUE(SameBits(acc.sums[j],
+                                 ChunkedSums(visits, rg, G, [&](size_t i) {
+                                   return w(i) * value_of(j, i);
+                                 })))
+                << j;
+            if (f == AggFunc::kVariance) {
+              EXPECT_TRUE(SameBits(acc.sums2[j],
+                                   ChunkedSums(visits, rg, G, [&](size_t i) {
+                                     const double x = value_of(j, i);
+                                     return w(i) * x * x;
+                                   })))
+                  << j;
+            }
+          }
+          // MEDIAN buffers: each group's values (and weights) in ascending
+          // position order.
+          std::vector<std::vector<double>> mv(G);
+          std::vector<std::vector<std::pair<double, double>>> mp(G);
+          for (const auto& positions : visits) {
+            for (const uint32_t i : positions) {
+              mv[rg[i]].push_back(v[i]);
+              mp[rg[i]].emplace_back(v[i], weights[i]);
+            }
+          }
+          if (weighted) {
+            EXPECT_EQ(acc.median_pairs[4], mp);
+          } else {
+            EXPECT_EQ(acc.median_values[4], mv);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The serial answer: the rows matching query.where, found one row at a
+// time by the scalar evaluator, accumulated in ascending order by the
+// core's plain selection loop (one chunk) and finalized like the
+// executors' results.
+QueryResult SerialWhereAnswer(const Table& t, const QuerySpec& q,
+                              const std::vector<double>* weights) {
+  ScopedExecThreads serial(1);
+  auto gidx = GroupIndex::Build(t, q.group_by).ValueOrDie();
+  auto where = CompiledPredicate::Compile(t, q.where).ValueOrDie();
+  std::vector<uint32_t> sel;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    if (where.MatchesRow(r)) sel.push_back(static_cast<uint32_t>(r));
+  }
+  auto bound = BoundAggregates::Bind(t, q.aggregates).ValueOrDie();
+  GroupedPass pass;
+  pass.num_groups = gidx.num_groups();
+  pass.row_groups = &gidx.row_groups();
+  pass.sizes = &gidx.sizes();
+  pass.sel = &sel;
+  pass.weights = weights;
+  GroupedAccumulators acc;
+  AccumulateSources(pass, q.aggregates, SpansOf(bound.sources()), &acc);
+  return GroupedResult(t, q, gidx, &acc).ValueOrDie();
+}
+
+std::vector<QuerySpec> WhereQueries() {
+  QuerySpec q;
+  q.group_by = {"g"};
+  q.aggregates = {AggSpec::Avg("v"),      AggSpec::Sum("k"),
+                  AggSpec::Count(),       AggSpec::Variance("v"),
+                  AggSpec::Median("v"),
+                  AggSpec::CountIf(Predicate::Compare("k", CompareOp::kGt, 0))};
+  std::vector<QuerySpec> qs;
+  for (const PredicatePtr& p :
+       {MixedVerdictPredicate(),
+        Predicate::Compare("v", CompareOp::kGt, Value(0.0)),
+        Predicate::Compare("t", CompareOp::kLt, Value(int64_t{0}))}) {
+    q.where = p;
+    qs.push_back(q);
+  }
+  return qs;
+}
+
+// Chunk sizes of 64 and 1000 rows and the 4096-row default: none divides
+// the 6007-row table.
+constexpr size_t kWhereChunkRows[] = {64, 1000, 4096};
+
+TEST(WhereScanTest, ExactMatchesSerialAnswerAtEveryChunkSize) {
+  for (const size_t chunk_rows : kWhereChunkRows) {
+    ScopedChunkRows chunks(chunk_rows);
+    ClearPlanCache();
+    Table t = MakeAccumulationTable(6007);
+    const std::vector<QuerySpec> queries = WhereQueries();
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const QuerySpec& q = queries[qi];
+      SCOPED_TRACE(testing::Message() << "chunk " << chunk_rows << " "
+                                      << q.where->ToString());
+      const QueryResult want = SerialWhereAnswer(t, q, nullptr);
+      {
+        ScopedExecThreads serial(1);
+        ResetZoneSkipStats();
+        ASSERT_OK_AND_ASSIGN(QueryResult got, ExecuteExact(t, q));
+        ExpectBitIdentical(got, want);
+        if (chunk_rows == 64 && qi == 0) {
+          // The mixed predicate: skipped, take-all and residual chunks.
+          const ZoneSkipStats z = GetZoneSkipStats();
+          EXPECT_GT(z.skipped, 0u);
+          EXPECT_GT(z.take_all, 0u);
+          EXPECT_GT(z.chunks, z.skipped + z.take_all);
+        }
+      }
+      // Partition-owned slabs add in ascending row order at any thread
+      // count.
+      ScopedRadixOverride radix(1, /*partitions=*/8);
+      ScopedExecThreads threads(4);
+      ASSERT_OK_AND_ASSIGN(QueryResult got, ExecuteExact(t, q));
+      ExpectBitIdentical(got, want);
+    }
+  }
+}
+
+TEST(WhereScanTest, ApproxMatchesSerialAnswerAtEveryChunkSize) {
+  ScopedExecThreads serial(1);
+  for (const size_t chunk_rows : kWhereChunkRows) {
+    ScopedChunkRows chunks(chunk_rows);
+    ClearPlanCache();
+    Table t = MakeAccumulationTable(6007);
+    auto strat = std::make_shared<Stratification>(
+        Stratification::Build(t, {"g"}).ValueOrDie());
+    std::vector<uint64_t> sizes(strat->num_strata(), 150);
+    Rng rng(5);
+    ASSERT_OK_AND_ASSIGN(StratifiedSample sample,
+                         DrawStratified(t, strat, sizes, "test", &rng));
+    for (const QuerySpec& q : WhereQueries()) {
+      SCOPED_TRACE(testing::Message() << "chunk " << chunk_rows << " "
+                                      << q.where->ToString());
+      ASSERT_OK_AND_ASSIGN(QueryResult got, ExecuteApprox(sample, q));
+      ExpectBitIdentical(got,
+                         SerialWhereAnswer(sample.table(), q,
+                                           &sample.weights()));
+    }
+  }
+}
+
+TEST(WhereScanTest, CubeBasePassMatchesSerialAnswerAtEveryChunkSize) {
+  ScopedExecThreads serial(1);
+  std::vector<QueryResult> first;  // every grouping set, first chunk size
+  for (const size_t chunk_rows : kWhereChunkRows) {
+    ScopedChunkRows chunks(chunk_rows);
+    ClearPlanCache();
+    Table t = MakeAccumulationTable(6007);
+    QuerySpec q = WhereQueries()[0];
+    q.aggregates = {AggSpec::Avg("v"), AggSpec::Sum("k"), AggSpec::Count()};
+    ASSERT_OK_AND_ASSIGN(std::vector<QueryResult> sets, ExecuteCube(t, q));
+    ASSERT_EQ(sets.size(), 2u);  // {g} and the grand total
+    ExpectBitIdentical(sets[0], SerialWhereAnswer(t, q, nullptr));
+    if (first.empty()) {
+      first = sets;
+      continue;
+    }
+    for (size_t i = 0; i < sets.size(); ++i) {
+      ExpectBitIdentical(sets[i], first[i]);
+    }
+  }
+}
+
+TEST(WhereScanTest, AbortMidScanReturnsTypedStatus) {
+  // The WHERE walk checks governance at every storage chunk it hands to
+  // the loops; a cancel or deadline firing at the third chunk ends the
+  // query with its own code, and the next query runs.
+  ScopedChunkRows chunks(64);
+  ScopedExecThreads serial(1);
+  Table t = MakeAccumulationTable(6007);
+  QuerySpec q = WhereQueries()[1];  // v > 0: every chunk is residual
+  for (const auto& [policy, code] :
+       {std::make_pair("cancel@3", StatusCode::kCancelled),
+        std::make_pair("deadline@3", StatusCode::kDeadlineExceeded)}) {
+    ASSERT_OK(failpoint::SetForTesting(std::string("exec.groupby.chunk:") +
+                                       policy));
+    Result<QueryResult> r = ExecuteExact(t, q);
+    const uint64_t hits = failpoint::HitCount("exec.groupby.chunk");
+    failpoint::ClearForTesting();
+    ASSERT_FALSE(r.ok()) << policy;
+    EXPECT_EQ(r.status().code(), code) << policy;
+    EXPECT_EQ(hits, 3u) << policy;
+  }
+  ASSERT_OK_AND_ASSIGN(QueryResult again, ExecuteExact(t, q));
+  EXPECT_GT(again.num_groups(), 0u);
+}
+
+TEST(WhereScanTest, BudgetBelowRowSelectionSucceeds) {
+  // A WHERE query no longer holds a 4 B/row selection vector: a budget
+  // that fits the batch's group index (4 B/row) and the accumulators, but
+  // not another 4 B/row, answers the query exactly as without a budget.
+  ScopedExecThreads serial(1);
+  const size_t n = 60000;
+  Table t = MakeAccumulationTable(n);
+  const QuerySpec q = WhereQueries()[0];
+  ASSERT_OK_AND_ASSIGN(QueryResult want, ExecuteExact(t, q));
+  QueryContext ctx;
+  ctx.set_memory_limit(6 * n);
+  ScopedQueryContext install(&ctx);
+  ASSERT_OK_AND_ASSIGN(QueryResult got, ExecuteExact(t, q));
+  ExpectBitIdentical(got, want);
+  EXPECT_LT(ctx.budget().peak(), 8 * n);
 }
 
 TEST(SharedGroupIndexTest, OneBuildPerContextTableAndGrouping) {

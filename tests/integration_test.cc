@@ -1,7 +1,7 @@
 // End-to-end integration tests reproducing the paper's qualitative claims
-// at test scale: CVOPT beats Uniform/Senate on max error for skewed data,
-// samples are reusable across predicates, and CVOPT-INF trades median error
-// for max error.
+// at test scale: CVOPT beats Uniform on max error and matches Congress on
+// average error for skewed data, samples are reusable across predicates,
+// and CVOPT-INF trades median error for max error.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "src/sample/congress_sampler.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/rl_sampler.h"
-#include "src/sample/senate_sampler.h"
 #include "src/sample/uniform_sampler.h"
 #include "tests/test_util.h"
 
@@ -87,18 +86,15 @@ TEST_F(IntegrationTest, CvoptBeatsUniformOnMaxError) {
   EXPECT_EQ(cvopt_rep.missing_groups, 0u);
 }
 
-TEST_F(IntegrationTest, CvoptAtLeastMatchesSenateAndCongress) {
+TEST_F(IntegrationTest, CvoptAtLeastMatchesCongress) {
   CvoptSampler cvopt;
-  SenateSampler senate;
   CongressSampler congress;
   const QuerySpec q = Aq3Like();
   const RepStats c = AveragedErrors(cvopt, {q}, 0.01, q, 5, 200);
-  const RepStats s = AveragedErrors(senate, {q}, 0.01, q, 5, 200);
   const RepStats g = AveragedErrors(congress, {q}, 0.01, q, 5, 200);
   // Averaged over draws, CVOPT's average error should not be meaningfully
-  // worse than either frequency-only baseline (it optimizes the l2 of CVs,
+  // worse than the frequency-only baseline (it optimizes the l2 of CVs,
   // so the realized *max* remains noisy on heavy-tailed data).
-  EXPECT_LT(c.avg_err, s.avg_err * 1.15);
   EXPECT_LT(c.avg_err, g.avg_err * 1.15);
 }
 

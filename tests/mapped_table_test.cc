@@ -28,12 +28,6 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
-class ScopedChunkRows {
- public:
-  explicit ScopedChunkRows(size_t rows) { SetDefaultChunkRowsForTesting(rows); }
-  ~ScopedChunkRows() { SetDefaultChunkRowsForTesting(0); }
-};
-
 class ScopedCacheBudget {
  public:
   explicit ScopedCacheBudget(size_t bytes) {

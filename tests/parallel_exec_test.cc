@@ -22,7 +22,6 @@
 #include "src/expr/plan_cache.h"
 #include "src/sample/congress_sampler.h"
 #include "src/sample/cvopt_sampler.h"
-#include "src/sample/senate_sampler.h"
 #include "src/sample/streaming_cvopt_sampler.h"
 #include "src/sample/uniform_sampler.h"
 #include "src/util/simd.h"
@@ -237,12 +236,10 @@ TEST_P(ParallelExecTest, AllSamplersBitIdenticalAcrossThreads) {
   const Table& t = TestTable();
   QuerySpec q = AllAggregatesQuery(false);
   const UniformSampler uniform;
-  const SenateSampler senate;
   const CongressSampler congress;
   const CvoptSampler cvopt;
   for (const Sampler* sampler :
        {static_cast<const Sampler*>(&uniform),
-        static_cast<const Sampler*>(&senate),
         static_cast<const Sampler*>(&congress),
         static_cast<const Sampler*>(&cvopt)}) {
     StratifiedSample serial = [&] {
@@ -347,10 +344,10 @@ TEST_P(ParallelExecTest, SamplersBitIdenticalWithForcedRadix) {
   const Table& t = TestTable();
   QuerySpec q = AllAggregatesQuery(false);
   const UniformSampler uniform;
-  const SenateSampler senate;
+  const CongressSampler congress;
   const CvoptSampler cvopt;
   for (const Sampler* sampler : {static_cast<const Sampler*>(&uniform),
-                                 static_cast<const Sampler*>(&senate),
+                                 static_cast<const Sampler*>(&congress),
                                  static_cast<const Sampler*>(&cvopt)}) {
     StratifiedSample serial = [&] {
       ScopedExecThreads one(1);

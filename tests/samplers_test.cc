@@ -10,7 +10,6 @@
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/rl_sampler.h"
 #include "src/sample/sample_seek_sampler.h"
-#include "src/sample/senate_sampler.h"
 #include "src/sample/uniform_sampler.h"
 #include "tests/test_util.h"
 
@@ -32,17 +31,15 @@ class AllSamplersTest : public testing::TestWithParam<int> {
  protected:
   const Sampler& sampler() const {
     static UniformSampler uniform;
-    static SenateSampler senate;
     static CongressSampler congress;
     static RlSampler rl;
     static SampleSeekSampler seek;
     static CvoptSampler cvopt;
     switch (GetParam()) {
       case 0: return uniform;
-      case 1: return senate;
-      case 2: return congress;
-      case 3: return rl;
-      case 4: return seek;
+      case 1: return congress;
+      case 2: return rl;
+      case 3: return seek;
       default: return cvopt;
     }
   }
@@ -79,12 +76,12 @@ TEST_P(AllSamplersTest, RowsAreValid) {
 }
 
 std::string SamplerCaseName(const testing::TestParamInfo<int>& info) {
-  static const char* kNames[] = {"Uniform", "Senate",     "Congress",
-                                 "RL",      "SampleSeek", "Cvopt"};
+  static const char* kNames[] = {"Uniform", "Congress", "RL", "SampleSeek",
+                                 "Cvopt"};
   return kNames[info.param];
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, AllSamplersTest, testing::Range(0, 6),
+INSTANTIATE_TEST_SUITE_P(Methods, AllSamplersTest, testing::Range(0, 5),
                          SamplerCaseName);
 
 TEST(UniformSamplerTest, ExactBudgetWithoutReplacement) {
@@ -107,34 +104,6 @@ TEST(UniformSamplerTest, BudgetAboveTableTakesAll) {
   UniformSampler u;
   ASSERT_OK_AND_ASSIGN(StratifiedSample s, u.Build(t, {}, 10000, &rng));
   EXPECT_EQ(s.size(), t.num_rows());
-}
-
-TEST(SenateSamplerTest, EqualAllocationAcrossStrata) {
-  Table t = MakeSkewedTable(5, 200);  // sizes 200..1000
-  Rng rng(29);
-  SenateSampler senate;
-  ASSERT_OK_AND_ASSIGN(StratifiedSample s,
-                       senate.Build(t, {SkewedQuery()}, 500, &rng));
-  // Count per stratum: all should be ~100.
-  ASSERT_NE(s.stratification(), nullptr);
-  std::vector<int> per(s.stratification()->num_strata(), 0);
-  for (uint32_t r : s.rows()) per[s.stratification()->StratumOfRow(r)]++;
-  for (int c : per) EXPECT_EQ(c, 100);
-}
-
-TEST(EqualAllocationTest, RedistributesCappedLeftovers) {
-  // caps {10, 1000, 1000}, budget 300: stratum 0 saturates at 10 and its
-  // leftover flows to the others.
-  std::vector<uint64_t> out = EqualAllocation({10, 1000, 1000}, 300);
-  EXPECT_EQ(out[0], 10u);
-  EXPECT_EQ(out[1] + out[2], 290u);
-  EXPECT_EQ(std::abs(static_cast<int>(out[1]) - static_cast<int>(out[2])), 0);
-}
-
-TEST(EqualAllocationTest, BudgetBeyondCapacity) {
-  std::vector<uint64_t> out = EqualAllocation({5, 5}, 100);
-  EXPECT_EQ(out[0], 5u);
-  EXPECT_EQ(out[1], 5u);
 }
 
 TEST(CongressSamplerTest, SmallGroupsBeatUniformShare) {

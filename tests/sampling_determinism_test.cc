@@ -21,7 +21,6 @@
 #include "src/sample/congress_sampler.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/rl_sampler.h"
-#include "src/sample/senate_sampler.h"
 #include "src/sample/streaming_cvopt_sampler.h"
 #include "src/sample/uniform_sampler.h"
 #include "tests/test_util.h"
@@ -91,14 +90,12 @@ uint64_t BuildDigest(const Sampler& sampler, int threads) {
 
 TEST(SamplingDeterminismTest, DigestsMatchAcrossThreadCountsAndGoldens) {
   static const UniformSampler uniform;
-  static const SenateSampler senate;
   static const CongressSampler congress;
   static const RlSampler rl;
   static const CvoptSampler cvopt;
   static const StreamingCvoptSampler streaming(/*replan_interval=*/500);
   const GoldenCase cases[] = {
       {"Uniform", &uniform, 0xf68c4cc45fc8f181ULL},
-      {"Senate", &senate, 0x576d5fa3f3d1e0f0ULL},
       {"Congress", &congress, 0xf8f0448554bf9502ULL},
       {"RL", &rl, 0xfd67214f05e8d12dULL},
       {"CVOPT", &cvopt, 0xbed7ded3ce7161a5ULL},
@@ -141,14 +138,16 @@ TEST(SamplingDeterminismTest, DigestIndependentOfMorselGrain) {
 TEST(SamplingDeterminismTest, RepeatedBuildsFromSameSeedAreIdentical) {
   // Rows AND weights, in emission order — the full artifact, not just the
   // set digest.
-  static const SenateSampler senate;
+  static const CongressSampler congress;
   ScopedExecThreads scope(3);
   Rng rng1(777);
   Rng rng2(777);
-  ASSERT_OK_AND_ASSIGN(StratifiedSample a,
-                       senate.Build(DigestTable(), {DigestQuery()}, 500, &rng1));
-  ASSERT_OK_AND_ASSIGN(StratifiedSample b,
-                       senate.Build(DigestTable(), {DigestQuery()}, 500, &rng2));
+  ASSERT_OK_AND_ASSIGN(
+      StratifiedSample a,
+      congress.Build(DigestTable(), {DigestQuery()}, 500, &rng1));
+  ASSERT_OK_AND_ASSIGN(
+      StratifiedSample b,
+      congress.Build(DigestTable(), {DigestQuery()}, 500, &rng2));
   EXPECT_EQ(a.rows(), b.rows());
   EXPECT_EQ(a.weights(), b.weights());
 }

@@ -33,7 +33,6 @@
 #include "src/exec/group_by_executor.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/sampler.h"
-#include "src/sample/senate_sampler.h"
 #include "src/stats/stats_collector.h"
 #include "tests/test_util.h"
 
@@ -234,7 +233,7 @@ TEST(SamplingStatisticsTest, ApproxErrorsWithinCltBoundsAtConfidence) {
 TEST(SamplingStatisticsTest, EndToEndSamplersHonorAllocationSizes) {
   // The sampler entry points hand DrawStratified their allocation in
   // stratification order; the realized per-stratum sizes must equal the
-  // planned ones exactly (CVOPT via its plan, Senate via EqualAllocation).
+  // planned ones exactly.
   Table t = MakeSkewedTable(8, 150, /*seed=*/5);
   QuerySpec q;
   q.group_by = {"g"};
@@ -251,20 +250,6 @@ TEST(SamplingStatisticsTest, EndToEndSamplersHonorAllocationSizes) {
   }
   for (size_t c = 0; c < counted.size(); ++c) {
     EXPECT_EQ(counted[c], plan.allocation.sizes[c]) << "stratum " << c;
-  }
-
-  SenateSampler senate;
-  Rng rng2(31338);
-  ASSERT_OK_AND_ASSIGN(StratifiedSample s2, senate.Build(t, {q}, 600, &rng2));
-  ASSERT_NE(s2.stratification(), nullptr);
-  const std::vector<uint64_t> expect =
-      EqualAllocation(s2.stratification()->sizes(), 600);
-  std::vector<uint64_t> counted2(s2.stratification()->num_strata(), 0);
-  for (uint32_t row : s2.rows()) {
-    counted2[s2.stratification()->StratumOfRow(row)]++;
-  }
-  for (size_t c = 0; c < counted2.size(); ++c) {
-    EXPECT_EQ(counted2[c], expect[c]) << "stratum " << c;
   }
 }
 

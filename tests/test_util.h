@@ -49,6 +49,21 @@ class ScopedRadixOverride {
   ~ScopedRadixOverride() { GroupIndex::SetRadixOverrideForTesting(-1, 0); }
 };
 
+/// Sets the storage chunk size of tables built in the scope, restoring the
+/// default however the test exits.
+class ScopedChunkRows {
+ public:
+  explicit ScopedChunkRows(size_t rows) { SetDefaultChunkRowsForTesting(rows); }
+  ~ScopedChunkRows() { SetDefaultChunkRowsForTesting(0); }
+};
+
+/// Switches zone-map pruning for the scope, re-enabling it on exit.
+class ScopedZoneMaps {
+ public:
+  explicit ScopedZoneMaps(bool on) { SetZoneMapPruningEnabled(on); }
+  ~ScopedZoneMaps() { SetZoneMapPruningEnabled(true); }
+};
+
 /// Bitwise equality of two results: same groups in the same order, with
 /// value doubles compared by representation, not tolerance.
 inline void ExpectBitIdentical(const QueryResult& a, const QueryResult& b) {

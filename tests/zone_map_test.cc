@@ -19,19 +19,6 @@
 namespace cvopt {
 namespace {
 
-// Restores chunk-size / pruning globals however a test exits.
-class ScopedChunkRows {
- public:
-  explicit ScopedChunkRows(size_t rows) { SetDefaultChunkRowsForTesting(rows); }
-  ~ScopedChunkRows() { SetDefaultChunkRowsForTesting(0); }
-};
-
-class ScopedZoneMaps {
- public:
-  explicit ScopedZoneMaps(bool on) { SetZoneMapPruningEnabled(on); }
-  ~ScopedZoneMaps() { SetZoneMapPruningEnabled(true); }
-};
-
 // Clustered dataset: `t` ascending (timestamp-like, the zone-map-friendly
 // layout), `region` changes in long runs, `v` Gaussian with sprinkled NaNs,
 // `id` uniform noise (zone-map-hostile).
@@ -133,7 +120,7 @@ void ExpectResultsIdentical(const QueryResult& a, const QueryResult& b,
 // group order, labels, and integer COUNT / COUNT_IF are bit-exact for every
 // thread count; float aggregates merge per-chunk partials whose chunk count
 // follows the thread budget — the "documented float-summation reassociation"
-// of AccumulateChunked — so they compare within a relative tolerance.
+// of the chunk-order merge — so they compare within a relative tolerance.
 void ExpectResultsEquivalent(const QueryResult& a, const QueryResult& b,
                              const std::string& what) {
   ASSERT_EQ(a.num_groups(), b.num_groups()) << what;
@@ -163,9 +150,10 @@ TEST(ZoneMapTest, DifferentialAcrossChunkSizesAndThreads) {
   // What PR 7 must keep bitwise: at any fixed thread count, results are
   // invariant to zone-map pruning and to the storage chunk geometry —
   // selection vectors are position-identical whatever the morsel/chunk
-  // cuts, and aggregation partials are split over selection positions, not
-  // storage chunks. Across thread counts the engine's pre-existing
-  // contract applies (ExpectResultsEquivalent above), no worse than before.
+  // cuts, and aggregation partials are split over row ranges fixed by the
+  // row count, not by storage chunks. Across thread counts the engine's
+  // pre-existing contract applies (ExpectResultsEquivalent above), no
+  // worse than before.
   std::vector<QueryResult> serial_oracle;
   for (int threads : {1, 2, 3, 8}) {
     ScopedExecThreads pool(threads);

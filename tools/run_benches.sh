@@ -192,7 +192,9 @@ doc["description"] = (
     "rendered); "
     "BM_AdaptiveGroupBySmallG is the ~2k-group control on the same tier, "
     "which takes the chunk-merge path (the realized group count is "
-    "reported as a bench counter); the masked and adaptive pairs run on "
+    "reported as a bench counter); before results were columnar, "
+    "rendering one label per group was most of its time; the masked and "
+    "adaptive pairs run on "
     "an 8-thread pool, hence wall time. BM_StratificationBuildIntKey is "
     "BM_StratificationBuild over the int-keyed (parameter, year) grouping, "
     "whose year range the direct tier reads off the zone maps. "
@@ -212,19 +214,14 @@ doc["description"] = (
     "miss (stratified-sample build) every iteration, BM_ServerExact runs "
     "the exact engine over the 500k-row base table, and "
     "BM_ServerCatalogHitParallel/<threads> is aggregate throughput with "
-    "one connection per benchmark thread."
-    " (BM_ServerCatalogHit and the BM_ServerCatalogHitParallel ladder "
-    "hold the change's medians of 10 alternating parent/change pairs, "
-    "--benchmark_min_time=1, taken when each batch began executing on "
-    "its connection's reader thread under the server's 4 execution "
-    "slots instead of passing through a request queue to pipeline "
-    "workers; threads:8 has more connections than slots, so its batches "
-    "wait for a slot: BM_ServerCatalogHit 12.0k -> 13.6k queries/s "
-    "(10/10 wins), threads:2 23.4k -> 27.1k (10/10), threads:4 33.5k -> "
-    "61.6k (10/10), threads:8 47.8k -> 46.8k (2/10; run alone, 10 pairs "
-    "at --benchmark_min_time=2 read 46.6k -> 50.2k, 7/10), so threads:8 "
-    "is within noise)"
+    "one connection per benchmark thread. pair_records holds the "
+    "alternating parent/change pair measurements behind targeted "
+    "re-records, oldest first; this script keeps that field as it is, "
+    "and a full run replaces the current values the records quote."
 )
+# pair_records is written by hand when a change re-records a few benches
+# from alternating parent/change pairs; every field this script does not
+# set, that one included, is carried over from the existing file.
 # The commit measured; "-dirty" marks numbers taken from uncommitted
 # changes on top of it.
 commit = subprocess.run(
